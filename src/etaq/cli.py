@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__, limits, search, series, zeros
 from . import qset
 from .qset import QOrdering
-from .series import (PoleError, SingularDenominatorError, StripPoint,
-                     eta_accel, geom_closed, zeta_from_eta)
+from .series import (AccelerationError, PoleError, SingularDenominatorError,
+                     StripPoint, eta_accel, geom_closed, zeta_from_eta)
 
 METHOD_IDS = (series.ACCEL_METHOD_ID, series.AVERAGED_METHOD_ID,
               "rng:splitmix64-v1", "tail:iterated-averaging-3")
@@ -211,7 +211,7 @@ def run_verify(k_max: int, budget: int, inject_fault: str | None) -> list[CheckR
                 scale = max(1.0, abs(c_ref), abs(s_ref))
                 worst = max(worst, abs(surf.C[i, j] - c_ref) / scale,
                             abs(surf.S[i, j] - s_ref) / scale)
-    record("surface-vs-naive", worst, 1e-12, "incremental vs triple-loop oracle")
+    record("surface-vs-naive", worst, 1e-12, "surface kernel vs triple-loop oracle")
 
     worst_o = 0.0
     worst_d = 0.0
@@ -474,8 +474,8 @@ def main(argv=None) -> int:
     except PoleError as exc:
         print(f"error: pole at z=1 ({exc})", file=sys.stderr)
         return 2
-    except (SingularDenominatorError, ValueError, zeros.RefinementError,
-            qset.EnumerationShortfallError) as exc:
+    except (AccelerationError, SingularDenominatorError, ValueError,
+            zeros.RefinementError, qset.EnumerationShortfallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

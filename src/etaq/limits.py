@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series as se
-from .qset import QOrdering, dividing_positions, is_gamma
+from .qset import QOrdering
 from .series import StripPoint
 
 TAIL_WINDOW = 64
@@ -36,9 +36,11 @@ class SumSurface:
 
     def write_csv(self, fh) -> None:
         fh.write("n,h,C,S\n")
-        for i, n in enumerate(self.n_axis):
-            for j, h in enumerate(self.h_axis):
-                fh.write(f"{n},{h},{self.C[i, j]:.17g},{self.S[i, j]:.17g}\n")
+        # one row of Python floats at a time: whole-surface lists would
+        # hold ~64 bytes per cell
+        for n, c_row, s_row in zip(self.n_axis, self.C, self.S):
+            fh.write("".join([f"{n},{h},{c:.17g},{s:.17g}\n" for h, c, s
+                              in zip(self.h_axis, c_row.tolist(), s_row.tolist())]))
 
 
 def _validate_axes(n_axis, h_axis):
@@ -51,48 +53,45 @@ def _validate_axes(n_axis, h_axis):
     return n_axis, h_axis
 
 
+def c_s_running(p: StripPoint, prefix, n_rows):
+    """Yield the running (C, S) over `n_rows` after each element of `prefix`.
+
+    Uses C(n,h) = sum_(i<=h) sgn(q_i) P_(q_i)(n) with P_q(n) = sum_(m<=n/q)
+    a_(mq): each element adds one strided prefix sum of the term arrays,
+    read at n // q (S likewise with b).  No powers-of-two mask is needed,
+    since an odd q divides no power of two.  The two yielded vectors are
+    updated in place; copy them to keep a column.
+    """
+    n_rows = np.asarray(n_rows, dtype=np.int64)
+    a, b = se.term_arrays(p, int(n_rows.max(initial=0)))
+    c = np.zeros(len(n_rows))
+    s = np.zeros(len(n_rows))
+    for q in prefix:
+        rows = n_rows // q.value
+        step = np.add if q.sign > 0 else np.subtract
+        for total, terms in ((c, a), (s, b)):
+            partial = np.zeros(len(terms) // q.value + 1)
+            np.cumsum(terms[q.value - 1::q.value], out=partial[1:])
+            step(total, partial[rows], out=total)
+        yield c, s
+
+
 def c_s_surface(p: StripPoint, ordering: QOrdering, n_axis, h_axis) -> SumSurface:
     """Exact truncated double sums on the given axes.
 
-    Incremental over k: for each k only the divisors of k present among the
-    ordering's prefix are touched (via the value -> position index), never a
-    scan over all h.  Accumulation is compensated (vector Kahan).
+    One pass of `c_s_running` over the ordering's first max(h_axis)
+    elements; the running vectors are copied out at each h on the axis.
+    Columns at h = 0 and cells with n below every element stay 0.0.
     """
     n_axis, h_axis = _validate_axes(n_axis, h_axis)
-    h_max = max(h_axis) if h_axis else 0
-    index = ordering.index_map(h_max)
-    hs = np.asarray(h_axis, dtype=np.int64)
-    ncols = len(h_axis)
-    c_sum = np.zeros(ncols)
-    c_comp = np.zeros(ncols)
-    s_sum = np.zeros(ncols)
-    s_comp = np.zeros(ncols)
-    C = np.zeros((len(n_axis), ncols))
-    S = np.zeros((len(n_axis), ncols))
-    row = 0
-    for k in range(1, max(n_axis) + 1):
-        if not is_gamma(k):
-            hits = dividing_positions(k, index)
-            if hits:
-                f_vals = np.zeros(ncols)
-                running = 0
-                ptr = 0
-                for j in range(ncols):
-                    while ptr < len(hits) and hits[ptr][0] <= hs[j]:
-                        running += hits[ptr][1]
-                        ptr += 1
-                    f_vals[j] = running
-                a_k, b_k = se.term_ab(k, p)
-                for total, comp, term in ((c_sum, c_comp, f_vals * a_k),
-                                          (s_sum, s_comp, f_vals * b_k)):
-                    y = term - comp
-                    t = total + y
-                    comp[:] = (t - total) - y
-                    total[:] = t
-        while row < len(n_axis) and n_axis[row] == k:
-            C[row] = c_sum
-            S[row] = s_sum
-            row += 1
+    C = np.zeros((len(n_axis), len(h_axis)))
+    S = np.zeros((len(n_axis), len(h_axis)))
+    column = {h: j for j, h in enumerate(h_axis)}
+    prefix = ordering.prefix(max(h_axis, default=0))
+    for h, (c, s) in enumerate(c_s_running(p, prefix, n_axis), start=1):
+        if h in column:
+            C[:, column[h]] = c
+            S[:, column[h]] = s
     return SumSurface(point=p, ordering_id=ordering.descriptor(),
                       n_axis=n_axis, h_axis=h_axis, C=C, S=S)
 

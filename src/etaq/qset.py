@@ -245,14 +245,6 @@ class QOrdering:
                 f"{h} requested (raise bound_hint)")
         return seq[:h]
 
-    def index_map(self, h: int) -> dict[int, tuple[int, int]]:
-        """Map q.value -> (1-based position, sign) over the first h elements."""
-        key = ("idx", h)
-        if key not in self._cache:
-            self._cache[key] = {q.value: (i + 1, q.sign)
-                                for i, q in enumerate(self.prefix(h))}
-        return self._cache[key]
-
 
 def f_kh(k: int, ordering: QOrdering, h: int) -> int:
     """f(k,h) = sum over the ordering's first h elements of sgn(q_i)*delta(k,i),
@@ -269,24 +261,7 @@ def f_kh(k: int, ordering: QOrdering, h: int) -> int:
 
 
 def f_kh_fast(k: int, ordering: QOrdering, h: int) -> int:
-    """Same value as f_kh, but inspects only the divisors of k present among
-    the first h elements instead of scanning all h."""
-    index = ordering.index_map(h)
-    total = 0
-    for q in odd_squarefree_divisors(k):
-        hit = index.get(q.value)
-        if hit is not None:
-            total += hit[1]
-    return total
-
-
-def dividing_positions(k: int, index_map: dict[int, tuple[int, int]]) -> list[tuple[int, int]]:
-    """Sorted (position, sign) pairs for the elements of Q dividing k that
-    appear in index_map."""
-    hits = []
-    for q in odd_squarefree_divisors(k):
-        hit = index_map.get(q.value)
-        if hit is not None:
-            hits.append(hit)
-    hits.sort()
-    return hits
+    """Same value as f_kh by a second path: each element of Q dividing k
+    (from k's factorisation) is looked up among the first h elements."""
+    signs = {q.value: q.sign for q in ordering.prefix(h)}
+    return sum(signs.get(q.value, 0) for q in odd_squarefree_divisors(k))

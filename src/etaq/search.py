@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import series as se
+from . import limits
 from ._rng import ALGORITHM_ID, SplitMix64
-from .qset import OddSquarefree, QOrdering, dividing_positions, is_gamma
+from .qset import OddSquarefree, QOrdering
 from .series import StripPoint
 
 
@@ -75,43 +75,30 @@ class TraceEntry:
 def objective_gap(elements, spec: ObjectiveSpec) -> float:
     """Sum over spec points of max_h max_n (|C(n,h) - A_cos(h)| +
     |S(n,h) - A_sin(h)|) with n in the window and the candidate prefix as
-    the ordering."""
+    the ordering.
+
+    C and S come from `limits.c_s_running` over the window's rows, A from
+    `limits.limit_A_series`; only one running vector per sum is held, never
+    a (window x h) matrix.  Nothing is cached across calls.
+    """
     elements = tuple(elements)
     if spec.h_max > len(elements):
         raise ValueError(f"hMax {spec.h_max} exceeds prefix length {len(elements)}")
     if spec.h_max == 0:
         return 0.0
     ordering = QOrdering.from_explicit(elements)
-    index = ordering.index_map(spec.h_max)
+    prefix = elements[:spec.h_max]
     n0, n1 = spec.n_window
+    rows = np.arange(n0, n1 + 1)
     total = 0.0
     for p in spec.points:
-        a_cos, a_sin = (np.asarray(v) for v in
-                        _limit_a_arrays(p, elements[:spec.h_max], spec.eta_tol))
-        c_row = np.zeros(spec.h_max)
-        s_row = np.zeros(spec.h_max)
-        max_dev = np.zeros(spec.h_max)
-        for k in range(1, n1 + 1):
-            if not is_gamma(k):
-                hits = dividing_positions(k, index)
-                if hits:
-                    a_k, b_k = se.term_ab(k, p)
-                    for pos, sign in hits:
-                        c_row[pos - 1:] += sign * a_k
-                        s_row[pos - 1:] += sign * b_k
-            if k >= n0:
-                dev = np.abs(c_row - a_cos) + np.abs(s_row - a_sin)
-                np.maximum(max_dev, dev, out=max_dev)
-        total += float(max_dev.max())
+        a_cos, a_sin = limits.limit_A_series(p, ordering, spec.h_max, spec.eta_tol)
+        worst = 0.0
+        for h, (c, s) in enumerate(limits.c_s_running(p, prefix, rows)):
+            dev = np.abs(c - a_cos[h]) + np.abs(s - a_sin[h])
+            worst = max(worst, float(dev.max()))
+        total += worst
     return total
-
-
-def _limit_a_arrays(p: StripPoint, prefix, tol: float):
-    eta = se.eta_accel(p, tol).value
-    vals = np.array([q.sign * np.exp(-p.s * math.log(q.value)) for q in prefix],
-                    dtype=np.complex128)
-    partial = np.cumsum(vals) * eta
-    return partial.real, -partial.imag
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,10 @@ def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
                threshold: float = 0.05) -> list[ZeroRecord]:
     """Grid-scan |eta(1/2 + iy)|; candidates are interior local minima below
     threshold.  Candidates are unrefined."""
-    if not (0.0 <= y_min < y_max) and y_min != y_max:
-        raise ValueError(f"need 0 <= yMin < yMax, got [{y_min}, {y_max}]")
+    if not y_min >= 0.0:
+        raise ValueError(f"need yMin >= 0, got {y_min}")
+    if not y_min <= y_max:
+        raise ValueError(f"need yMin <= yMax, got [{y_min}, {y_max}]")
     if step <= 0.0:
         raise ValueError("step must be > 0")
     if y_min == y_max:

@@ -50,6 +50,15 @@ class TestPointCommands:
         assert main(["zeta", "1", "0"]) == 2
         assert "pole" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["eta", "0.5", "200"], ["zeta", "0.999", "0"]])
+    def test_unreachable_tolerance_exit_two(self, argv, capsys):
+        # the acceleration's error bound exceeds the requested tolerance
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestSurfaceCommand:
     def test_row_count(self, tmp_path):
@@ -104,6 +113,11 @@ class TestZerosCommand:
     def test_refine_no_zero_exit_two(self, capsys):
         rc = main(["zeros", "refine", "--y0", "5", "--window", "0.5"])
         assert rc == 2
+
+    def test_scan_negative_interval_exit_two(self, capsys):
+        rc = main(["zeros", "scan", "--y-min", "-1", "--y-max", "-1"])
+        assert rc == 2
+        assert "yMin >= 0" in capsys.readouterr().err
 
     def test_load(self, tmp_path, capsys):
         src = tmp_path / "in.txt"

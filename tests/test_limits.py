@@ -1,12 +1,15 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
-from etaq.limits import (c_s_naive, c_s_surface, commutativity_gap, limit_A,
-                         limit_A_series, limit_B, rh_contradiction_check)
-from etaq.qset import QOrdering
+from etaq.limits import (SumSurface, c_s_naive, c_s_surface, commutativity_gap,
+                         limit_A, limit_A_series, limit_B, rh_contradiction_check)
+from etaq.qset import OddSquarefree, QOrdering
 from etaq.series import StripPoint, eta_accel, geom_closed
+
+FIRST_ZERO = StripPoint(0.5, 14.134725141734693)
 
 
 def i_major_oracle(p, ordering, n, h):
@@ -54,6 +57,29 @@ class TestSurface:
                 assert surf.C[i, j] == pytest.approx(c_ref, abs=1e-12)
                 assert surf.S[i, j] == pytest.approx(s_ref, abs=1e-12)
 
+    def test_against_naive_at_benchmark_sizes(self):
+        # the first surface sweep of the benchmark: n up to 2e4, h <= 3
+        ordering = QOrdering.by_value(10_000)
+        n_axis = [1, 2, 3, 4999, 15015, 20000]
+        h_axis = [1, 2, 3]
+        surf = c_s_surface(FIRST_ZERO, ordering, n_axis, h_axis)
+        for i, n in enumerate(n_axis):
+            for j, h in enumerate(h_axis):
+                c_ref, s_ref = c_s_naive(FIRST_ZERO, ordering, n, h)
+                scale = max(1.0, abs(c_ref), abs(s_ref))
+                assert abs(surf.C[i, j] - c_ref) <= 1e-12 * scale
+                assert abs(surf.S[i, j] - s_ref) <= 1e-12 * scale
+
+    def test_h_zero_and_elements_past_n_are_exact_zeros(self):
+        # 101 and 103 divide no k <= 100, so h <= 2 is the empty sum too
+        elems = [OddSquarefree.from_factors(f) for f in ((101,), (103,), (3,))]
+        surf = c_s_surface(StripPoint(0.5, 14.0), QOrdering.from_explicit(elems),
+                           [10, 50, 100], [0, 1, 2, 3])
+        head = np.concatenate([surf.C[:, :3], surf.S[:, :3]])
+        assert np.all(head == 0.0)
+        assert not np.any(np.signbit(head))  # written as "0", never "-0"
+        assert np.all(surf.C[:, 3] != 0.0)
+
     def test_k_major_vs_i_major(self):
         p = StripPoint(0.5, 14.0)
         ordering = QOrdering.by_value(500)
@@ -80,6 +106,19 @@ class TestSurface:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,h,C,S"
         assert len(lines) == 1 + 3 * 2
+
+    def test_csv_bytes_match_per_cell_format(self):
+        C = np.array([[-0.0, 0.1 + 0.2], [1.0 / 3.0, -5e-324]])
+        S = np.array([[0.0, -math.pi], [1e300, 2.0 / 3.0]])
+        surf = SumSurface(point=StripPoint(0.5, 0.0), ordering_id="explicit(n=3)",
+                          n_axis=(1, 7), h_axis=(0, 3), C=C, S=S)
+        fh = io.StringIO()
+        surf.write_csv(fh)
+        want = "n,h,C,S\n" + "".join(
+            f"{n},{h},{C[i, j]:.17g},{S[i, j]:.17g}\n"
+            for i, n in enumerate(surf.n_axis) for j, h in enumerate(surf.h_axis))
+        assert fh.getvalue() == want
+        assert "1,0,-0,0\n" in want and "0.30000000000000004" in want
 
 
 class TestLimitA:

@@ -1,9 +1,11 @@
 import pytest
 
+from etaq import search
+from etaq.limits import limit_A_series
 from etaq.qset import QOrdering
 from etaq.search import (ObjectiveSpec, OrderingCandidate, SearchConfig,
                         anneal, objective_gap)
-from etaq.series import StripPoint, subseries_q
+from etaq.series import StripPoint, subseries_q, term_ab
 
 
 def small_spec(h_max=8, n_window=(50, 120), point=StripPoint(0.75, 3.0)):
@@ -13,6 +15,32 @@ def small_spec(h_max=8, n_window=(50, 120), point=StripPoint(0.75, 3.0)):
 def small_config(seed=42, iters=20, prefix=16):
     return SearchConfig(seed=seed, prefix_length=prefix, iterations=iters,
                         objective=small_spec(), bound_hint=1000)
+
+
+def k_major_objective(elements, spec):
+    """The objective by its definition: one k at a time, divisors of k found
+    by trial division, every h column updated."""
+    prefix = elements[:spec.h_max]
+    n0, n1 = spec.n_window
+    total = 0.0
+    for p in spec.points:
+        a_cos, a_sin = limit_A_series(p, QOrdering.from_explicit(elements),
+                                      spec.h_max, spec.eta_tol)
+        c_row = [0.0] * spec.h_max
+        s_row = [0.0] * spec.h_max
+        worst = 0.0
+        for k in range(1, n1 + 1):
+            a_k, b_k = term_ab(k, p)
+            for i, q in enumerate(prefix):
+                if k % q.value == 0:
+                    for h in range(i, spec.h_max):
+                        c_row[h] += q.sign * a_k
+                        s_row[h] += q.sign * b_k
+            if k >= n0:
+                worst = max(worst, *(abs(c - a) + abs(s - b) for c, a, s, b
+                                     in zip(c_row, a_cos, s_row, a_sin)))
+        total += worst
+    return total
 
 
 class TestObjective:
@@ -40,6 +68,16 @@ class TestObjective:
             dev = abs((-trunc).real - (-limit).real) + abs((trunc).imag - (limit).imag)
             worst = max(worst, dev)
         assert got == pytest.approx(worst, rel=1e-9)
+
+    @pytest.mark.parametrize("spec", [
+        small_spec(),
+        ObjectiveSpec(points=(StripPoint(0.5, 14.134725141734693), StripPoint(2.0, 0.0)),
+                      n_window=(500, 1000), h_max=32),
+    ])
+    def test_against_k_major_reference(self, spec):
+        elems = QOrdering.seeded_shuffle(5, 40, 1000).prefix(40)
+        assert objective_gap(elems, spec) == pytest.approx(
+            k_major_objective(elems, spec), rel=1e-12)
 
     def test_swap_outside_divisor_range_is_neutral(self):
         # swapping two elements dividing nothing <= n1 leaves the objective alone
@@ -75,6 +113,20 @@ class TestAnneal:
         a = anneal(small_config(seed=1))
         b = anneal(small_config(seed=2))
         assert a.trace != b.trace
+
+    def test_trace_objectives_recompute_exactly(self, monkeypatch):
+        candidates = []
+
+        def recording(elements, spec):
+            candidates.append(tuple(elements))
+            return objective_gap(elements, spec)
+
+        monkeypatch.setattr(search, "objective_gap", recording)
+        cfg = small_config(iters=15)
+        result = anneal(cfg)
+        assert len(candidates) == cfg.iterations + 1  # the start, then each proposal
+        for entry, cand in zip(result.trace, candidates[1:]):
+            assert entry.objective == objective_gap(cand, cfg.objective)
 
     def test_best_never_worse_than_identity(self):
         cfg = small_config(iters=40)

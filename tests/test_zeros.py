@@ -57,6 +57,10 @@ class TestScan:
     def test_degenerate_interval(self):
         assert scan_zeros(3.0, 3.0) == []
 
+    def test_negative_degenerate_interval_rejected(self):
+        with pytest.raises(ValueError, match="yMin >= 0"):
+            scan_zeros(-1.0, -1.0)
+
     def test_finds_first_zero(self):
         records = scan_zeros(14.0, 14.3)
         assert len(records) == 1
