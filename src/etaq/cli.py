@@ -32,6 +32,9 @@ METHOD_IDS = (series.ACCEL_METHOD_ID, series.AVERAGED_METHOD_ID,
 
 ZETA_HALF_REF = -1.4603545088095868  # independently cross-checked reference
 
+Q_BOUND_HELP = (f"largest element of Q enumerated, at most {qset.MAX_ENUM_BOUND} "
+                "(the sieve needs about 5 bytes per unit of bound)")
+
 
 def parse_range(text: str) -> list[int]:
     """start:stop[:step] -> [start, start+step, ...]; stop included when hit
@@ -105,20 +108,15 @@ def _grid_points():
 
 
 def _check_f_closed(k_max: int) -> tuple[float, float, str]:
-    spf = qset.smallest_factor_sieve(k_max)
+    counts = qset.odd_factor_counts(k_max)[0].tolist()
     bad = 0
     for k in range(1, k_max + 1):
-        # brute force via the spf factorization: (1-1)^n - 1 expanded literally
-        primes = []
-        n = k
-        while n > 1:
-            p = spf[n]
-            if p != 2 and (not primes or primes[-1] != p):
-                primes.append(p)
-            n //= p
+        # brute force over the n distinct odd primes of k, counted by the
+        # sieve at k's odd part: (1-1)^n - 1 expanded literally
+        n = counts[k // (k & -k) // 2]
         total = 0
-        for r in range(1, len(primes) + 1):
-            total += (-1) ** r * math.comb(len(primes), r)
+        for r in range(1, n + 1):
+            total += (-1) ** r * math.comb(n, r)
         if total != qset.f_closed(k):
             bad += 1
     return float(bad), 0.0, f"{bad} mismatches over k <= {k_max}"
@@ -297,7 +295,7 @@ def cmd_surface(args) -> int:
 
 def cmd_gap(args) -> int:
     ordering = parse_ordering(args.ordering, args.q_bound)
-    h_max = args.h_max if args.h_max is not None else len(ordering.sequence())
+    h_max = args.h_max if args.h_max is not None else len(ordering.arrays()[0])
     report = limits.commutativity_gap(StripPoint(args.x, args.y), ordering,
                                       h_max, args.budget, args.eta_tol)
     text = report.to_json() + "\n"
@@ -406,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ordering", default="byvalue")
     p.add_argument("--n", required=True, help="range start:stop[:step]")
     p.add_argument("--h", required=True, help="range start:stop[:step]")
-    p.add_argument("--bound", type=int, default=10_000)
+    p.add_argument("--bound", type=int, default=10_000, help=Q_BOUND_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_surface)
 
@@ -417,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-max", type=int, default=None,
                    help="default: all elements below --q-bound")
     p.add_argument("--budget", type=int, default=1_000_000)
-    p.add_argument("--q-bound", type=int, default=10_000)
+    p.add_argument("--q-bound", type=int, default=10_000, help=Q_BOUND_HELP)
     p.add_argument("--eta-tol", type=float, default=1e-12)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gap)
@@ -456,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--decay", type=float, default=0.95)
     p.add_argument("--eta-tol", type=float, default=1e-12)
-    p.add_argument("--bound", type=int, default=10_000)
+    p.add_argument("--bound", type=int, default=10_000, help=Q_BOUND_HELP)
     p.add_argument("--out-trace", required=True)
     p.add_argument("--out-best", required=True)
     p.set_defaults(func=cmd_search)

@@ -53,8 +53,9 @@ def _validate_axes(n_axis, h_axis):
     return n_axis, h_axis
 
 
-def c_s_running(p: StripPoint, prefix, n_rows):
-    """Yield the running (C, S) over `n_rows` after each element of `prefix`.
+def c_s_running(p: StripPoint, values, signs, n_rows):
+    """Yield the running (C, S) over `n_rows` after each element of an
+    ordering's prefix, given as its `values` and `signs`.
 
     Uses C(n,h) = sum_(i<=h) sgn(q_i) P_(q_i)(n) with P_q(n) = sum_(m<=n/q)
     a_(mq): each element adds one strided prefix sum of the term arrays,
@@ -66,12 +67,12 @@ def c_s_running(p: StripPoint, prefix, n_rows):
     a, b = se.term_arrays(p, int(n_rows.max(initial=0)))
     c = np.zeros(len(n_rows))
     s = np.zeros(len(n_rows))
-    for q in prefix:
-        rows = n_rows // q.value
-        step = np.add if q.sign > 0 else np.subtract
+    for q, sign in zip(values.tolist(), signs.tolist()):
+        rows = n_rows // q
+        step = np.add if sign > 0 else np.subtract
         for total, terms in ((c, a), (s, b)):
-            partial = np.zeros(len(terms) // q.value + 1)
-            np.cumsum(terms[q.value - 1::q.value], out=partial[1:])
+            partial = np.zeros(len(terms) // q + 1)
+            np.cumsum(terms[q - 1::q], out=partial[1:])
             step(total, partial[rows], out=total)
         yield c, s
 
@@ -87,8 +88,8 @@ def c_s_surface(p: StripPoint, ordering: QOrdering, n_axis, h_axis) -> SumSurfac
     C = np.zeros((len(n_axis), len(h_axis)))
     S = np.zeros((len(n_axis), len(h_axis)))
     column = {h: j for j, h in enumerate(h_axis)}
-    prefix = ordering.prefix(max(h_axis, default=0))
-    for h, (c, s) in enumerate(c_s_running(p, prefix, n_axis), start=1):
+    values, signs = ordering.arrays(max(h_axis, default=0))
+    for h, (c, s) in enumerate(c_s_running(p, values, signs, n_axis), start=1):
         if h in column:
             C[:, column[h]] = c
             S[:, column[h]] = s
@@ -118,10 +119,8 @@ def limit_A_series(p: StripPoint, ordering: QOrdering, h_max: int,
     subseries closed form), so the whole h-sequence costs one eta evaluation.
     """
     eta = se.eta_accel(p, tol).value
-    prefix = ordering.prefix(h_max)
-    vals = np.array([q.sign * np.exp(-p.s * math.log(q.value)) for q in prefix],
-                    dtype=np.complex128)
-    partial = np.cumsum(vals) * eta if h_max > 0 else np.zeros(0, dtype=np.complex128)
+    values, signs = ordering.arrays(h_max)
+    partial = np.cumsum(signs * np.exp(-p.s * np.log(values))) * eta
     return partial.real.copy(), (-partial.imag).copy()
 
 
@@ -283,8 +282,7 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
         notes.append("budget = 0: direct B estimate skipped")
     return LimitReport(
         point=p, ordering_id=ordering.descriptor(),
-        A_cos=tuple(float(v) for v in a_cos),
-        A_sin=tuple(float(v) for v in a_sin),
+        A_cos=tuple(a_cos.tolist()), A_sin=tuple(a_sin.tolist()),
         B_cos=b_cos, B_sin=b_sin,
         oracleB_cos=oracle_cos, oracleB_sin=oracle_sin,
         gap_cos=oracle_cos - a_cos_final,

@@ -10,11 +10,19 @@ of Q.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from ._rng import ALGORITHM_ID, SplitMix64
 
-MAX_ENUM_BOUND = 1 << 40
+# Largest Q bound accepted.  The sieve behind q_arrays peaks near 5 bytes per
+# unit of bound: 2 for the int32 cofactors and 1 for the factor counts and
+# squarefree flags (both over the odd numbers only), then about 3.2 for the
+# int64 values of Q (0.405 elements per unit).  That is about 0.5 GB at the cap.
+MAX_ENUM_BOUND = 10**8
 
 
 class EnumerationShortfallError(ValueError):
@@ -55,25 +63,59 @@ def sieve_primes(limit: int) -> list[int]:
         raise ValueError("limit must be >= 0")
     if limit < 2:
         return []
-    composite = bytearray(limit + 1)
-    primes = []
-    for n in range(2, limit + 1):
-        if not composite[n]:
-            primes.append(n)
-            for m in range(n * n, limit + 1, n):
-                composite[m] = 1
-    return primes
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for n in range(2, math.isqrt(limit) + 1):
+        if is_prime[n]:
+            is_prime[n * n::n] = False
+    return np.flatnonzero(is_prime).tolist()
 
 
-def smallest_factor_sieve(limit: int) -> list[int]:
-    """spf[n] = smallest prime factor of n (spf[0]=0, spf[1]=1)."""
-    spf = list(range(limit + 1))
-    for p in range(2, int(limit**0.5) + 1):
-        if spf[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
+def odd_factor_counts(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Over the odd k = 1, 3, 5, ... <= bound, with k at index (k - 1) // 2:
+    the number of distinct prime factors of k (int8), and whether k is
+    squarefree.
+
+    Only primes p <= sqrt(bound) are sieved.  Dividing every power of them
+    out of k leaves 1 or a single prime above sqrt(bound), which adds one
+    more factor.
+    """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    if bound > MAX_ENUM_BOUND:
+        raise ValueError(f"bound {bound} exceeds the cap {MAX_ENUM_BOUND} "
+                         "(the sieve needs about 5 bytes per unit of bound)")
+    n = (bound + 1) // 2
+    rest = np.arange(1, 2 * n, 2, dtype=np.int32)
+    counts = np.zeros(n, dtype=np.int8)
+    squarefree = np.ones(n, dtype=bool)
+    # an odd multiple m*p^j of p^j sits at index (p^j - 1)/2 + p^j (m - 1)/2
+    for p in sieve_primes(math.isqrt(bound))[1:]:
+        counts[(p - 1) // 2::p] += 1
+        squarefree[(p * p - 1) // 2::p * p] = False
+        power = p
+        while power <= bound:
+            rest[(power - 1) // 2::power] //= p
+            power *= p
+    counts += rest > 1
+    return counts, squarefree
+
+
+@lru_cache(maxsize=4)
+def q_arrays(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q up to `bound` as read-only arrays (values, signs, counts), ascending
+    by value: for odd k >= 3, k is in Q exactly when the Moebius function
+    mu(k) is nonzero, and then sgn k = mu(k) = (-1)^(number of factors)."""
+    counts, squarefree = odd_factor_counts(bound)
+    squarefree[:1] = False  # k = 1 is the empty product, not in Q
+    values = np.flatnonzero(squarefree)
+    values *= 2
+    values += 1
+    counts = counts[squarefree]
+    signs = (1 - 2 * (counts & 1)).astype(np.int8)
+    for a in (values, signs, counts):
+        a.setflags(write=False)
+    return values, signs, counts
 
 
 def odd_prime_factors(k: int) -> list[int]:
@@ -106,29 +148,25 @@ def odd_squarefree_divisors(k: int) -> list[OddSquarefree]:
     return out
 
 
+def _views(values: np.ndarray, signs: np.ndarray) -> list[OddSquarefree]:
+    """Element views of values in Q.  Each value is divided by the odd primes
+    up to the square root of the largest, which leaves 1 or its largest
+    factor; OddSquarefree checks the factors against the value and sign."""
+    factors = [[] for _ in range(len(values))]
+    rest = np.array(values, dtype=np.int64)
+    for p in sieve_primes(math.isqrt(int(rest.max(initial=0))))[1:]:
+        hit = np.flatnonzero(rest % p == 0)
+        rest[hit] //= p
+        for i in hit.tolist():
+            factors[i].append(p)
+    return [OddSquarefree(v, tuple(f + [r] if r > 1 else f), s)
+            for v, f, r, s in zip(values.tolist(), factors, rest.tolist(), signs.tolist())]
+
+
 def enumerate_q(bound: int) -> list[OddSquarefree]:
     """All elements of Q with value <= bound, ascending by value."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    if bound > MAX_ENUM_BOUND:
-        raise ValueError(f"bound capped at {MAX_ENUM_BOUND}")
-    if bound < 3:
-        return []
-    odd_primes = [p for p in sieve_primes(bound) if p != 2]
-    out: list[OddSquarefree] = []
-
-    def extend(start_idx: int, value: int, chosen: tuple[int, ...]):
-        for i in range(start_idx, len(odd_primes)):
-            p = odd_primes[i]
-            v = value * p
-            if v > bound:
-                break
-            out.append(OddSquarefree(v, chosen + (p,), (-1) ** (len(chosen) + 1)))
-            extend(i + 1, v, chosen + (p,))
-
-    extend(0, 1, ())
-    out.sort(key=lambda q: q.value)
-    return out
+    values, signs, _ = q_arrays(bound)
+    return _views(values, signs)
 
 
 def sgn_q(q: OddSquarefree) -> int:
@@ -176,6 +214,9 @@ class QOrdering:
       seeded-shuffle      Fisher-Yates (splitmix64) permutation of the first
                           prefix_length by-value elements; by-value beyond
       explicit            caller-supplied sequence
+
+    Except for explicit orderings, an ordering is a permutation of indices
+    into `q_arrays(bound_hint)`; element views are built only on request.
     """
 
     strategy: str = "by-value"
@@ -183,7 +224,6 @@ class QOrdering:
     prefix_length: int = 0
     explicit: tuple[OddSquarefree, ...] = ()
     bound_hint: int = 10_000
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def by_value(bound_hint: int = 10_000) -> "QOrdering":
@@ -213,37 +253,48 @@ class QOrdering:
             return f"explicit(n={len(self.explicit)})"
         return f"{self.strategy}(bound={self.bound_hint})"
 
+    def _order(self, values: np.ndarray, counts: np.ndarray) -> np.ndarray | None:
+        """Indices into q_arrays(bound_hint) in this order; None for by-value."""
+        if self.strategy == "by-value":
+            return None
+        if self.strategy == "by-factor-count":
+            return np.lexsort((values, counts))
+        if self.strategy == "seeded-shuffle":
+            if not 0 <= self.prefix_length <= len(values):
+                raise EnumerationShortfallError(
+                    f"shuffle prefix {self.prefix_length} exceeds the "
+                    f"{len(values)} elements enumerable below {self.bound_hint}")
+            head = list(range(self.prefix_length))
+            SplitMix64(self.seed).shuffle(head)
+            order = np.arange(len(values))
+            order[:self.prefix_length] = head
+            return order
+        raise ValueError(f"unknown strategy {self.strategy!r}")
+
+    def arrays(self, h: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(values, signs) of the first h elements in this order, all of them
+        when h is None; raises if the bound cannot produce h."""
+        if self.strategy == "explicit":
+            values = np.array([q.value for q in self.explicit], dtype=np.int64)
+            signs = np.array([q.sign for q in self.explicit], dtype=np.int8)
+        else:
+            values, signs, counts = q_arrays(self.bound_hint)
+            order = self._order(values, counts)
+            if order is not None:
+                values, signs = values[order[:h]], signs[order[:h]]
+        if h is not None and h > len(values):
+            raise EnumerationShortfallError(
+                f"ordering {self.descriptor()} yields only {len(values)} elements, "
+                f"{h} requested (raise bound_hint)")
+        return values[:h], signs[:h]
+
     def sequence(self) -> list[OddSquarefree]:
         """The full materialized sequence for this ordering's bound."""
-        if "seq" in self._cache:
-            return self._cache["seq"]
-        if self.strategy == "explicit":
-            seq = list(self.explicit)
-        else:
-            seq = enumerate_q(self.bound_hint)
-            if self.strategy == "by-factor-count":
-                seq.sort(key=lambda q: (len(q.factors), q.value))
-            elif self.strategy == "seeded-shuffle":
-                if not 0 <= self.prefix_length <= len(seq):
-                    raise EnumerationShortfallError(
-                        f"shuffle prefix {self.prefix_length} exceeds the "
-                        f"{len(seq)} elements enumerable below {self.bound_hint}")
-                head = seq[:self.prefix_length]
-                SplitMix64(self.seed).shuffle(head)
-                seq = head + seq[self.prefix_length:]
-            elif self.strategy != "by-value":
-                raise ValueError(f"unknown strategy {self.strategy!r}")
-        self._cache["seq"] = seq
-        return seq
+        return _views(*self.arrays())
 
     def prefix(self, h: int) -> list[OddSquarefree]:
         """First h elements; raises if the bound cannot produce that many."""
-        seq = self.sequence()
-        if h > len(seq):
-            raise EnumerationShortfallError(
-                f"ordering {self.descriptor()} yields only {len(seq)} elements, "
-                f"{h} requested (raise bound_hint)")
-        return seq[:h]
+        return _views(*self.arrays(h))
 
 
 def f_kh(k: int, ordering: QOrdering, h: int) -> int:
@@ -253,15 +304,17 @@ def f_kh(k: int, ordering: QOrdering, h: int) -> int:
         raise ValueError("k must be >= 1")
     if h < 0:
         raise ValueError("h must be >= 0")
+    values, signs = ordering.arrays(h)
     total = 0
-    for q in ordering.prefix(h):
-        if k % q.value == 0:
-            total += q.sign
+    for value, sign in zip(values.tolist(), signs.tolist()):
+        if k % value == 0:
+            total += sign
     return total
 
 
 def f_kh_fast(k: int, ordering: QOrdering, h: int) -> int:
     """Same value as f_kh by a second path: each element of Q dividing k
     (from k's factorisation) is looked up among the first h elements."""
-    signs = {q.value: q.sign for q in ordering.prefix(h)}
-    return sum(signs.get(q.value, 0) for q in odd_squarefree_divisors(k))
+    values, signs = ordering.arrays(h)
+    sign_of = dict(zip(values.tolist(), signs.tolist()))
+    return sum(sign_of.get(q.value, 0) for q in odd_squarefree_divisors(k))

@@ -87,14 +87,14 @@ def objective_gap(elements, spec: ObjectiveSpec) -> float:
     if spec.h_max == 0:
         return 0.0
     ordering = QOrdering.from_explicit(elements)
-    prefix = elements[:spec.h_max]
+    values, signs = ordering.arrays(spec.h_max)
     n0, n1 = spec.n_window
     rows = np.arange(n0, n1 + 1)
     total = 0.0
     for p in spec.points:
         a_cos, a_sin = limits.limit_A_series(p, ordering, spec.h_max, spec.eta_tol)
         worst = 0.0
-        for h, (c, s) in enumerate(limits.c_s_running(p, prefix, rows)):
+        for h, (c, s) in enumerate(limits.c_s_running(p, values, signs, rows)):
             dev = np.abs(c - a_cos[h]) + np.abs(s - a_sin[h])
             worst = max(worst, float(dev.max()))
         total += worst

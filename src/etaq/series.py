@@ -79,15 +79,10 @@ class SeriesResult:
     error_estimate: float
 
 
-def phi(k: int, p: StripPoint) -> complex:
-    """(-1)^(k-1) k^(-s), the k-th series term."""
-    return (-1) ** (k - 1) * cmath.exp(-p.s * math.log(k))
-
-
 def term_ab(k: int, p: StripPoint) -> tuple[float, float]:
     """(a_k, b_k) = (-1)^(k-1) k^(-x) (cos(y ln k), sin(y ln k)).
 
-    Equivalently a_k = Re phi(k), b_k = -Im phi(k).
+    Equivalently a_k = Re, b_k = -Im of the k-th eta term (-1)^(k-1) k^(-s).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -120,9 +115,10 @@ def eta_partial(p: StripPoint, n: int) -> complex:
 
 
 @lru_cache(maxsize=64)
-def _accel_weights(n: int) -> tuple[tuple[float, ...], float]:
-    """Chebyshev-derived weights c_0..c_(n-1) and normalizer d for the
-    alternating-series acceleration sum_(k>=0) (-1)^k a_k ~ (sum c_k a_k)/d."""
+def _accel_weights(n: int) -> tuple[np.ndarray, float]:
+    """Chebyshev-derived weights c_0..c_(n-1) (a read-only array) and
+    normalizer d for the alternating-series acceleration
+    sum_(k>=0) (-1)^k a_k ~ (sum c_k a_k)/d."""
     d = _ACCEL_RATE ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0
@@ -132,12 +128,16 @@ def _accel_weights(n: int) -> tuple[tuple[float, ...], float]:
         c = b - c
         weights.append(c)
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    return tuple(weights), d
+    weights = np.array(weights)
+    weights.setflags(write=False)
+    return weights, d
 
 
 def _accel_term_count(p: StripPoint, tol: float) -> int:
     need = math.log(10.0 / tol) + math.pi * abs(p.y) / 2.0
-    return min(_MAX_ACCEL_TERMS, max(24, math.ceil(need / _LOG_ACCEL_RATE) + 8))
+    # need is inf for |y| near the float maximum: clamp before ceil
+    return min(_MAX_ACCEL_TERMS,
+               max(24, math.ceil(min(need / _LOG_ACCEL_RATE, _MAX_ACCEL_TERMS)) + 8))
 
 
 def eta_accel(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
@@ -151,14 +151,18 @@ def eta_accel(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
     if target_tol <= 0.0:
         raise ValueError("targetTol must be > 0")
     n = _accel_term_count(p, target_tol)
-    weights, d = _accel_weights(n)
-    c = np.asarray(weights)
-    k = np.arange(1, n + 1, dtype=np.float64)
-    terms = np.exp(-p.s * np.log(k))
-    value = complex(np.dot(c, terms)) / d
-    round_scale = float(np.dot(np.abs(c), np.abs(terms))) / d
-    analytic = 10.0 * math.exp(math.pi * abs(p.y) / 2.0 - n * _LOG_ACCEL_RATE)
-    err = analytic + n * _EPS * round_scale
+    exponent = math.pi * abs(p.y) / 2.0 - n * _LOG_ACCEL_RATE
+    if exponent < 700.0:
+        c, d = _accel_weights(n)
+        k = np.arange(1, n + 1, dtype=np.float64)
+        terms = np.exp(-p.s * np.log(k))
+        value = complex(np.dot(c, terms)) / d
+        round_scale = float(np.dot(np.abs(c), np.abs(terms))) / d
+        err = 10.0 * math.exp(exponent) + n * _EPS * round_scale
+    else:
+        # the bound saturates to inf (math.exp would overflow, and so would
+        # the terms for |y| near the float maximum): no value is computed
+        value, err = complex(math.nan, math.nan), math.inf
     result = SeriesResult(value=value, method="ChebyshevAccelerated",
                           terms_used=n, error_estimate=err)
     if err > target_tol:
@@ -223,7 +227,7 @@ def geom_closed(p: StripPoint) -> complex:
 
 
 def gamma_partial(p: StripPoint, L: int) -> complex:
-    """sum_(l=0..L) phi(2^l) = 1 - sum_(l=1..L) 2^(-l s)."""
+    """sum_(l=0..L) of the eta terms at k = 2^l: 1 - sum_(l=1..L) 2^(-l s)."""
     if L < 0:
         raise ValueError("L must be >= 0")
     re = [1.0]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from etaq.cli import main, parse_ordering, parse_range
+from etaq.qset import MAX_ENUM_BOUND
 
 
 class TestParseRange:
@@ -50,7 +51,8 @@ class TestPointCommands:
         assert main(["zeta", "1", "0"]) == 2
         assert "pole" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["eta", "0.5", "200"], ["zeta", "0.999", "0"]])
+    @pytest.mark.parametrize("argv", [["eta", "0.5", "200"], ["zeta", "0.999", "0"],
+                                      ["eta", "0.5", "1e300"], ["eta", "0.5", "1e308"]])
     def test_unreachable_tolerance_exit_two(self, argv, capsys):
         # the acceleration's error bound exceeds the requested tolerance
         assert main(argv) == 2
@@ -93,6 +95,13 @@ class TestGapCommand:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["gap_cos"]) < 1e-6
         assert doc["orderingId"].startswith("by-value")
+        assert doc["hMax"] == len(doc["A_cos"]) == 403  # all of Q below 1000
+
+    def test_q_bound_past_cap_exit_two(self, capsys):
+        rc = main(["gap", "--x", "2", "--y", "0", "--q-bound", str(MAX_ENUM_BOUND + 1)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cap" in err
 
 
 class TestZerosCommand:

@@ -1,3 +1,4 @@
+import cmath
 import io
 import math
 
@@ -147,6 +148,21 @@ class TestLimitA:
             assert single[0] == pytest.approx(a_cos[h - 1], abs=1e-14)
             assert single[1] == pytest.approx(a_sin[h - 1], abs=1e-14)
 
+    @pytest.mark.parametrize("p", [StripPoint(2.0, 0.0), FIRST_ZERO])
+    def test_vectorised_against_per_element_reference(self, p):
+        ordering = QOrdering.by_value(100_000)
+        h_max = len(ordering.arrays()[0])
+        eta = eta_accel(p).value
+        total = 0j
+        ref_cos, ref_sin = [], []
+        for q in ordering.prefix(h_max):
+            total += q.sign * cmath.exp(-p.s * math.log(q.value))
+            ref_cos.append((total * eta).real)
+            ref_sin.append(-(total * eta).imag)
+        for got, ref in zip(limit_A_series(p, ordering, h_max), (ref_cos, ref_sin)):
+            ref = np.array(ref)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
 
 class TestLimitB:
     def test_oracle_at_half(self):
@@ -205,6 +221,20 @@ class TestCommutativityGap:
         assert doc["point"] == {"x": 0.75, "y": 3.0}
         assert len(doc["A_cos"]) == 20
         assert doc["gap_cos"] == rep.gap_cos
+
+
+def test_gap_builds_no_element_views(monkeypatch):
+    built = []
+    check = OddSquarefree.__post_init__
+    monkeypatch.setattr(OddSquarefree, "__post_init__",
+                        lambda q: (built.append(q.value), check(q)))
+    ordering = QOrdering.by_value(10_000)
+    rep = commutativity_gap(StripPoint(2.0, 0.0), ordering,
+                            len(ordering.arrays()[0]), budget=1000)
+    assert rep.h_max == 4055
+    assert built == []
+    ordering.prefix(2)  # the counter does see element views
+    assert built == [3, 5]
 
 
 class TestContradictionCheck:

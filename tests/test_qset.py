@@ -1,10 +1,13 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaq.qset import (EnumerationShortfallError, OddSquarefree, QOrdering,
-                       delta, enumerate_q, f_bruteforce, f_closed, f_kh,
-                       f_kh_fast, is_gamma, odd_squarefree_divisors,
+from etaq.qset import (MAX_ENUM_BOUND, EnumerationShortfallError, OddSquarefree,
+                       QOrdering, delta, enumerate_q, f_bruteforce, f_closed,
+                       f_kh, f_kh_fast, is_gamma, odd_factor_counts,
+                       odd_prime_factors, odd_squarefree_divisors, q_arrays,
                        sieve_primes, sgn_q)
 
 
@@ -34,6 +37,70 @@ def squarefree_odd_oracle(bound):
         if all(n % (d * d) for d in range(2, int(n**0.5) + 1)):
             out.append(n)
     return out
+
+
+def mobius_trial_division(k):
+    """mu(k) by trial division: 0 when a square divides k, else
+    (-1)^(number of prime factors)."""
+    mu = 1
+    d = 2
+    while d * d <= k:
+        if k % d == 0:
+            k //= d
+            if k % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if k > 1 else mu
+
+
+def recursive_q(bound):
+    """Reference enumerator: every product of distinct odd primes <= bound,
+    built by recursion over ascending primes, as (value, factors, sign)."""
+    odd_primes = sieve_primes(bound)[1:]
+    out = []
+
+    def extend(start, value, chosen):
+        for i in range(start, len(odd_primes)):
+            p = odd_primes[i]
+            if value * p > bound:
+                break
+            out.append((value * p, chosen + (p,), (-1) ** (len(chosen) + 1)))
+            extend(i + 1, value * p, chosen + (p,))
+
+    extend(0, 1, ())
+    return sorted(out)
+
+
+class TestMoebiusSieve:
+    def test_arrays_match_oracles(self):
+        values, signs, counts = q_arrays(10_000)
+        assert values.tolist() == squarefree_odd_oracle(10_000)
+        assert signs.tolist() == [mobius_trial_division(v) for v in values.tolist()]
+        assert counts.tolist() == [len(odd_prime_factors(v)) for v in values.tolist()]
+        assert not any(a.flags.writeable for a in (values, signs, counts))
+
+    def test_factor_counts_over_all_odd_numbers(self):
+        counts, squarefree = odd_factor_counts(10_001)
+        ks = range(1, 10_002, 2)
+        assert squarefree.tolist() == [mobius_trial_division(k) != 0 for k in ks]
+        assert counts.tolist() == [len(odd_prime_factors(k)) for k in ks]
+
+    def test_matches_recursive_enumerator(self):
+        got = [(q.value, q.factors, q.sign) for q in enumerate_q(100_000)]
+        assert got == recursive_q(100_000)
+
+    @pytest.mark.parametrize("make", [q_arrays, enumerate_q,
+                                      lambda b: QOrdering.by_value(b).arrays()])
+    def test_bound_past_cap_rejected_before_allocating(self, make):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                make(MAX_ENUM_BOUND + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestEnumerateQ:
@@ -178,6 +245,31 @@ class TestOrderings:
         assert sorted(q.value for q in shuffled[:20]) == [q.value for q in base[:20]]
         assert shuffled[20:] == base[20:]
         assert shuffled[:20] != base[:20]  # seed 42 actually moves something
+
+    def test_by_factor_count_golden(self):
+        # recorded from the recursive enumerator the Moebius sieve replaced:
+        # the last primes below 1000, then the products of two primes
+        ordering = QOrdering.by_factor_count(1000)
+        seq = ordering.sequence()
+        assert len(seq) == 403
+        assert [q.value for q in seq[160:200]] == [
+            953, 967, 971, 977, 983, 991, 997, 15, 21, 33, 35, 39, 51, 55, 57,
+            65, 69, 77, 85, 87, 91, 93, 95, 111, 115, 119, 123, 129, 133, 141,
+            143, 145, 155, 159, 161, 177, 183, 185, 187, 201]
+        values, signs = ordering.arrays(200)
+        assert values.tolist() == [q.value for q in seq[:200]]
+        assert signs.tolist() == [q.sign for q in seq[:200]]
+
+    def test_seeded_shuffle_golden(self):
+        # recorded from the shuffle of element lists the index shuffle replaced
+        ordering = QOrdering.seeded_shuffle(7, 64, 1000)
+        assert [q.value for q in ordering.prefix(70)] == [
+            35, 107, 57, 149, 111, 33, 19, 139, 13, 23, 159, 129, 37, 67, 151,
+            89, 41, 39, 47, 7, 83, 29, 95, 5, 91, 109, 73, 71, 133, 55, 97, 143,
+            15, 17, 145, 69, 113, 157, 123, 3, 137, 43, 131, 11, 127, 141, 85,
+            79, 115, 101, 65, 105, 51, 93, 155, 103, 119, 21, 53, 87, 31, 77,
+            61, 59, 161, 163, 165, 167, 173, 177]
+        assert ordering.arrays(70)[0].tolist() == [q.value for q in ordering.prefix(70)]
 
     def test_different_seeds_differ(self):
         a = QOrdering.seeded_shuffle(1, 50, 1000).sequence()
