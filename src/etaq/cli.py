@@ -14,26 +14,26 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, limits, search, series, zeros
+from . import __version__, _rng, limits, search, series, zeros
 from . import qset
 from .qset import QOrdering
 from .series import (AccelerationError, PoleError, SingularDenominatorError,
                      StripPoint, eta_accel, geom_closed, zeta_from_eta)
 
-METHOD_IDS = (series.ACCEL_METHOD_ID, series.AVERAGED_METHOD_ID,
-              "rng:splitmix64-v1", "tail:iterated-averaging-3")
+METHOD_IDS = (series.ACCEL_METHOD_ID, series.AVERAGED_METHOD_ID, f"rng:{_rng.ALGORITHM_ID}",
+              f"tail:iterated-averaging-{series.TAIL_LEVELS}")
 
 ZETA_HALF_REF = -1.4603545088095868  # independently cross-checked reference
 
 Q_BOUND_HELP = (f"largest element of Q enumerated, at most {qset.MAX_ENUM_BOUND} "
                 "(the sieve needs about 5 bytes per unit of bound)")
+TERMS_HELP = f"term count, at most {series.MAX_TERMS} (about 33 bytes per term)"
 
 
 def parse_range(text: str) -> list[int]:
@@ -287,7 +287,7 @@ def cmd_surface(args) -> int:
         surf.write_csv(fh)
     RunManifest("surface", {
         "x": args.x, "y": args.y, "ordering": ordering.descriptor(),
-        "n": args.n, "h": args.h, "bound": args.bound, "threads": args.threads,
+        "n": args.n, "h": args.h, "bound": args.bound,
     }).write_sidecar(args.out)
     print(f"wrote {len(n_axis) * len(h_axis)} rows to {args.out}")
     return 0
@@ -298,17 +298,16 @@ def cmd_gap(args) -> int:
     h_max = args.h_max if args.h_max is not None else len(ordering.arrays()[0])
     report = limits.commutativity_gap(StripPoint(args.x, args.y), ordering,
                                       h_max, args.budget, args.eta_tol)
-    text = report.to_json() + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            report.write_json(fh)
         RunManifest("gap", {
             "x": args.x, "y": args.y, "ordering": ordering.descriptor(),
             "hMax": h_max, "budget": args.budget, "qBound": args.q_bound,
-            "etaTol": args.eta_tol, "threads": args.threads,
+            "etaTol": args.eta_tol,
         }).write_sidecar(args.out)
     else:
-        sys.stdout.write(text)
+        report.write_json(sys.stdout)
     return 0
 
 
@@ -323,10 +322,9 @@ def _emit_zero_records(records, out: str | None, manifest: RunManifest) -> None:
 
 def cmd_zeros(args) -> int:
     if args.zeros_cmd == "scan":
-        records = zeros.scan_zeros(args.y_min, args.y_max, args.step, args.threshold)
-        if args.refine:
-            records = [zeros.refine_zero(r.ordinate, window=2.0 * args.step,
-                                         tol=args.tol) for r in records]
+        grid = (args.y_min, args.y_max, args.step, args.threshold)
+        records = (zeros.scan_and_refine(*grid, tol=args.tol) if args.refine
+                   else zeros.scan_zeros(*grid))
         manifest = RunManifest("zeros scan", {
             "yMin": args.y_min, "yMax": args.y_max, "step": args.step,
             "threshold": args.threshold, "refine": args.refine, "tol": args.tol,
@@ -364,7 +362,6 @@ def cmd_search(args) -> int:
         "x": args.x, "y": args.y, "n0": args.n0, "n1": args.n1,
         "hMax": args.h_max, "neighborhood": args.neighborhood,
         "t0": args.t0, "decay": args.decay, "bound": args.bound,
-        "threads": args.threads,
     })
     manifest.write_sidecar(args.out_trace)
     manifest.write_sidecar(args.out_best)
@@ -380,13 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etaq",
         description="Alternating zeta-series diagnostics over odd-squarefree orderings")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker cap (results are deterministic regardless)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("verify", help="run the identity/property suite")
     p.add_argument("--k-max", type=int, default=20_000)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=1_000_000, help=TERMS_HELP)
     p.add_argument("--json", help="write machine-readable summary here")
     p.add_argument("--inject-fault", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
@@ -402,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--ordering", default="byvalue")
-    p.add_argument("--n", required=True, help="range start:stop[:step]")
+    p.add_argument("--n", required=True, help=f"range start:stop[:step]; {TERMS_HELP}")
     p.add_argument("--h", required=True, help="range start:stop[:step]")
     p.add_argument("--bound", type=int, default=10_000, help=Q_BOUND_HELP)
     p.add_argument("--out", required=True)
@@ -414,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ordering", default="byvalue")
     p.add_argument("--h-max", type=int, default=None,
                    help="default: all elements below --q-bound")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=1_000_000, help=TERMS_HELP)
     p.add_argument("--q-bound", type=int, default=10_000, help=Q_BOUND_HELP)
     p.add_argument("--eta-tol", type=float, default=1e-12)
     p.add_argument("--out")
@@ -447,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=0.75)
     p.add_argument("--y", type=float, default=3.0)
     p.add_argument("--n0", type=int, default=200)
-    p.add_argument("--n1", type=int, default=400)
+    p.add_argument("--n1", type=int, default=400, help=TERMS_HELP)
     p.add_argument("--h-max", type=int, default=16)
     p.add_argument("--neighborhood", default="random-swap",
                    choices=("random-swap", "adjacent-swap"))
@@ -465,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except PoleError as exc:

@@ -21,9 +21,6 @@ from . import series as se
 from .qset import QOrdering
 from .series import StripPoint
 
-TAIL_WINDOW = 64
-TAIL_LEVELS = 3
-
 
 @dataclass(frozen=True)
 class SumSurface:
@@ -135,30 +132,6 @@ def limit_A(p: StripPoint, ordering: QOrdering, h: int,
     return float(a_cos[-1]), float(a_sin[-1])
 
 
-def _not_gamma_mask(n: int) -> np.ndarray:
-    mask = np.ones(n, dtype=bool)
-    l = 1
-    while l <= n:
-        mask[l - 1] = False
-        l *= 2
-    return mask
-
-
-def _tail_averaged_sum(terms: np.ndarray, window: int = TAIL_WINDOW,
-                       levels: int = TAIL_LEVELS) -> float:
-    """Compensated sum with iterated averaging of the last `window` partial
-    sums, damping the leading alternating oscillation of conditionally
-    convergent tails."""
-    n = len(terms)
-    window = min(window, n)
-    levels = min(levels, window - 1) if window > 1 else 0
-    base = math.fsum(terms[:n - window])
-    ps = base + np.cumsum(terms[n - window:])
-    for _ in range(levels):
-        ps = 0.5 * (ps[1:] + ps[:-1])
-    return float(ps[-1])
-
-
 @dataclass(frozen=True)
 class BEstimate:
     B_cos: float
@@ -180,16 +153,17 @@ def limit_B(p: StripPoint, budget: int, tol: float = 1e-12) -> BEstimate:
     """The n-then-h iterated limit sum f(k) a_k = -sum_(k not in Gamma) a_k.
 
     Direct: truncation to `budget` terms with iterated tail averaging.
-    Oracle: Re/-Im of geom_closed(s) - eta(s).  A disagreement beyond the
-    direct path's error scale is reported in the estimate, never hidden.
+    Oracle: Re/-Im of `series.b_closed`.  A disagreement beyond the direct
+    path's error scale is reported in the estimate, never hidden.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     a, b = se.term_arrays(p, budget)
-    mask = _not_gamma_mask(budget)
-    direct_cos = _tail_averaged_sum(-a * mask)
-    direct_sin = _tail_averaged_sum(-b * mask)
-    diff = se.geom_closed(p) - se.eta_accel(p, tol).value
+    gamma = (1 << np.arange(int(budget).bit_length())) - 1  # indices of k = 2^l
+    a[gamma] = b[gamma] = 0.0
+    direct_cos = se.tail_averaged_sum(-a)[0]
+    direct_sin = se.tail_averaged_sum(-b)[0]
+    diff = se.b_closed(p, tol)
     return BEstimate(B_cos=direct_cos, B_sin=direct_sin,
                      oracle_cos=diff.real, oracle_sin=-diff.imag,
                      budget=budget)
@@ -234,8 +208,9 @@ class LimitReport:
             "notes": list(self.notes),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+    def write_json(self, fh) -> None:
+        json.dump(self.to_dict(), fh, indent=2)
+        fh.write("\n")
 
 
 def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
@@ -277,7 +252,7 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
                      f"cos {b_est.disagreement_cos:.3e}, sin {b_est.disagreement_sin:.3e}")
     else:
         b_cos = b_sin = None
-        diff = se.geom_closed(p) - se.eta_accel(p, eta_tol).value
+        diff = se.b_closed(p, eta_tol)
         oracle_cos, oracle_sin = diff.real, -diff.imag
         notes.append("budget = 0: direct B estimate skipped")
     return LimitReport(

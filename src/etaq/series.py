@@ -4,10 +4,10 @@ coefficients, the eta -> zeta bridge, shifted and odd-subseries variants, the
 power-of-two geometric sum and its closed form, and an Euler-product
 cross-check for Re(s) > 1.
 
-Numerics are binary64 throughout.  Long raw sums are compensated (math.fsum);
-the accelerated evaluator uses Chebyshev-derived weights (Cohen, Rodriguez
-Villegas, Zagier style) with an iterated-tail-averaging evaluator as an
-independent cross-check.
+Numerics are binary64 throughout.  Direct sums take their terms from one
+builder and are compensated (math.fsum), with one iterated tail-averaging
+routine for conditionally convergent tails; the accelerated evaluator uses
+Chebyshev-derived weights (Cohen, Rodriguez Villegas, Zagier style).
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ _ACCEL_RATE = 3.0 + math.sqrt(8.0)
 _LOG_ACCEL_RATE = math.log(_ACCEL_RATE)
 _MAX_ACCEL_TERMS = 350
 _EPS = 2.0 ** -52
+
+MAX_TERMS = 10**7  # direct sums peak at 33 bytes per term: about 0.33 GB
+TAIL_WINDOW = 64
+TAIL_LEVELS = 3
 
 
 class PoleError(ValueError):
@@ -91,27 +95,59 @@ def term_ab(k: int, p: StripPoint) -> tuple[float, float]:
     return amp * math.cos(p.y * lk), amp * math.sin(p.y * lk)
 
 
+def _signed_terms(p: StripPoint, n: int, step: int = 1,
+                  shift: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) at k = step, 2 step, ..., n step: the sign (-1)^(k-1) from each
+    k's parity, amplitude k^(-x) and angle y (ln shift + ln k).
+
+    The count is checked against MAX_TERMS before anything is allocated.
+    """
+    if n > MAX_TERMS:
+        raise ValueError(f"{n} terms exceed the cap {MAX_TERMS} "
+                         "(about 33 bytes per term)")
+    k = np.arange(step, step * n + 1, step)
+    angle = np.log(k)
+    amp = np.exp(-p.x * angle)
+    np.negative(amp, out=amp, where=k % 2 == 0)
+    angle += math.log(shift)
+    angle *= p.y
+    a = np.cos(angle)
+    a *= amp
+    b = np.sin(angle, out=angle)
+    b *= amp
+    return a, b
+
+
 def term_arrays(p: StripPoint, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectors (a_1..a_n, b_1..b_n)."""
-    k = np.arange(1, n + 1, dtype=np.float64)
-    lk = np.log(k)
-    amp = np.where(np.arange(1, n + 1) % 2 == 1, 1.0, -1.0) * np.exp(-p.x * lk)
-    return amp * np.cos(p.y * lk), amp * np.sin(p.y * lk)
+    return _signed_terms(p, n)
 
 
-def _fsum_complex(re: np.ndarray, im: np.ndarray) -> complex:
-    return complex(math.fsum(re), math.fsum(im))
+def tail_averaged_sum(terms: np.ndarray, window: int = TAIL_WINDOW,
+                      levels: int = TAIL_LEVELS) -> tuple[float, float]:
+    """Compensated sum with iterated averaging of the last `window` partial
+    sums, damping the leading alternating oscillation of conditionally
+    convergent tails.  Returns the value and the change made by the last
+    averaging level (0.0 when no level runs)."""
+    n = len(terms)
+    window = min(window, n)
+    levels = min(levels, window - 1)
+    ps = math.fsum(terms[:n - window]) + np.cumsum(terms[n - window:])
+    delta = 0.0
+    for _ in range(levels):
+        prev = ps[-1]
+        ps = 0.5 * (ps[1:] + ps[:-1])
+        delta = abs(float(ps[-1] - prev))
+    return float(ps[-1]), delta
 
 
 def eta_partial(p: StripPoint, n: int) -> complex:
     """Compensated partial sum of the first n series terms."""
     if n < 0:
         raise ValueError("N must be >= 0")
-    if n == 0:
-        return 0.0 + 0.0j
     a, b = term_arrays(p, n)
     # eta terms are a_k - i b_k
-    return _fsum_complex(a, -b)
+    return complex(math.fsum(a), math.fsum(-b))
 
 
 @lru_cache(maxsize=64)
@@ -174,10 +210,11 @@ def eta_accel(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
 
 def eta_averaged(p: StripPoint, start: int | None = None,
                  window: int = 96) -> SeriesResult:
-    """Independent cross-check: iterated averaging of a window of partial sums.
+    """Independent cross-check: `tail_averaged_sum` over a window of partial
+    sums, averaged pairwise down to a single value.
 
-    The window's partial sums are averaged pairwise down to a single value;
-    the reported error estimate is the last-level averaging delta.
+    The error estimate is the last-level averaging delta plus a rounding
+    floor n*eps*max|term|; the largest term is the first, of modulus 1.
     """
     if start is None:
         start = max(64, math.ceil(8.0 * abs(p.y)))
@@ -185,15 +222,10 @@ def eta_averaged(p: StripPoint, start: int | None = None,
         raise ValueError("window must be >= 4")
     n = start + window
     a, b = term_arrays(p, n)
-    terms = a - 1j * b
-    ps = np.cumsum(terms)[start:]
-    prev = ps[-1]
-    while len(ps) > 1:
-        ps = 0.5 * (ps[1:] + ps[:-1])
-        delta = abs(ps[-1] - prev)
-        prev = ps[-1]
-    return SeriesResult(value=complex(prev), method="AveragedTail",
-                        terms_used=n, error_estimate=float(delta))
+    re, delta_re = tail_averaged_sum(a, window, window - 1)
+    im, delta_im = tail_averaged_sum(-b, window, window - 1)
+    return SeriesResult(value=complex(re, im), method="AveragedTail", terms_used=n,
+                        error_estimate=math.hypot(delta_re, delta_im) + n * _EPS)
 
 
 def bridge_denominator(p: StripPoint) -> complex:
@@ -226,6 +258,13 @@ def geom_closed(p: StripPoint) -> complex:
     return (tx - 2.0 * w) / (tx - w)
 
 
+def b_closed(p: StripPoint, tol: float = 1e-12) -> complex:
+    """geom_closed(s) - eta(s): the closed form w of the n-then-h iterated
+    limit sum_(k not a power of two) -(-1)^(k-1) k^(-s), so that
+    B_cos = Re w and B_sin = -Im w."""
+    return geom_closed(p) - eta_accel(p, tol).value
+
+
 def gamma_partial(p: StripPoint, L: int) -> complex:
     """sum_(l=0..L) of the eta terms at k = 2^l: 1 - sum_(l=1..L) 2^(-l s)."""
     if L < 0:
@@ -246,13 +285,8 @@ def shifted_sums(p: StripPoint, shift: float, n: int) -> tuple[float, float]:
         raise ValueError("shift must be > 0")
     if n < 0:
         raise ValueError("N must be >= 0")
-    if n == 0:
-        return 0.0, 0.0
-    k = np.arange(1, n + 1, dtype=np.float64)
-    lk = np.log(k)
-    amp = np.where(np.arange(1, n + 1) % 2 == 1, 1.0, -1.0) * np.exp(-p.x * lk)
-    angle = p.y * (math.log(shift) + lk)
-    return math.fsum(amp * np.cos(angle)), math.fsum(amp * np.sin(angle))
+    a, b = _signed_terms(p, n, shift=shift)
+    return math.fsum(a), math.fsum(b)
 
 
 def shifted_sums_oracle(p: StripPoint, shift: float,
@@ -276,15 +310,11 @@ def subseries_q(p: StripPoint, q: int, method: str = "accelerated",
     if q < 1 or q % 2 == 0:
         raise ValueError(f"q must be odd and >= 1, got {q} "
                          "(the sign identity (-1)^(mq-1) = (-1)^(m-1) needs odd q)")
-    qs = cmath.exp(-p.s * math.log(q))
     if method == "accelerated":
-        return qs * eta_accel(p).value
+        return cmath.exp(-p.s * math.log(q)) * eta_accel(p).value
     if method == "direct":
-        m = np.arange(1, budget + 1, dtype=np.float64)
-        lmq = np.log(m * q)
-        sign = np.where((np.arange(1, budget + 1) * q) % 2 == 1, 1.0, -1.0)
-        amp = sign * np.exp(-p.x * lmq)
-        return _fsum_complex(amp * np.cos(p.y * lmq), -amp * np.sin(p.y * lmq))
+        a, b = _signed_terms(p, budget, step=q)
+        return complex(math.fsum(a), math.fsum(-b))
     raise ValueError(f"unknown method {method!r}")
 
 

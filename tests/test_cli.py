@@ -1,7 +1,10 @@
+import io
 import json
 
 import pytest
 
+from etaq import series, zeros
+from etaq._rng import ALGORITHM_ID
 from etaq.cli import main, parse_ordering, parse_range
 from etaq.qset import MAX_ENUM_BOUND
 
@@ -73,6 +76,16 @@ class TestSurfaceCommand:
         assert len(lines) == 1 + 10 * 8
         assert (tmp_path / "surf.csv.manifest.json").exists()
 
+    def test_manifest_methods_and_no_threads(self, tmp_path):
+        out = tmp_path / "surf.csv"
+        main(["surface", "--x", "0.5", "--y", "0", "--n", "1:20", "--h", "1:2",
+              "--bound", "100", "--out", str(out)])
+        manifest = json.loads((tmp_path / "surf.csv.manifest.json").read_text())
+        assert "threads" not in manifest["parameters"]
+        assert manifest["numericMethods"] == [
+            series.ACCEL_METHOD_ID, series.AVERAGED_METHOD_ID,
+            f"rng:{ALGORITHM_ID}", f"tail:iterated-averaging-{series.TAIL_LEVELS}"]
+
     def test_gamma_prefix_all_zero(self, tmp_path):
         out = tmp_path / "surf.csv"
         main(["surface", "--x", "0.5", "--y", "0", "--n", "2", "--h", "1:10",
@@ -104,6 +117,23 @@ class TestGapCommand:
         assert err.startswith("error: ") and "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["surface", "--x", "0.5", "--y", "0", "--n", str(series.MAX_TERMS + 1),
+     "--h", "1", "--bound", "100", "--out", "unused.csv"],
+    ["gap", "--x", "2", "--y", "0", "--q-bound", "100",
+     "--budget", str(series.MAX_TERMS + 1)],
+    ["search", "--seed", "1", "--prefix", "4", "--iters", "1", "--h-max", "4",
+     "--bound", "100", "--n1", str(series.MAX_TERMS + 1),
+     "--out-trace", "unused.csv", "--out-best", "unused.json"],
+], ids=["surface-n", "gap-budget", "search-n1"])
+def test_term_count_past_cap_exit_two(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "cap" in err
+
+
 class TestZerosCommand:
     def test_scan_csv(self, tmp_path):
         out = tmp_path / "zeros.csv"
@@ -113,6 +143,15 @@ class TestZerosCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "ordinate,residual,refined"
         assert len(lines) == 2
+
+    def test_scan_refine_is_scan_and_refine(self, capsys):
+        rc = main(["zeros", "scan", "--y-min", "14", "--y-max", "21.5",
+                   "--step", "0.02", "--refine"])
+        assert rc == 0
+        buf = io.StringIO()
+        zeros.write_csv(zeros.scan_and_refine(14.0, 21.5, 0.02), buf)
+        assert capsys.readouterr().out == buf.getvalue()
+        assert len(buf.getvalue().splitlines()) == 3
 
     def test_refine(self, capsys):
         rc = main(["zeros", "refine", "--y0", "14.13"])

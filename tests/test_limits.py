@@ -12,6 +12,15 @@ from etaq.series import StripPoint, eta_accel, geom_closed
 
 FIRST_ZERO = StripPoint(0.5, 14.134725141734693)
 
+# (B_cos, B_sin, oracle_cos, oracle_sin) at budget 1e5, recorded from the code
+# before limit_B shared its term builder, tail averaging and oracle.
+LIMIT_B_1E5 = {
+    FIRST_ZERO: (1.4096204268167294, 0.09155711732460668,
+                 1.4112575613164962, 0.09138980045395775),
+    StripPoint(0.75, 3.0): (0.3164335860018552, 0.1840910861468468,
+                            0.3164737644376576, 0.18418746749947135),
+}
+
 
 def i_major_oracle(p, ordering, n, h):
     """Alternate summation order: outer loop over i, inner over k."""
@@ -185,6 +194,18 @@ class TestLimitB:
         with pytest.raises(ValueError):
             limit_B(StripPoint(0.5, 0.0), 0)
 
+    @pytest.mark.parametrize("p", list(LIMIT_B_1E5))
+    def test_matches_golden(self, p):
+        est = limit_B(p, 10**5)
+        assert (est.B_cos, est.B_sin, est.oracle_cos, est.oracle_sin) == LIMIT_B_1E5[p]
+
+    def test_gap_without_direct_sum_uses_the_same_oracle(self):
+        ordering = QOrdering.by_value(500)
+        skipped = commutativity_gap(FIRST_ZERO, ordering, 20, budget=0)
+        est = limit_B(FIRST_ZERO, 1000)
+        assert (skipped.oracleB_cos, skipped.oracleB_sin) == (est.oracle_cos,
+                                                              est.oracle_sin)
+
 
 class TestCommutativityGap:
     def test_degenerate_report(self):
@@ -217,7 +238,9 @@ class TestCommutativityGap:
         import json
         rep = commutativity_gap(StripPoint(0.75, 3.0), QOrdering.by_value(500),
                                 20, budget=1000)
-        doc = json.loads(rep.to_json())
+        buf = io.StringIO()
+        rep.write_json(buf)
+        doc = json.loads(buf.getvalue())
         assert doc["point"] == {"x": 0.75, "y": 3.0}
         assert len(doc["A_cos"]) == 20
         assert doc["gap_cos"] == rep.gap_cos

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -7,14 +8,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaq.series import (PoleError, SingularDenominatorError, StripPoint,
-                         bridge_denominator, eta_accel, eta_averaged,
+from etaq.series import (MAX_TERMS, PoleError, SingularDenominatorError,
+                         StripPoint, bridge_denominator, eta_accel, eta_averaged,
                          eta_partial, euler_product_check, gamma_partial,
                          geom_closed, shifted_sums, shifted_sums_oracle,
                          subseries_q, term_ab, term_arrays, zeta_from_eta)
 
 # evaluated with an independent high-precision calculator before building
 A3_B3_AT_NEAR_ZERO = (-0.56808634198281059, 0.10301087993956033)
+
+FIRST_ZERO = StripPoint(0.5, 14.134725141734693)
+
+# Recorded from the code before the direct sums shared one term builder.
+SUBSERIES_DIRECT_1000 = {
+    (FIRST_ZERO, 3): -0.009099232797456246 + 0.0007069586829043848j,
+    (FIRST_ZERO, 15): 0.0027383880330401284 - 0.003026614709015002j,
+    (StripPoint(0.75, 3.0), 3): -0.47161293658396475 - 0.12893295118362957j,
+    (StripPoint(0.75, 3.0), 15): 0.02198711170816017 - 0.14455855292576503j,
+}
+# Recorded from eta_averaged before it shared the tail-averaging routine.
+ETA_AVERAGED = {
+    StripPoint(1.0, 0.0): 0.6931471805599456 + 0j,
+    StripPoint(0.5, 0.0): 0.6048986434216304 + 0j,
+    FIRST_ZERO: -1.2614426546186218e-15 - 7.0665722395488334e-15j,
+    StripPoint(0.75, 3.0): 1.016286170446599 + 0.45289564256189285j,
+    StripPoint(0.3, 2.0): 0.7216562677270573 + 0.4169876695341941j,
+}
 
 strip_x = st.floats(min_value=0.1, max_value=3.0)
 strip_y = st.floats(min_value=-25.0, max_value=25.0)
@@ -51,6 +70,22 @@ class TestTermAB:
         a_neg, b_neg = term_ab(k, StripPoint(x, -y))
         assert a_neg == pytest.approx(a_pos, abs=1e-14)
         assert b_neg == pytest.approx(-b_pos, abs=1e-14)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: term_arrays(FIRST_ZERO, n),
+        lambda n: eta_partial(FIRST_ZERO, n),
+        lambda n: shifted_sums(FIRST_ZERO, 2.0, n),
+        lambda n: subseries_q(FIRST_ZERO, 3, "direct", n),
+    ])
+    def test_count_past_cap_rejected_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                build(MAX_TERMS + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_arrays_match_scalar(self):
         p = StripPoint(0.7, 9.3)
@@ -89,6 +124,12 @@ class TestEtaAccel:
             avg = eta_averaged(p)
             assert abs(accel.value - avg.value) < 1e-11
             assert avg.method == "AveragedTail"
+
+    @pytest.mark.parametrize("p", list(ETA_AVERAGED))
+    def test_averaged_matches_golden(self, p):
+        avg = eta_averaged(p)
+        assert abs(avg.value - ETA_AVERAGED[p]) <= 1e-15
+        assert avg.error_estimate > 0.0
 
     def test_against_mpmath_grid(self):
         for x in (0.25, 0.5, 0.75, 1.5):
@@ -224,6 +265,15 @@ class TestSubseries:
                 oracle = subseries_q(p, q, "accelerated")
                 tail = 4.0 * (q * 50_000) ** (-p.x)
                 assert abs(direct - oracle) <= tail
+
+    @pytest.mark.parametrize("p, q", list(SUBSERIES_DIRECT_1000))
+    def test_direct_matches_golden_and_literal_terms(self, p, q):
+        direct = subseries_q(p, q, "direct", 1000)
+        assert direct == SUBSERIES_DIRECT_1000[p, q]
+        terms = [term_ab(m * q, p) for m in range(1, 1001)]
+        literal = complex(math.fsum(a for a, _ in terms),
+                          -math.fsum(b for _, b in terms))
+        assert abs(direct - literal) <= 1e-13
 
     def test_even_q_rejected(self):
         with pytest.raises(ValueError, match="odd"):
