@@ -3,8 +3,8 @@ of the odd-squarefree product set."""
 
 __version__ = "0.1.0"
 
-from .qset import (OddSquarefree, QOrdering, delta, enumerate_q, f_bruteforce,
-                   f_closed, f_kh, is_gamma, sgn_q, sieve_primes)
+from .qset import (OddSquarefree, QOrdering, f_bruteforce, f_closed, f_kh,
+                   is_gamma, sieve_primes)
 from .series import (SeriesResult, StripPoint, eta_accel, eta_averaged,
                      eta_partial, euler_product_check, gamma_partial,
                      geom_closed, shifted_sums, subseries_q, term_ab,
@@ -15,8 +15,8 @@ from .zeros import ZeroRecord, load_zeros, refine_zero, scan_zeros
 from .search import ObjectiveSpec, SearchConfig, anneal, objective_gap
 
 __all__ = [
-    "OddSquarefree", "QOrdering", "delta", "enumerate_q", "f_bruteforce",
-    "f_closed", "f_kh", "is_gamma", "sgn_q", "sieve_primes",
+    "OddSquarefree", "QOrdering", "f_bruteforce", "f_closed", "f_kh",
+    "is_gamma", "sieve_primes",
     "SeriesResult", "StripPoint", "eta_accel", "eta_averaged", "eta_partial",
     "euler_product_check", "gamma_partial", "geom_closed", "shifted_sums",
     "subseries_q", "term_ab", "zeta_from_eta",

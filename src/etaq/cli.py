@@ -235,6 +235,7 @@ def run_verify(k_max: int, budget: int, inject_fault: str | None) -> list[CheckR
 
 
 def cmd_verify(args) -> int:
+    series.check_term_count(args.budget)
     t0 = time.time()
     checks = run_verify(args.k_max, args.budget, args.inject_fault)
     for c in checks:
@@ -294,6 +295,7 @@ def cmd_surface(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    series.check_term_count(args.budget)
     ordering = parse_ordering(args.ordering, args.q_bound)
     h_max = args.h_max if args.h_max is not None else len(ordering.arrays()[0])
     report = limits.commutativity_gap(StripPoint(args.x, args.y), ordering,
@@ -352,6 +354,12 @@ def cmd_search(args) -> int:
         objective=spec, neighborhood=args.neighborhood,
         initial_temperature=args.t0, decay=args.decay, bound_hint=args.bound)
     result = search.anneal(config)
+    views = {q.value: q for q in QOrdering.by_value(args.bound).prefix(args.prefix)}
+    again = search.objective_gap([views[v] for v in result.best.permutation], spec)
+    if again != result.best.objective:  # recomputed from scratch on element views
+        print(f"FAILED: best objective {result.best.objective!r} recomputes to {again!r}",
+              file=sys.stderr)
+        return 1
     with open(args.out_trace, "w") as fh:
         result.trace_csv(fh)
     with open(args.out_best, "w") as fh:

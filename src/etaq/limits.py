@@ -96,27 +96,28 @@ def c_s_surface(p: StripPoint, ordering: QOrdering, n_axis, h_axis) -> SumSurfac
 
 def c_s_naive(p: StripPoint, ordering: QOrdering, n: int, h: int) -> tuple[float, float]:
     """Brute-force oracle: the defining triple loop, one (n,h) cell."""
-    prefix = ordering.prefix(h)
+    values, signs = ordering.arrays(h)
+    prefix = list(zip(values.tolist(), signs.tolist()))
     c_terms = []
     s_terms = []
     for k in range(1, n + 1):
         a_k, b_k = se.term_ab(k, p)
-        for q in prefix:
-            if k % q.value == 0:
-                c_terms.append(q.sign * a_k)
-                s_terms.append(q.sign * b_k)
+        for q, sign in prefix:
+            if k % q == 0:
+                c_terms.append(sign * a_k)
+                s_terms.append(sign * b_k)
     return math.fsum(c_terms), math.fsum(s_terms)
 
 
-def limit_A_series(p: StripPoint, ordering: QOrdering, h_max: int,
+def limit_A_series(p: StripPoint, values, signs,
                    tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Inner limits lim_n C(n,h), lim_n S(n,h) for h = 1..h_max.
+    """Inner limits lim_n C(n,h), lim_n S(n,h) for h = 1..len(values), over
+    an ordering's prefix given as its `values` and `signs`.
 
     Each equals eta(s) times the signed prefix sum of q_i^(-s) (the odd
     subseries closed form), so the whole h-sequence costs one eta evaluation.
     """
     eta = se.eta_accel(p, tol).value
-    values, signs = ordering.arrays(h_max)
     partial = np.cumsum(signs * np.exp(-p.s * np.log(values))) * eta
     return partial.real.copy(), (-partial.imag).copy()
 
@@ -128,7 +129,7 @@ def limit_A(p: StripPoint, ordering: QOrdering, h: int,
         raise ValueError("h must be >= 0")
     if h == 0:
         return 0.0, 0.0
-    a_cos, a_sin = limit_A_series(p, ordering, h, tol)
+    a_cos, a_sin = limit_A_series(p, *ordering.arrays(h), tol)
     return float(a_cos[-1]), float(a_sin[-1])
 
 
@@ -226,7 +227,7 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
     """
     if h_max < 0:
         raise ValueError("hMax must be >= 0")
-    a_cos, a_sin = limit_A_series(p, ordering, h_max, eta_tol)
+    a_cos, a_sin = limit_A_series(p, *ordering.arrays(h_max), eta_tol)
     notes = []
     if h_max > 0:
         tail = max(1, h_max // 4)

@@ -163,23 +163,6 @@ def _views(values: np.ndarray, signs: np.ndarray) -> list[OddSquarefree]:
             for v, f, r, s in zip(values.tolist(), factors, rest.tolist(), signs.tolist())]
 
 
-def enumerate_q(bound: int) -> list[OddSquarefree]:
-    """All elements of Q with value <= bound, ascending by value."""
-    values, signs, _ = q_arrays(bound)
-    return _views(values, signs)
-
-
-def sgn_q(q: OddSquarefree) -> int:
-    return (-1) ** len(q.factors)
-
-
-def delta(k: int, q: OddSquarefree) -> int:
-    """1 if q.value divides k, else 0."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return 1 if k % q.value == 0 else 0
-
-
 def is_gamma(k: int) -> bool:
     """True iff k is a power of two (1 included)."""
     if k < 1:
@@ -213,16 +196,15 @@ class QOrdering:
       by-factor-count     ascending (number of factors, value)
       seeded-shuffle      Fisher-Yates (splitmix64) permutation of the first
                           prefix_length by-value elements; by-value beyond
-      explicit            caller-supplied sequence
 
-    Except for explicit orderings, an ordering is a permutation of indices
-    into `q_arrays(bound_hint)`; element views are built only on request.
+    An ordering is a permutation of indices into `q_arrays(bound_hint)`;
+    `arrays(h)` gives its first h values and signs, and element views are
+    built only by `sequence()` and `prefix()`.
     """
 
     strategy: str = "by-value"
     seed: int = 0
     prefix_length: int = 0
-    explicit: tuple[OddSquarefree, ...] = ()
     bound_hint: int = 10_000
 
     @staticmethod
@@ -238,19 +220,11 @@ class QOrdering:
         return QOrdering(strategy="seeded-shuffle", seed=seed,
                          prefix_length=prefix_length, bound_hint=bound_hint)
 
-    @staticmethod
-    def from_explicit(elements) -> "QOrdering":
-        elements = tuple(elements)
-        return QOrdering(strategy="explicit", explicit=elements,
-                         bound_hint=max((q.value for q in elements), default=0))
-
     def descriptor(self) -> str:
         """Stable identifier recorded in reports and manifests."""
         if self.strategy == "seeded-shuffle":
             return (f"seeded-shuffle(seed={self.seed},prefix={self.prefix_length},"
                     f"rng={ALGORITHM_ID},bound={self.bound_hint})")
-        if self.strategy == "explicit":
-            return f"explicit(n={len(self.explicit)})"
         return f"{self.strategy}(bound={self.bound_hint})"
 
     def _order(self, values: np.ndarray, counts: np.ndarray) -> np.ndarray | None:
@@ -274,14 +248,10 @@ class QOrdering:
     def arrays(self, h: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(values, signs) of the first h elements in this order, all of them
         when h is None; raises if the bound cannot produce h."""
-        if self.strategy == "explicit":
-            values = np.array([q.value for q in self.explicit], dtype=np.int64)
-            signs = np.array([q.sign for q in self.explicit], dtype=np.int8)
-        else:
-            values, signs, counts = q_arrays(self.bound_hint)
-            order = self._order(values, counts)
-            if order is not None:
-                values, signs = values[order[:h]], signs[order[:h]]
+        values, signs, counts = q_arrays(self.bound_hint)
+        order = self._order(values, counts)
+        if order is not None:
+            values, signs = values[order[:h]], signs[order[:h]]
         if h is not None and h > len(values):
             raise EnumerationShortfallError(
                 f"ordering {self.descriptor()} yields only {len(values)} elements, "
@@ -298,8 +268,8 @@ class QOrdering:
 
 
 def f_kh(k: int, ordering: QOrdering, h: int) -> int:
-    """f(k,h) = sum over the ordering's first h elements of sgn(q_i)*delta(k,i),
-    computed by the defining sum."""
+    """f(k,h) = sum of sgn(q_i) over the ordering's first h elements q_i
+    that divide k, computed by the defining sum."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if h < 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import limits
 from ._rng import ALGORITHM_ID, SplitMix64
-from .qset import OddSquarefree, QOrdering
+from .qset import QOrdering
 from .series import StripPoint
 
 
@@ -61,7 +61,7 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class OrderingCandidate:
-    elements: tuple[OddSquarefree, ...]
+    permutation: tuple[int, ...]   # the prefix's values of Q, in order
     objective: float
 
 
@@ -74,25 +74,32 @@ class TraceEntry:
 
 def objective_gap(elements, spec: ObjectiveSpec) -> float:
     """Sum over spec points of max_h max_n (|C(n,h) - A_cos(h)| +
-    |S(n,h) - A_sin(h)|) with n in the window and the candidate prefix as
-    the ordering.
+    |S(n,h) - A_sin(h)|) with n in the window and the candidate prefix (a
+    sequence of element views) as the ordering; `anneal` calls the array
+    core `_gap` directly."""
+    elements = tuple(elements)
+    values = np.array([q.value for q in elements], dtype=np.int64)
+    signs = np.array([q.sign for q in elements], dtype=np.int8)
+    return _gap(values, signs, spec)
+
+
+def _gap(values: np.ndarray, signs: np.ndarray, spec: ObjectiveSpec) -> float:
+    """`objective_gap` on a prefix given as its `values` and `signs`.
 
     C and S come from `limits.c_s_running` over the window's rows, A from
     `limits.limit_A_series`; only one running vector per sum is held, never
     a (window x h) matrix.  Nothing is cached across calls.
     """
-    elements = tuple(elements)
-    if spec.h_max > len(elements):
-        raise ValueError(f"hMax {spec.h_max} exceeds prefix length {len(elements)}")
+    if spec.h_max > len(values):
+        raise ValueError(f"hMax {spec.h_max} exceeds prefix length {len(values)}")
     if spec.h_max == 0:
         return 0.0
-    ordering = QOrdering.from_explicit(elements)
-    values, signs = ordering.arrays(spec.h_max)
+    values, signs = values[:spec.h_max], signs[:spec.h_max]
     n0, n1 = spec.n_window
     rows = np.arange(n0, n1 + 1)
     total = 0.0
     for p in spec.points:
-        a_cos, a_sin = limits.limit_A_series(p, ordering, spec.h_max, spec.eta_tol)
+        a_cos, a_sin = limits.limit_A_series(p, values, signs, spec.eta_tol)
         worst = 0.0
         for h, (c, s) in enumerate(limits.c_s_running(p, values, signs, rows)):
             dev = np.abs(c - a_cos[h]) + np.abs(s - a_sin[h])
@@ -114,7 +121,7 @@ class SearchResult:
 
     def best_json(self) -> str:
         return json.dumps({
-            "permutation": [q.value for q in self.best.elements],
+            "permutation": list(self.best.permutation),
             "objective": self.best.objective,
             "seed": self.config.seed,
             "prefixLength": self.config.prefix_length,
@@ -135,14 +142,15 @@ class SearchResult:
 def anneal(config: SearchConfig) -> SearchResult:
     """Simulated annealing from the ascending-value permutation.
 
+    The state is a permutation of indices into the by-value prefix's arrays.
     Proposal: one swap per iteration (adjacent or random pair); acceptance by
     the standard exponential criterion.  Fully deterministic given the seed.
     """
-    base = QOrdering.by_value(config.bound_hint).prefix(config.prefix_length)
+    values, signs = QOrdering.by_value(config.bound_hint).arrays(config.prefix_length)
     rng = SplitMix64(config.seed)
-    current = list(base)
-    current_obj = objective_gap(current, config.objective)
-    best = OrderingCandidate(tuple(current), current_obj)
+    current = np.arange(config.prefix_length)
+    current_obj = _gap(values, signs, config.objective)
+    best = OrderingCandidate(tuple(values.tolist()), current_obj)
     temperature = config.initial_temperature
     trace = []
     for it in range(1, config.iterations + 1):
@@ -154,16 +162,16 @@ def anneal(config: SearchConfig) -> SearchResult:
             j = rng.randrange(config.prefix_length - 1)
             if j >= i:
                 j += 1
-        candidate = list(current)
-        candidate[i], candidate[j] = candidate[j], candidate[i]
-        cand_obj = objective_gap(candidate, config.objective)
+        candidate = current.copy()
+        candidate[[i, j]] = candidate[[j, i]]
+        cand_obj = _gap(values[candidate], signs[candidate], config.objective)
         delta = cand_obj - current_obj
         accepted = delta <= 0.0 or (temperature > 0.0 and
                                     rng.uniform() < math.exp(-delta / temperature))
         if accepted:
             current, current_obj = candidate, cand_obj
             if cand_obj < best.objective:
-                best = OrderingCandidate(tuple(candidate), cand_obj)
+                best = OrderingCandidate(tuple(values[candidate].tolist()), cand_obj)
         trace.append(TraceEntry(iteration=it, objective=cand_obj, accepted=accepted))
         temperature *= config.decay
     return SearchResult(best=best, trace=tuple(trace), config=config)

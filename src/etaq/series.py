@@ -95,6 +95,13 @@ def term_ab(k: int, p: StripPoint) -> tuple[float, float]:
     return amp * math.cos(p.y * lk), amp * math.sin(p.y * lk)
 
 
+def check_term_count(n: int) -> None:
+    """Reject a direct sum of more than MAX_TERMS terms."""
+    if n > MAX_TERMS:
+        raise ValueError(f"{n} terms exceed the cap {MAX_TERMS} "
+                         "(about 33 bytes per term)")
+
+
 def _signed_terms(p: StripPoint, n: int, step: int = 1,
                   shift: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) at k = step, 2 step, ..., n step: the sign (-1)^(k-1) from each
@@ -102,9 +109,7 @@ def _signed_terms(p: StripPoint, n: int, step: int = 1,
 
     The count is checked against MAX_TERMS before anything is allocated.
     """
-    if n > MAX_TERMS:
-        raise ValueError(f"{n} terms exceed the cap {MAX_TERMS} "
-                         "(about 33 bytes per term)")
+    check_term_count(n)
     k = np.arange(step, step * n + 1, step)
     angle = np.log(k)
     amp = np.exp(-p.x * angle)
@@ -234,7 +239,8 @@ def bridge_denominator(p: StripPoint) -> complex:
 
 def zeta_from_eta(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
     """zeta(s) = eta(s) / (1 - 2^(1-s)), with the pole and the singular
-    denominator set rejected explicitly."""
+    denominator set rejected explicitly.  The error estimate must be at most
+    target_tol * max(1, |zeta|), else AccelerationError."""
     if p.x == 1.0 and p.y == 0.0:
         raise PoleError("zeta has a simple pole at s = 1")
     denom = bridge_denominator(p)
@@ -242,11 +248,17 @@ def zeta_from_eta(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
         raise SingularDenominatorError(
             f"1 - 2^(1-s) vanishes near s=({p.x},{p.y}) "
             "(x = 1 with y a multiple of 2*pi/ln 2)")
-    eta = eta_accel(p, target_tol * abs(denom))
-    value = eta.value / denom
+    try:
+        eta = eta_accel(p, target_tol * abs(denom))
+    except AccelerationError as exc:  # near the pole: judged against |zeta| below
+        eta = exc.result
     err = eta.error_estimate / abs(denom)
-    return SeriesResult(value=value, method=eta.method,
-                        terms_used=eta.terms_used, error_estimate=err)
+    result = SeriesResult(value=eta.value / denom, method=eta.method,
+                          terms_used=eta.terms_used, error_estimate=err)
+    if not err <= target_tol * max(1.0, abs(result.value)):
+        raise AccelerationError(f"zeta reaches {err:.3e} > {target_tol:.3e} * max(1, "
+                                f"|zeta|) at s=({p.x},{p.y})", result)
+    return result
 
 
 def geom_closed(p: StripPoint) -> complex:

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from etaq import series, zeros
+import mpmath as mp
+
+from etaq import cli, qset, search, series, zeros
 from etaq._rng import ALGORITHM_ID
 from etaq.cli import main, parse_ordering, parse_range
 from etaq.qset import MAX_ENUM_BOUND
@@ -54,7 +56,16 @@ class TestPointCommands:
         assert main(["zeta", "1", "0"]) == 2
         assert "pole" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["eta", "0.5", "200"], ["zeta", "0.999", "0"],
+    @pytest.mark.parametrize("x, y", [("0.999", "0"), ("1", "0.001")])
+    def test_zeta_near_pole(self, x, y, capsys):
+        # eta's share of the tolerance is scaled by |1 - 2^(1-s)| ~ 7e-4 here
+        assert main(["zeta", x, y]) == 0
+        out = capsys.readouterr().out
+        re, im = out.split("= ")[1].split("i")[0].split()
+        ref = complex(mp.zeta(mp.mpc(x, y)))
+        assert abs(complex(float(re), float(im)) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("argv", [["eta", "0.5", "200"], ["zeta", "0.5", "300"],
                                       ["eta", "0.5", "1e300"], ["eta", "0.5", "1e308"]])
     def test_unreachable_tolerance_exit_two(self, argv, capsys):
         # the acceleration's error bound exceeds the requested tolerance
@@ -134,6 +145,22 @@ def test_term_count_past_cap_exit_two(argv, tmp_path, monkeypatch, capsys):
     assert err.startswith("error: ") and "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap", "--x", "2", "--y", "0", "--q-bound", "10000000",
+     "--budget", str(series.MAX_TERMS + 1)],
+    ["verify", "--budget", str(series.MAX_TERMS + 1)],
+], ids=["gap", "verify"])
+def test_budget_checked_before_any_work(argv, monkeypatch, capsys):
+    sieved = []
+    monkeypatch.setattr(qset, "odd_factor_counts", lambda *a: sieved.append(a))
+    monkeypatch.setattr(cli, "run_verify", lambda *a: sieved.append(a))
+    assert main(argv) == 2
+    assert sieved == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "cap" in err
+
+
 class TestZerosCommand:
     def test_scan_csv(self, tmp_path):
         out = tmp_path / "zeros.csv"
@@ -188,6 +215,16 @@ class TestSearchCommand:
         assert len(doc["permutation"]) == 8
         manifest = json.loads((tmp_path / "trace.csv.manifest.json").read_text())
         assert manifest["parameters"]["seed"] == 42
+
+    def test_best_objective_not_recomputed_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(search, "objective_gap", lambda elements, spec: -1.0)
+        rc = main(["search", "--seed", "42", "--prefix", "8", "--iters", "5",
+                   "--n0", "20", "--n1", "60", "--h-max", "4", "--bound", "500",
+                   "--out-trace", str(tmp_path / "trace.csv"),
+                   "--out-best", str(tmp_path / "best.json")])
+        assert rc == 1
+        assert "FAILED: best objective" in capsys.readouterr().err
+        assert not (tmp_path / "best.json").exists()
 
 
 class TestDeterminism:

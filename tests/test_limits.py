@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from etaq.limits import (SumSurface, c_s_naive, c_s_surface, commutativity_gap,
-                         limit_A, limit_A_series, limit_B, rh_contradiction_check)
+from etaq.limits import (SumSurface, c_s_naive, c_s_running, c_s_surface,
+                         commutativity_gap, limit_A, limit_A_series, limit_B,
+                         rh_contradiction_check)
 from etaq.qset import OddSquarefree, QOrdering
 from etaq.series import StripPoint, eta_accel, geom_closed
 
@@ -82,13 +83,14 @@ class TestSurface:
 
     def test_h_zero_and_elements_past_n_are_exact_zeros(self):
         # 101 and 103 divide no k <= 100, so h <= 2 is the empty sum too
-        elems = [OddSquarefree.from_factors(f) for f in ((101,), (103,), (3,))]
-        surf = c_s_surface(StripPoint(0.5, 14.0), QOrdering.from_explicit(elems),
-                           [10, 50, 100], [0, 1, 2, 3])
-        head = np.concatenate([surf.C[:, :3], surf.S[:, :3]])
+        p, n_axis = StripPoint(0.5, 14.0), [10, 50, 100]
+        values, signs = np.array([101, 103, 3]), np.array([-1, -1, -1], dtype=np.int8)
+        columns = [(c.copy(), s.copy()) for c, s in c_s_running(p, values, signs, n_axis)]
+        h_zero = c_s_surface(p, QOrdering.by_value(100), n_axis, [0])
+        head = np.concatenate([h_zero.C[:, 0], h_zero.S[:, 0], *columns[0], *columns[1]])
         assert np.all(head == 0.0)
         assert not np.any(np.signbit(head))  # written as "0", never "-0"
-        assert np.all(surf.C[:, 3] != 0.0)
+        assert np.all(columns[2][0] != 0.0)
 
     def test_k_major_vs_i_major(self):
         p = StripPoint(0.5, 14.0)
@@ -120,7 +122,7 @@ class TestSurface:
     def test_csv_bytes_match_per_cell_format(self):
         C = np.array([[-0.0, 0.1 + 0.2], [1.0 / 3.0, -5e-324]])
         S = np.array([[0.0, -math.pi], [1e300, 2.0 / 3.0]])
-        surf = SumSurface(point=StripPoint(0.5, 0.0), ordering_id="explicit(n=3)",
+        surf = SumSurface(point=StripPoint(0.5, 0.0), ordering_id="by-value(bound=100)",
                           n_axis=(1, 7), h_axis=(0, 3), C=C, S=S)
         fh = io.StringIO()
         surf.write_csv(fh)
@@ -151,7 +153,7 @@ class TestLimitA:
     def test_series_prefix_consistency(self):
         p = StripPoint(0.5, 14.0)
         ordering = QOrdering.by_value(1000)
-        a_cos, a_sin = limit_A_series(p, ordering, 30)
+        a_cos, a_sin = limit_A_series(p, *ordering.arrays(30))
         for h in (1, 7, 30):
             single = limit_A(p, ordering, h)
             assert single[0] == pytest.approx(a_cos[h - 1], abs=1e-14)
@@ -168,7 +170,8 @@ class TestLimitA:
             total += q.sign * cmath.exp(-p.s * math.log(q.value))
             ref_cos.append((total * eta).real)
             ref_sin.append(-(total * eta).imag)
-        for got, ref in zip(limit_A_series(p, ordering, h_max), (ref_cos, ref_sin)):
+        for got, ref in zip(limit_A_series(p, *ordering.arrays(h_max)),
+                            (ref_cos, ref_sin)):
             ref = np.array(ref)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 

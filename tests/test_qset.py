@@ -5,10 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etaq.qset import (MAX_ENUM_BOUND, EnumerationShortfallError, OddSquarefree,
-                       QOrdering, delta, enumerate_q, f_bruteforce, f_closed,
-                       f_kh, f_kh_fast, is_gamma, odd_factor_counts,
-                       odd_prime_factors, odd_squarefree_divisors, q_arrays,
-                       sieve_primes, sgn_q)
+                       QOrdering, f_bruteforce, f_closed, f_kh, f_kh_fast,
+                       is_gamma, odd_factor_counts, odd_prime_factors,
+                       odd_squarefree_divisors, q_arrays, sieve_primes)
+
+
+def by_value_sequence(bound):
+    """All elements of Q up to bound, ascending, as element views."""
+    return QOrdering.by_value(bound).sequence()
 
 
 def trial_division_primes(limit):
@@ -87,10 +91,10 @@ class TestMoebiusSieve:
         assert counts.tolist() == [len(odd_prime_factors(k)) for k in ks]
 
     def test_matches_recursive_enumerator(self):
-        got = [(q.value, q.factors, q.sign) for q in enumerate_q(100_000)]
+        got = [(q.value, q.factors, q.sign) for q in by_value_sequence(100_000)]
         assert got == recursive_q(100_000)
 
-    @pytest.mark.parametrize("make", [q_arrays, enumerate_q,
+    @pytest.mark.parametrize("make", [q_arrays, by_value_sequence,
                                       lambda b: QOrdering.by_value(b).arrays()])
     def test_bound_past_cap_rejected_before_allocating(self, make):
         tracemalloc.start()
@@ -105,25 +109,25 @@ class TestMoebiusSieve:
 
 class TestEnumerateQ:
     def test_empty_below_three(self):
-        assert enumerate_q(2) == []
-        assert enumerate_q(0) == []
+        assert by_value_sequence(2) == []
+        assert by_value_sequence(0) == []
 
     def test_up_to_fifteen(self):
-        qs = enumerate_q(15)
+        qs = by_value_sequence(15)
         assert [q.value for q in qs] == [3, 5, 7, 11, 13, 15]
         assert 9 not in {q.value for q in qs}  # 3^2 is not squarefree
         assert qs[-1].sign == +1 and qs[-1].factors == (3, 5)
 
     def test_three_factor_element(self):
-        qs = {q.value: q for q in enumerate_q(105)}
+        qs = {q.value: q for q in by_value_sequence(105)}
         assert qs[105].factors == (3, 5, 7) and qs[105].sign == -1
 
     def test_matches_squarefree_count_oracle(self):
-        values = [q.value for q in enumerate_q(10_000)]
+        values = [q.value for q in by_value_sequence(10_000)]
         assert values == squarefree_odd_oracle(10_000)
 
     def test_elements_valid(self):
-        for q in enumerate_q(500):
+        for q in by_value_sequence(500):
             assert q.value % 2 == 1 and q.value >= 3
             prod = 1
             for p in q.factors:
@@ -148,19 +152,10 @@ class TestOddSquarefreeInvariants:
 def test_sgn_examples():
     three, five, seven = (OddSquarefree.from_factors(f)
                           for f in [(3,), (5,), (7,)])
-    assert sgn_q(three) == -1
-    assert sgn_q(OddSquarefree.from_factors((3, 5))) == +1
-    assert sgn_q(OddSquarefree.from_factors((3, 5, 7))) == -1
+    assert three.sign == -1
+    assert OddSquarefree.from_factors((3, 5)).sign == +1
+    assert OddSquarefree.from_factors((3, 5, 7)).sign == -1
     assert five.sign == -1 and seven.sign == -1
-
-
-def test_delta_examples():
-    q5 = OddSquarefree.from_factors((5,))
-    q3 = OddSquarefree.from_factors((3,))
-    q15 = OddSquarefree.from_factors((3, 5))
-    assert delta(15, q5) == 1
-    assert delta(8, q3) == 0
-    assert delta(45, q15) == 1
 
 
 class TestFkh:
@@ -276,11 +271,6 @@ class TestOrderings:
         b = QOrdering.seeded_shuffle(2, 50, 1000).sequence()
         assert [q.value for q in a] != [q.value for q in b]
 
-    def test_explicit(self):
-        elems = QOrdering.by_value(100).prefix(5)[::-1]
-        ordering = QOrdering.from_explicit(elems)
-        assert ordering.prefix(5) == elems
-
     def test_enumeration_bound_cap(self):
         with pytest.raises(ValueError):
-            enumerate_q(2**41)
+            by_value_sequence(2**41)

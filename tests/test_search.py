@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from etaq import search
 from etaq.limits import limit_A_series
-from etaq.qset import QOrdering
+from etaq.qset import OddSquarefree, QOrdering
 from etaq.search import (ObjectiveSpec, OrderingCandidate, SearchConfig,
                         anneal, objective_gap)
 from etaq.series import StripPoint, subseries_q, term_ab
@@ -17,15 +18,43 @@ def small_config(seed=42, iters=20, prefix=16):
                         objective=small_spec(), bound_hint=1000)
 
 
+def adjacent_config():
+    return SearchConfig(seed=9, prefix_length=8, iterations=10,
+                        objective=small_spec(h_max=4),
+                        neighborhood="adjacent-swap", bound_hint=1000)
+
+
+# Trace objectives and best permutations recorded from the search as it was
+# when every proposal was evaluated on element views.
+GOLDEN_RANDOM_SWAP = (
+    [0.17795987838072308, 0.1624076910050088, 0.23717751264551015,
+     0.2305859906081336, 0.1850458270656054, 0.1850458270656054,
+     0.1646255632317402, 0.22004159968877357, 0.22004159968877368,
+     0.21481644416423368, 0.21481644416423368, 0.20982260117078722,
+     0.20982260117078722, 0.20982260117078716, 0.20982260117078716,
+     0.20982260117078716, 0.20848830225264753, 0.2084883022526475,
+     0.20848830225264753, 0.21580491411218927],
+    (3, 15, 29, 11, 13, 5, 17, 19, 21, 23, 7, 31, 33, 35, 37, 39),
+)
+GOLDEN_ADJACENT_SWAP = (
+    [0.11379979010659586, 0.11379979010659586, 0.11379979010659586,
+     0.11379979010659586, 0.11379979010659594, 0.14051789072592985,
+     0.14051789072592985, 0.14051789072592977, 0.14051789072592977,
+     0.1405178907259297],
+    (3, 5, 7, 11, 13, 15, 17, 19),
+)
+
+
 def k_major_objective(elements, spec):
     """The objective by its definition: one k at a time, divisors of k found
     by trial division, every h column updated."""
     prefix = elements[:spec.h_max]
+    values = np.array([q.value for q in prefix])
+    signs = np.array([q.sign for q in prefix])
     n0, n1 = spec.n_window
     total = 0.0
     for p in spec.points:
-        a_cos, a_sin = limit_A_series(p, QOrdering.from_explicit(elements),
-                                      spec.h_max, spec.eta_tol)
+        a_cos, a_sin = limit_A_series(p, values, signs, spec.eta_tol)
         c_row = [0.0] * spec.h_max
         s_row = [0.0] * spec.h_max
         worst = 0.0
@@ -106,8 +135,16 @@ class TestAnneal:
         a = anneal(small_config())
         b = anneal(small_config())
         assert a.trace == b.trace
-        assert [q.value for q in a.best.elements] == \
-               [q.value for q in b.best.elements]
+        assert a.best.permutation == b.best.permutation
+
+    @pytest.mark.parametrize("config, golden", [
+        (small_config(), GOLDEN_RANDOM_SWAP),
+        (adjacent_config(), GOLDEN_ADJACENT_SWAP),
+    ], ids=["random-swap", "adjacent-swap"])
+    def test_golden_trace(self, config, golden):
+        result = anneal(config)
+        assert [e.objective for e in result.trace] == golden[0]
+        assert result.best.permutation == golden[1]
 
     def test_seed_changes_trace(self):
         a = anneal(small_config(seed=1))
@@ -116,17 +153,22 @@ class TestAnneal:
 
     def test_trace_objectives_recompute_exactly(self, monkeypatch):
         candidates = []
+        core = search._gap
 
-        def recording(elements, spec):
-            candidates.append(tuple(elements))
-            return objective_gap(elements, spec)
+        def recording(values, signs, spec):
+            candidates.append((values.tolist(), signs.tolist()))
+            return core(values, signs, spec)
 
-        monkeypatch.setattr(search, "objective_gap", recording)
+        monkeypatch.setattr(search, "_gap", recording)
         cfg = small_config(iters=15)
         result = anneal(cfg)
         assert len(candidates) == cfg.iterations + 1  # the start, then each proposal
-        for entry, cand in zip(result.trace, candidates[1:]):
-            assert entry.objective == objective_gap(cand, cfg.objective)
+        views = {q.value: q for q in
+                 QOrdering.by_value(cfg.bound_hint).prefix(cfg.prefix_length)}
+        for entry, (values, signs) in zip(result.trace, candidates[1:]):
+            elements = [views[v] for v in values]
+            assert [q.sign for q in elements] == signs
+            assert entry.objective == objective_gap(elements, cfg.objective)
 
     def test_best_never_worse_than_identity(self):
         cfg = small_config(iters=40)
@@ -136,10 +178,7 @@ class TestAnneal:
         assert result.best.objective <= identity_obj
 
     def test_adjacent_swap_neighborhood(self):
-        cfg = SearchConfig(seed=9, prefix_length=8, iterations=10,
-                           objective=small_spec(h_max=4),
-                           neighborhood="adjacent-swap", bound_hint=1000)
-        result = anneal(cfg)
+        result = anneal(adjacent_config())
         assert len(result.trace) == 10
 
     def test_config_validation(self):
@@ -164,10 +203,22 @@ class TestAnneal:
         assert len(lines) == 6
         doc = json.loads(result.best_json())
         assert len(doc["permutation"]) == 16
+        assert doc["permutation"] == list(result.best.permutation)
         assert doc["rng"] == "splitmix64-v1"
 
 
 def test_candidate_type():
-    elems = tuple(QOrdering.by_value(100).prefix(3))
-    cand = OrderingCandidate(elements=elems, objective=0.5)
+    cand = OrderingCandidate(permutation=(3, 5, 7), objective=0.5)
     assert cand.objective == 0.5
+    assert cand.permutation == (3, 5, 7)
+
+
+def test_anneal_builds_no_element_views(monkeypatch):
+    built = []
+    check = OddSquarefree.__post_init__
+    monkeypatch.setattr(OddSquarefree, "__post_init__",
+                        lambda q: (built.append(q.value), check(q)))
+    anneal(small_config())
+    assert built == []
+    QOrdering.by_value(100).prefix(2)  # the counter does see element views
+    assert built == [3, 5]
