@@ -72,29 +72,27 @@ class TraceEntry:
     accepted: bool
 
 
-def objective_gap(elements, spec: ObjectiveSpec) -> float:
+def objective_gap(elements, spec: ObjectiveSpec, *, signs=None) -> float:
     """Sum over spec points of max_h max_n (|C(n,h) - A_cos(h)| +
-    |S(n,h) - A_sin(h)|) with n in the window and the candidate prefix (a
-    sequence of element views) as the ordering; `anneal` calls the array
-    core `_gap` directly."""
-    elements = tuple(elements)
-    values = np.array([q.value for q in elements], dtype=np.int64)
-    signs = np.array([q.sign for q in elements], dtype=np.int8)
-    return _gap(values, signs, spec)
+    |S(n,h) - A_sin(h)|) with n in the window and the candidate prefix as
+    the ordering.
 
-
-def _gap(values: np.ndarray, signs: np.ndarray, spec: ObjectiveSpec) -> float:
-    """`objective_gap` on a prefix given as its `values` and `signs`.
-
-    C and S come from `limits.c_s_running` over the window's rows, A from
+    The prefix is `elements`, a sequence of element views, or, when `signs`
+    is given, the arrays `elements` (values) and `signs` that
+    `limits.c_s_running` takes; `anneal` passes arrays.  C and S come from
+    `limits.c_s_running` over the window's rows, A from
     `limits.limit_A_series`; only one running vector per sum is held, never
     a (window x h) matrix.  Nothing is cached across calls.
     """
-    if spec.h_max > len(values):
-        raise ValueError(f"hMax {spec.h_max} exceeds prefix length {len(values)}")
+    if signs is None:
+        elements = tuple(elements)
+        signs = np.array([q.sign for q in elements], dtype=np.int8)
+        elements = np.array([q.value for q in elements], dtype=np.int64)
+    if spec.h_max > len(elements):
+        raise ValueError(f"hMax {spec.h_max} exceeds prefix length {len(elements)}")
     if spec.h_max == 0:
         return 0.0
-    values, signs = values[:spec.h_max], signs[:spec.h_max]
+    values, signs = elements[:spec.h_max], signs[:spec.h_max]
     n0, n1 = spec.n_window
     rows = np.arange(n0, n1 + 1)
     total = 0.0
@@ -149,7 +147,7 @@ def anneal(config: SearchConfig) -> SearchResult:
     values, signs = QOrdering.by_value(config.bound_hint).arrays(config.prefix_length)
     rng = SplitMix64(config.seed)
     current = np.arange(config.prefix_length)
-    current_obj = _gap(values, signs, config.objective)
+    current_obj = objective_gap(values, config.objective, signs=signs)
     best = OrderingCandidate(tuple(values.tolist()), current_obj)
     temperature = config.initial_temperature
     trace = []
@@ -164,7 +162,8 @@ def anneal(config: SearchConfig) -> SearchResult:
                 j += 1
         candidate = current.copy()
         candidate[[i, j]] = candidate[[j, i]]
-        cand_obj = _gap(values[candidate], signs[candidate], config.objective)
+        cand_obj = objective_gap(values[candidate], config.objective,
+                                 signs=signs[candidate])
         delta = cand_obj - current_obj
         accepted = delta <= 0.0 or (temperature > 0.0 and
                                     rng.uniform() < math.exp(-delta / temperature))

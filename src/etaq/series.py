@@ -239,8 +239,13 @@ def bridge_denominator(p: StripPoint) -> complex:
 
 def zeta_from_eta(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
     """zeta(s) = eta(s) / (1 - 2^(1-s)), with the pole and the singular
-    denominator set rejected explicitly.  The error estimate must be at most
-    target_tol * max(1, |zeta|), else AccelerationError."""
+    denominator set rejected explicitly.
+
+    The error estimate is eta's, plus eps * |2^(1-s)| * |zeta| for the
+    rounding of 2^(1-s) that the subtraction from 1 leaves in the
+    denominator, both divided by |1 - 2^(1-s)|.  It must be at most
+    target_tol * max(1, |zeta|), else AccelerationError.
+    """
     if p.x == 1.0 and p.y == 0.0:
         raise PoleError("zeta has a simple pole at s = 1")
     denom = bridge_denominator(p)
@@ -252,8 +257,9 @@ def zeta_from_eta(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
         eta = eta_accel(p, target_tol * abs(denom))
     except AccelerationError as exc:  # near the pole: judged against |zeta| below
         eta = exc.result
-    err = eta.error_estimate / abs(denom)
-    result = SeriesResult(value=eta.value / denom, method=eta.method,
+    value = eta.value / denom
+    err = (eta.error_estimate + _EPS * 2.0 ** (1.0 - p.x) * abs(value)) / abs(denom)
+    result = SeriesResult(value=value, method=eta.method,
                           terms_used=eta.terms_used, error_estimate=err)
     if not err <= target_tol * max(1.0, abs(result.value)):
         raise AccelerationError(f"zeta reaches {err:.3e} > {target_tol:.3e} * max(1, "

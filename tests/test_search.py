@@ -153,13 +153,13 @@ class TestAnneal:
 
     def test_trace_objectives_recompute_exactly(self, monkeypatch):
         candidates = []
-        core = search._gap
+        core = search.objective_gap
 
-        def recording(values, signs, spec):
+        def recording(values, spec, *, signs):  # anneal passes arrays only
             candidates.append((values.tolist(), signs.tolist()))
-            return core(values, signs, spec)
+            return core(values, spec, signs=signs)
 
-        monkeypatch.setattr(search, "_gap", recording)
+        monkeypatch.setattr(search, "objective_gap", recording)
         cfg = small_config(iters=15)
         result = anneal(cfg)
         assert len(candidates) == cfg.iterations + 1  # the start, then each proposal

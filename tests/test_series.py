@@ -170,6 +170,15 @@ class TestZetaBridge:
         with pytest.raises(SingularDenominatorError):
             zeta_from_eta(StripPoint(1.0, y))
 
+    @pytest.mark.parametrize("x, y", [(0.999, 0.0), (1.0, 0.001), (2.0, 0.0),
+                                      (0.5, 14.134725)])
+    def test_error_estimate_covers_true_error(self, x, y):
+        # near the pole the rounding of 1 - 2^(1-s) dominates the true error
+        res = zeta_from_eta(StripPoint(x, y))
+        with mp.workdps(40):
+            true = abs(mp.mpc(res.value) - mp.zeta(mp.mpc(mp.mpf(x), mp.mpf(y))))
+        assert float(true) <= res.error_estimate
+
     def test_bridge_identity(self):
         for p in (StripPoint(0.3, 2.0), StripPoint(0.5, 14.0),
                   StripPoint(2.0, 1.0)):
