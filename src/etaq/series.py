@@ -16,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,9 @@ _ACCEL_RATE = 3.0 + math.sqrt(8.0)
 _LOG_ACCEL_RATE = math.log(_ACCEL_RATE)
 _MAX_ACCEL_TERMS = 350
 _EPS = 2.0 ** -52
+# eta_accel_many's block of about 1 MiB of complex terms
+_BLOCK_TERMS = 2**16
+_Y_SATURATED = 1e6  # past this |y|, n = _MAX_ACCEL_TERMS and no terms are summed
 
 MAX_TERMS = 10**7  # direct sums peak at 33 bytes per term: about 0.33 GB
 TAIL_WINDOW = 64
@@ -155,9 +159,16 @@ def eta_partial(p: StripPoint, n: int) -> complex:
     return complex(math.fsum(a), math.fsum(-b))
 
 
+class _AccelWeights(NamedTuple):
+    log_k: np.ndarray  # ln 1 .. ln n
+    c: np.ndarray      # the weights c_0..c_(n-1), as complex
+    abs_c: np.ndarray  # |c_k|
+    d: float
+
+
 @lru_cache(maxsize=64)
-def _accel_weights(n: int) -> tuple[np.ndarray, float]:
-    """Chebyshev-derived weights c_0..c_(n-1) (a read-only array) and
+def _accel_weights(n: int) -> _AccelWeights:
+    """Chebyshev-derived weights c_0..c_(n-1) (read-only arrays) and
     normalizer d for the alternating-series acceleration
     sum_(k>=0) (-1)^k a_k ~ (sum c_k a_k)/d."""
     d = _ACCEL_RATE ** n
@@ -170,8 +181,11 @@ def _accel_weights(n: int) -> tuple[np.ndarray, float]:
         weights.append(c)
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
     weights = np.array(weights)
-    weights.setflags(write=False)
-    return weights, d
+    arrays = (np.log(np.arange(1, n + 1, dtype=np.float64)),
+              weights.astype(complex), np.abs(weights))
+    for a in arrays:
+        a.setflags(write=False)
+    return _AccelWeights(*arrays, d)
 
 
 def _accel_term_count(p: StripPoint, tol: float) -> int:
@@ -179,6 +193,17 @@ def _accel_term_count(p: StripPoint, tol: float) -> int:
     # need is inf for |y| near the float maximum: clamp before ceil
     return min(_MAX_ACCEL_TERMS,
                max(24, math.ceil(min(need / _LOG_ACCEL_RATE, _MAX_ACCEL_TERMS)) + 8))
+
+
+def _accel_result(x: float, y: float, n: int, value: complex, err: float,
+                  target_tol: float) -> SeriesResult:
+    result = SeriesResult(value=value, method="ChebyshevAccelerated",
+                          terms_used=n, error_estimate=err)
+    if err > target_tol:
+        raise AccelerationError(
+            f"eta acceleration reaches {err:.3e} > requested {target_tol:.3e} "
+            f"at s=({x},{y}) with {n} terms", result)
+    return result
 
 
 def eta_accel(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
@@ -194,23 +219,77 @@ def eta_accel(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
     n = _accel_term_count(p, target_tol)
     exponent = math.pi * abs(p.y) / 2.0 - n * _LOG_ACCEL_RATE
     if exponent < 700.0:
-        c, d = _accel_weights(n)
-        k = np.arange(1, n + 1, dtype=np.float64)
-        terms = np.exp(-p.s * np.log(k))
-        value = complex(np.dot(c, terms)) / d
-        round_scale = float(np.dot(np.abs(c), np.abs(terms))) / d
+        w = _accel_weights(n)
+        terms = np.exp(-p.s * w.log_k)
+        value = complex(np.dot(w.c, terms)) / w.d
+        round_scale = float(np.dot(w.abs_c, np.abs(terms))) / w.d
         err = 10.0 * math.exp(exponent) + n * _EPS * round_scale
     else:
         # the bound saturates to inf (math.exp would overflow, and so would
         # the terms for |y| near the float maximum): no value is computed
         value, err = complex(math.nan, math.nan), math.inf
-    result = SeriesResult(value=value, method="ChebyshevAccelerated",
-                          terms_used=n, error_estimate=err)
-    if err > target_tol:
-        raise AccelerationError(
-            f"eta acceleration reaches {err:.3e} > requested {target_tol:.3e} "
-            f"at s=({p.x},{p.y}) with {n} terms", result)
-    return result
+    return _accel_result(p.x, p.y, n, value, err, target_tol)
+
+
+def eta_accel_many(x: float, ys, target_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """`eta_accel` at s = x + iy for every y in the 1-D sequence ys, bit for
+    bit: returns the values and the error estimates as arrays.
+
+    Points with equal term count n share the weights, so each run of equal
+    n is evaluated in blocks of about _BLOCK_TERMS terms, and the work
+    memory beyond the outputs is bounded by the block.  The dot products
+    are the stacked vector.vector form of matmul, which runs the same dot
+    kernel as np.dot; a matrix-vector product or einsum would change the
+    last bits.  Raises AccelerationError with eta_accel's message and
+    result at the first y, in order, whose bound exceeds target_tol.
+    """
+    ys = np.asarray(ys, dtype=np.float64)
+    if not (x > 0.0 and math.isfinite(x) and ys.ndim == 1 and np.isfinite(ys).all()):
+        raise ValueError(f"need finite x > 0 and a 1-D sequence of finite y; got x={x}")
+    if target_tol <= 0.0:
+        raise ValueError("targetTol must be > 0")
+    # _accel_term_count, vectorised; clamping |y| keeps pi*|y| finite
+    exponent = math.pi * np.minimum(np.abs(ys), _Y_SATURATED) / 2.0
+    n = np.ceil(np.minimum((math.log(10.0 / target_tol) + exponent) / _LOG_ACCEL_RATE,
+                           _MAX_ACCEL_TERMS)) + 8
+    n = np.clip(n, 24, _MAX_ACCEL_TERMS).astype(np.int16)
+    exponent -= n * _LOG_ACCEL_RATE
+    values = np.full(len(ys), complex(math.nan, math.nan))
+    errors = np.full(len(ys), math.inf)
+
+    def fail(i):
+        _accel_result(x, float(ys[i]), int(n[i]), complex(values[i]),
+                      float(errors[i]), target_tol)
+
+    # the first point past 700 fails with no terms; only points before it run
+    past = exponent >= 700.0
+    live = int(past.argmax()) if past.any() else len(ys)
+    cuts = [*np.flatnonzero(np.diff(n[:live], prepend=-1)).tolist(), live]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        m = int(n[lo])
+        w = _accel_weights(m)
+        rows = _BLOCK_TERMS // m
+        for b in range(lo, hi, rows):
+            e = min(b + rows, hi)
+            s = np.empty(e - b, dtype=complex)
+            s.real = x
+            s.imag = ys[b:e]
+            terms = -s[:, None] * w.log_k
+            np.exp(terms, out=terms)
+            # complex / float in Python divides the two parts separately
+            dots = np.matmul(terms[:, None, :], w.c[:, None])[:, 0, 0]
+            values.real[b:e] = dots.real / w.d
+            values.imag[b:e] = dots.imag / w.d
+            scale = np.matmul(np.abs(terms)[:, None, :], w.abs_c[:, None])[:, 0, 0]
+            # math.exp, as in eta_accel: np.exp can differ in the last bit
+            bound = np.fromiter(map(math.exp, exponent[b:e].tolist()), float, e - b)
+            errors[b:e] = 10.0 * bound + m * _EPS * (scale / w.d)
+            bad = np.flatnonzero(errors[b:e] > target_tol)
+            if len(bad):
+                fail(b + int(bad[0]))
+    if live < len(ys):
+        fail(live)
+    return values, errors
 
 
 def eta_averaged(p: StripPoint, start: int | None = None,
@@ -218,8 +297,10 @@ def eta_averaged(p: StripPoint, start: int | None = None,
     """Independent cross-check: `tail_averaged_sum` over a window of partial
     sums, averaged pairwise down to a single value.
 
-    The error estimate is the last-level averaging delta plus a rounding
-    floor n*eps*max|term|; the largest term is the first, of modulus 1.
+    The error estimate is the last-level averaging delta, plus a rounding
+    floor n*eps*max|term| (the largest term is the first, of modulus 1),
+    plus eps*|y|*ln n*sum|window terms| for the rounding of the angles
+    y ln k, which does not shrink as `start` grows.
     """
     if start is None:
         start = max(64, math.ceil(8.0 * abs(p.y)))
@@ -229,8 +310,9 @@ def eta_averaged(p: StripPoint, start: int | None = None,
     a, b = term_arrays(p, n)
     re, delta_re = tail_averaged_sum(a, window, window - 1)
     im, delta_im = tail_averaged_sum(-b, window, window - 1)
+    angles = _EPS * abs(p.y) * math.log(n) * float(np.hypot(a[-window:], b[-window:]).sum())
     return SeriesResult(value=complex(re, im), method="AveragedTail", terms_used=n,
-                        error_estimate=math.hypot(delta_re, delta_im) + n * _EPS)
+                        error_estimate=math.hypot(delta_re, delta_im) + n * _EPS + angles)
 
 
 def bridge_denominator(p: StripPoint) -> complex:

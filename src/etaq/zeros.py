@@ -2,8 +2,9 @@
 |eta(1/2 + iy)|, and golden-section refinement.
 
 Zeros are located as minima of |eta| rather than sign changes of a rotated
-real function; adequate below height ~100 at binary64.  The default 0.01 scan
-step is insufficient above height ~1000 where zero spacing shrinks.
+real function.  At the default tolerance 1e-12 the evaluator reaches height
+about 196: `zeros scan` fails at y = 196.41 (1.001e-12), and `etaq eta 0.5
+200` at 1.024e-12.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .series import StripPoint, eta_accel
+import numpy as np
+
+from .series import StripPoint, eta_accel, eta_accel_many
 
 CRITICAL_X = 0.5
 DEDUP_SPACING = 1e-6
@@ -80,7 +83,8 @@ def load_zeros(path) -> list[ZeroRecord]:
 def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
                threshold: float = 0.05) -> list[ZeroRecord]:
     """Grid-scan |eta(1/2 + iy)|; candidates are interior local minima below
-    threshold.  Candidates are unrefined."""
+    threshold.  Candidates are unrefined.  The grid is evaluated by
+    `eta_accel_many`, which gives eta_abs's bits at every point."""
     if not y_min >= 0.0:
         raise ValueError(f"need yMin >= 0, got {y_min}")
     if not y_min <= y_max:
@@ -93,14 +97,14 @@ def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
     if count > MAX_SCAN_POINTS:
         raise ValueError(f"scan would need {count} grid points "
                          f"(cap {MAX_SCAN_POINTS}); raise step")
-    ys = [y_min + i * step for i in range(count)]
-    vals = [eta_abs(y) for y in ys]
-    records = []
-    for i in range(1, count - 1):
-        if vals[i] < threshold and vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
-            records.append(ZeroRecord(ordinate=ys[i], source="Scan",
-                                      residual=vals[i], refined=False))
-    return records
+    ys = y_min + np.arange(count) * step
+    values, _ = eta_accel_many(CRITICAL_X, ys)
+    vals = np.hypot(values.real, values.imag)  # abs(complex) bit for bit
+    del values
+    mid = vals[1:-1]
+    hits = np.flatnonzero((mid < threshold) & (mid <= vals[:-2]) & (mid <= vals[2:])) + 1
+    return [ZeroRecord(ordinate=float(ys[i]), source="Scan",
+                       residual=float(vals[i]), refined=False) for i in hits]
 
 
 def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecord:

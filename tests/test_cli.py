@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import pytest
 
@@ -188,6 +189,21 @@ class TestZerosCommand:
     def test_refine_no_zero_exit_two(self, capsys):
         rc = main(["zeros", "refine", "--y0", "5", "--window", "0.5"])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--y-min", "190", "--y-max", "210"],
+         "error: eta acceleration reaches 1.001e-12 > requested 1.000e-12 "
+         "at s=(0.5,196.41) with 201 terms\n"),
+        (["--y-min", "1e300", "--y-max", "2e300", "--step", "1e299"],
+         "error: eta acceleration reaches inf > requested 1.000e-12 "
+         "at s=(0.5,1e+300) with 350 terms\n"),
+    ])
+    def test_scan_unreachable_tolerance_exit_two(self, argv, err, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["zeros", "scan", *argv])
+        assert rc == 2
+        assert capsys.readouterr().err == err
 
     def test_scan_negative_interval_exit_two(self, capsys):
         rc = main(["zeros", "scan", "--y-min", "-1", "--y-max", "-1"])

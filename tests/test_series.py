@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import tracemalloc
 
 import mpmath as mp
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaq.series import (MAX_TERMS, PoleError, SingularDenominatorError,
-                         StripPoint, bridge_denominator, eta_accel, eta_averaged,
+from etaq.series import (MAX_TERMS, AccelerationError, PoleError,
+                         SingularDenominatorError, StripPoint, bridge_denominator,
+                         eta_accel, eta_accel_many, eta_averaged,
                          eta_partial, euler_product_check, gamma_partial,
                          geom_closed, shifted_sums, shifted_sums_oracle,
                          subseries_q, term_ab, term_arrays, zeta_from_eta)
@@ -150,6 +152,88 @@ class TestEtaAccel:
             res = eta_accel(p)
             true = complex(mp.altzeta(mp.mpc(p.x, p.y)))
             assert abs(res.value - true) <= res.error_estimate
+
+    def test_averaged_error_estimate_is_honest(self):
+        # (0.1, 30) is where the angles' rounding exceeded the old estimate
+        rng = random.Random(20231)
+        points = [(0.1, 30.0)] + [(rng.uniform(0.02, 3.0), rng.uniform(-60.0, 60.0))
+                                  for _ in range(60)]
+        with mp.workdps(40):
+            for x, y in points:
+                res = eta_averaged(StripPoint(x, y))
+                true = abs(mp.altzeta(mp.mpc(x, y)) - mp.mpc(res.value))
+                assert true <= res.error_estimate, (x, y)
+
+
+def scalar_eta(x, ys, tol=1e-12):
+    """eta_accel point by point up to the first failure: the values, the
+    errors, and the first AccelerationError (or None)."""
+    values, errors = [], []
+    for y in ys:
+        try:
+            res = eta_accel(StripPoint(x, float(y)), tol)
+        except AccelerationError as exc:
+            return values, errors, exc
+        values.append(res.value)
+        errors.append(res.error_estimate)
+    return values, errors, None
+
+
+def assert_same_as_scalar(x, ys, tol=1e-12):
+    values, errors, exc = scalar_eta(x, ys, tol)
+    if exc is None:
+        got_values, got_errors = eta_accel_many(x, ys, tol)
+        assert got_values.tolist() == values
+        assert got_errors.tolist() == errors
+        return
+    with pytest.raises(AccelerationError) as got:
+        eta_accel_many(x, ys, tol)
+    assert str(got.value) == str(exc)
+    want, res = exc.result, got.value.result
+    assert (res.terms_used, res.error_estimate, res.method) == (
+        want.terms_used, want.error_estimate, want.method)
+    assert repr(res.value) == repr(want.value)  # nan-safe
+    if values:  # the points before the failure
+        got_values, got_errors = eta_accel_many(x, ys[:len(values)], tol)
+        assert got_values.tolist() == values
+        assert got_errors.tolist() == errors
+
+
+class TestEtaAccelMany:
+    def test_bit_identical_on_benchmark_grid(self):
+        # the grid of `zeros scan --y-max 190 --step 0.004`
+        assert_same_as_scalar(0.5, 0.0 + np.arange(47501) * 0.004)
+
+    @pytest.mark.parametrize("x", [0.25, 0.75, 2.0])
+    def test_bit_identical_off_the_line(self, x):
+        assert_same_as_scalar(x, 0.0 + np.arange(4751) * 0.04)
+
+    def test_bit_identical_unsorted(self):
+        rng = random.Random(7)
+        assert_same_as_scalar(0.5, [rng.uniform(-190.0, 190.0) for _ in range(3000)])
+
+    @pytest.mark.parametrize("ys, tol", [
+        ([100.0, 195.0, 196.41, 197.0], 1e-12),  # the scan's first failure
+        ([100.0, 197.0, 1e300], 1e-12),          # a failure before a point past 700
+        ([100.0, 1e300, 197.0], 1e-12),          # a point past 700 first
+        ([1.7e308, 1.0], 1e-12),                 # pi*|y| would overflow
+        ([1.0, 50.0], 1e-14),
+        ([5.0, 900.0], 1e-3),
+    ])
+    def test_first_failure_in_order(self, ys, tol):
+        assert_same_as_scalar(0.5, ys, tol)
+
+    def test_empty(self):
+        values, errors = eta_accel_many(0.5, [])
+        assert values.shape == errors.shape == (0,)
+
+    @pytest.mark.parametrize("x, ys, tol", [
+        (0.0, [1.0], 1e-12), (math.nan, [1.0], 1e-12), (0.5, [math.inf], 1e-12),
+        (0.5, [[1.0]], 1e-12), (0.5, [1.0], 0.0),
+    ])
+    def test_bad_input(self, x, ys, tol):
+        with pytest.raises(ValueError):
+            eta_accel_many(x, ys, tol)
 
 
 class TestZetaBridge:

@@ -1,12 +1,17 @@
 import io
+import math
+import tracemalloc
 
 import pytest
 
-from etaq.series import StripPoint, zeta_from_eta, bridge_denominator
+from etaq.series import _BLOCK_TERMS, StripPoint, zeta_from_eta, bridge_denominator
 from etaq.zeros import (RefinementError, ZeroFileError, eta_abs, load_zeros,
                         refine_zero, scan_zeros, scan_and_refine, write_csv)
 
 FIRST_THREE = (14.134725141734694, 21.022039638771554, 25.010857580145689)
+# Recorded from scan_zeros(0, 30, 0.01) when it called eta_abs point by point.
+SCAN_0_30 = [(14.13, 0.008895200295998055), (21.02, 0.004744729021936494),
+             (25.01, 0.00198196922037166)]
 
 
 class TestLoadZeros:
@@ -76,6 +81,32 @@ class TestScan:
     def test_scan_budget_cap(self):
         with pytest.raises(ValueError, match="grid points"):
             scan_zeros(0.0, 1000.0, step=1e-6)
+
+    def test_matches_pointwise_goldens(self):
+        records = scan_zeros(0.0, 30.0, 0.01)
+        assert [(r.ordinate, r.residual) for r in records] == SCAN_0_30
+
+    def test_residuals_are_eta_abs(self):
+        for rec in scan_zeros(0.0, 60.0, 0.02):
+            assert rec.residual == eta_abs(rec.ordinate)
+
+    def test_memory_per_point_is_flat(self):
+        # peak(N) = slope * N + intercept: the blocks go in the intercept,
+        # the per-point arrays (grid, values, errors, |eta|) in the slope
+        scan_zeros(0.0, 1.0)
+        peaks = {}
+        for step in (2e-4, 5e-5):
+            count = int(math.floor(10.0 / step)) + 1
+            tracemalloc.start()
+            try:
+                scan_zeros(0.0, 10.0, step)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        (n1, p1), (n2, p2) = sorted(peaks.items())
+        slope = (p2 - p1) / (n2 - n1)
+        assert slope <= 96
+        assert p1 - slope * n1 <= 64 * _BLOCK_TERMS
 
 
 class TestRefine:
