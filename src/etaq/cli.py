@@ -263,17 +263,9 @@ def cmd_verify(args) -> int:
 # point evaluations
 
 
-def cmd_eta(args) -> int:
-    res = eta_accel(StripPoint(args.x, args.y), args.tol)
-    print(f"eta({args.x:g}{args.y:+g}i) = {res.value.real:.12f} "
-          f"{res.value.imag:+.12f}i  (err <= {res.error_estimate:.2e}, "
-          f"{res.terms_used} terms, {res.method})")
-    return 0
-
-
-def cmd_zeta(args) -> int:
-    res = zeta_from_eta(StripPoint(args.x, args.y), args.tol)
-    print(f"zeta({args.x:g}{args.y:+g}i) = {res.value.real:.12f} "
+def cmd_point(args) -> int:
+    res = args.evaluate(StripPoint(args.x, args.y), args.tol)
+    print(f"{args.cmd}({args.x:g}{args.y:+g}i) = {res.value.real:.12f} "
           f"{res.value.imag:+.12f}i  (err <= {res.error_estimate:.2e}, "
           f"{res.terms_used} terms, {res.method})")
     return 0
@@ -388,12 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
-    for name, fn in (("eta", cmd_eta), ("zeta", cmd_zeta)):
+    for name, evaluate in (("eta", eta_accel), ("zeta", zeta_from_eta)):
         p = sub.add_parser(name, help=f"evaluate {name}(x+iy)")
         p.add_argument("x", type=float)
         p.add_argument("y", type=float)
         p.add_argument("--tol", type=float, default=1e-12)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_point, evaluate=evaluate)
 
     p = sub.add_parser("surface", help="C/S double-sum grid as CSV")
     p.add_argument("--x", type=float, required=True)

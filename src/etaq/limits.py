@@ -4,6 +4,7 @@ between them.
 
 C(n,h) = sum_(k<=n) f(k,h) a_k and S(n,h) likewise with b_k, where f(k,h)
 counts (with sign) the elements among the ordering's first h that divide k.
+They are carried as one complex sum C + iS of f(k,h) (a_k + i b_k).
 The n-then-h iterated limit has the closed-form oracle geom - eta (the signed
 sum over k outside the powers of two); the h-then-n limit is, term by term in
 h, eta(s) times a signed prefix sum of q^(-s).
@@ -51,47 +52,48 @@ def _validate_axes(n_axis, h_axis):
 
 
 def c_s_running(p: StripPoint, values, signs, n_rows):
-    """Yield the running (C, S) over `n_rows` after each element of an
+    """Yield the running C + iS over `n_rows` after each element of an
     ordering's prefix, given as its `values` and `signs`.
 
-    Uses C(n,h) = sum_(i<=h) sgn(q_i) P_(q_i)(n) with P_q(n) = sum_(m<=n/q)
-    a_(mq): each element adds one strided prefix sum of the term arrays,
-    read at n // q (S likewise with b).  No powers-of-two mask is needed,
-    since an odd q divides no power of two.  The two yielded vectors are
-    updated in place; copy them to keep a column.
+    C + iS is one sum of f(k,h) (a_k + i b_k), so the term arrays are packed
+    into one complex array and C(n,h) + iS(n,h) = sum_(i<=h) sgn(q_i)
+    P_(q_i)(n) with P_q(n) = sum_(m<=n/q) (a_(mq) + i b_(mq)): each element
+    adds one strided complex prefix sum, read at n // q.  Complex cumsum,
+    add and subtract work on each part separately, in the order the two
+    real sums would.  No powers-of-two mask is needed, since an odd q
+    divides no power of two.  The yielded vector is updated in place; copy
+    it to keep a column.
     """
     n_rows = np.asarray(n_rows, dtype=np.int64)
     a, b = se.term_arrays(p, int(n_rows.max(initial=0)))
-    c = np.zeros(len(n_rows))
-    s = np.zeros(len(n_rows))
+    terms = a.astype(complex)
+    terms.imag = b
+    del a, b
+    total = np.zeros(len(n_rows), dtype=complex)
     for q, sign in zip(values.tolist(), signs.tolist()):
-        rows = n_rows // q
-        step = np.add if sign > 0 else np.subtract
-        for total, terms in ((c, a), (s, b)):
-            partial = np.zeros(len(terms) // q + 1)
-            np.cumsum(terms[q - 1::q], out=partial[1:])
-            step(total, partial[rows], out=total)
-        yield c, s
+        partial = np.zeros(len(terms) // q + 1, dtype=complex)
+        np.cumsum(terms[q - 1::q], out=partial[1:])
+        (np.add if sign > 0 else np.subtract)(total, partial[n_rows // q], out=total)
+        yield total
 
 
 def c_s_surface(p: StripPoint, ordering: QOrdering, n_axis, h_axis) -> SumSurface:
     """Exact truncated double sums on the given axes.
 
     One pass of `c_s_running` over the ordering's first max(h_axis)
-    elements; the running vectors are copied out at each h on the axis.
-    Columns at h = 0 and cells with n below every element stay 0.0.
+    elements fills one complex (n x h) matrix, whose real and imaginary
+    views are C and S.  Columns at h = 0 and cells with n below every
+    element stay 0.0.
     """
     n_axis, h_axis = _validate_axes(n_axis, h_axis)
-    C = np.zeros((len(n_axis), len(h_axis)))
-    S = np.zeros((len(n_axis), len(h_axis)))
+    cs = np.zeros((len(n_axis), len(h_axis)), dtype=complex)
     column = {h: j for j, h in enumerate(h_axis)}
     values, signs = ordering.arrays(max(h_axis, default=0))
-    for h, (c, s) in enumerate(c_s_running(p, values, signs, n_axis), start=1):
+    for h, total in enumerate(c_s_running(p, values, signs, n_axis), start=1):
         if h in column:
-            C[:, column[h]] = c
-            S[:, column[h]] = s
+            cs[:, column[h]] = total
     return SumSurface(point=p, ordering_id=ordering.descriptor(),
-                      n_axis=n_axis, h_axis=h_axis, C=C, S=S)
+                      n_axis=n_axis, h_axis=h_axis, C=cs.real, S=cs.imag)
 
 
 def c_s_naive(p: StripPoint, ordering: QOrdering, n: int, h: int) -> tuple[float, float]:
@@ -109,17 +111,17 @@ def c_s_naive(p: StripPoint, ordering: QOrdering, n: int, h: int) -> tuple[float
     return math.fsum(c_terms), math.fsum(s_terms)
 
 
-def limit_A_series(p: StripPoint, values, signs,
-                   tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Inner limits lim_n C(n,h), lim_n S(n,h) for h = 1..len(values), over
-    an ordering's prefix given as its `values` and `signs`.
+def limit_A_series(p: StripPoint, values, signs, tol: float = 1e-12) -> np.ndarray:
+    """Inner limits lim_n C(n,h) + i lim_n S(n,h) for h = 1..len(values),
+    over an ordering's prefix given as its `values` and `signs`: one complex
+    array A_cos + i A_sin.
 
-    Each equals eta(s) times the signed prefix sum of q_i^(-s) (the odd
-    subseries closed form), so the whole h-sequence costs one eta evaluation.
+    Each equals the conjugate of eta(s) times the signed prefix sum of
+    q_i^(-s) (the odd subseries closed form), so the whole h-sequence costs
+    one eta evaluation.
     """
     eta = se.eta_accel(p, tol).value
-    partial = np.cumsum(signs * np.exp(-p.s * np.log(values))) * eta
-    return partial.real.copy(), (-partial.imag).copy()
+    return np.conj(np.cumsum(signs * np.exp(-p.s * np.log(values))) * eta)
 
 
 def limit_A(p: StripPoint, ordering: QOrdering, h: int,
@@ -129,8 +131,8 @@ def limit_A(p: StripPoint, ordering: QOrdering, h: int,
         raise ValueError("h must be >= 0")
     if h == 0:
         return 0.0, 0.0
-    a_cos, a_sin = limit_A_series(p, *ordering.arrays(h), tol)
-    return float(a_cos[-1]), float(a_sin[-1])
+    a = complex(limit_A_series(p, *ordering.arrays(h), tol)[-1])
+    return a.real, a.imag
 
 
 @dataclass(frozen=True)
@@ -227,23 +229,21 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
     """
     if h_max < 0:
         raise ValueError("hMax must be >= 0")
-    a_cos, a_sin = limit_A_series(p, *ordering.arrays(h_max), eta_tol)
+    a = limit_A_series(p, *ordering.arrays(h_max), eta_tol)
     notes = []
     if h_max > 0:
         tail = max(1, h_max // 4)
-        spread = max(np.ptp(a_cos[-tail:]), np.ptp(a_sin[-tail:]))
+        spread = max(np.ptp(a.real[-tail:]), np.ptp(a.imag[-tail:]))
         converged = bool(spread < a_tol)
         if not converged:
             notes.append(f"A-limit not converged at this budget "
                          f"(last-quarter spread {spread:.3e} >= {a_tol:.1e}); "
                          "gap reported against the final A value")
-        a_cos_final = float(a_cos[-1])
-        a_sin_final = float(a_sin[-1])
+        a_final = complex(a[-1])
     else:
         converged = False
         notes.append("empty A array (hMax = 0); gap is the bare B oracle")
-        a_cos_final = 0.0
-        a_sin_final = 0.0
+        a_final = 0j
     if budget >= 1:
         b_est = limit_B(p, budget, eta_tol)
         b_cos: float | None = b_est.B_cos
@@ -258,11 +258,11 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
         notes.append("budget = 0: direct B estimate skipped")
     return LimitReport(
         point=p, ordering_id=ordering.descriptor(),
-        A_cos=tuple(a_cos.tolist()), A_sin=tuple(a_sin.tolist()),
+        A_cos=tuple(a.real.tolist()), A_sin=tuple(a.imag.tolist()),
         B_cos=b_cos, B_sin=b_sin,
         oracleB_cos=oracle_cos, oracleB_sin=oracle_sin,
-        gap_cos=oracle_cos - a_cos_final,
-        gap_sin=oracle_sin - a_sin_final,
+        gap_cos=oracle_cos - a_final.real,
+        gap_sin=oracle_sin - a_final.imag,
         a_converged=converged, a_convergence_tol=a_tol,
         h_max=h_max, budget=budget, eta_tol=eta_tol,
         notes=tuple(notes))

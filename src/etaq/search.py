@@ -73,16 +73,16 @@ class TraceEntry:
 
 
 def objective_gap(elements, spec: ObjectiveSpec, *, signs=None) -> float:
-    """Sum over spec points of max_h max_n (|C(n,h) - A_cos(h)| +
-    |S(n,h) - A_sin(h)|) with n in the window and the candidate prefix as
-    the ordering.
+    """Sum over spec points of max_h max_n (|Re d| + |Im d|) with
+    d = C(n,h) + iS(n,h) - A(h), that is |C - A_cos| + |S - A_sin|, with n
+    in the window and the candidate prefix as the ordering.
 
     The prefix is `elements`, a sequence of element views, or, when `signs`
     is given, the arrays `elements` (values) and `signs` that
-    `limits.c_s_running` takes; `anneal` passes arrays.  C and S come from
-    `limits.c_s_running` over the window's rows, A from
-    `limits.limit_A_series`; only one running vector per sum is held, never
-    a (window x h) matrix.  Nothing is cached across calls.
+    `limits.c_s_running` takes; `anneal` passes arrays.  C + iS comes from
+    `limits.c_s_running` over the window's rows, the complex A from
+    `limits.limit_A_series`; only one running vector is held, never a
+    (window x h) matrix.  Nothing is cached across calls.
     """
     if signs is None:
         elements = tuple(elements)
@@ -97,11 +97,11 @@ def objective_gap(elements, spec: ObjectiveSpec, *, signs=None) -> float:
     rows = np.arange(n0, n1 + 1)
     total = 0.0
     for p in spec.points:
-        a_cos, a_sin = limits.limit_A_series(p, values, signs, spec.eta_tol)
+        a = limits.limit_A_series(p, values, signs, spec.eta_tol)
         worst = 0.0
-        for h, (c, s) in enumerate(limits.c_s_running(p, values, signs, rows)):
-            dev = np.abs(c - a_cos[h]) + np.abs(s - a_sin[h])
-            worst = max(worst, float(dev.max()))
+        for a_h, cs in zip(a.tolist(), limits.c_s_running(p, values, signs, rows)):
+            d = cs - a_h
+            worst = max(worst, float((np.abs(d.real) + np.abs(d.imag)).max()))
         total += worst
     return total
 

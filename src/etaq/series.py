@@ -75,9 +75,6 @@ class StripPoint:
     def in_critical_strip(self) -> bool:
         return 0.0 < self.x < 1.0
 
-    def conjugate(self) -> "StripPoint":
-        return StripPoint(self.x, -self.y)
-
 
 @dataclass(frozen=True)
 class SeriesResult:

@@ -20,6 +20,9 @@ from .series import StripPoint, eta_accel, eta_accel_many
 CRITICAL_X = 0.5
 DEDUP_SPACING = 1e-6
 MAX_SCAN_POINTS = 10_000_000
+# grid points per eta_accel_many call: a scan that fails part way has done
+# bounded work, and only |eta| (8 bytes per point) is kept for all points
+_SCAN_CHUNK = 2**16
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -84,7 +87,8 @@ def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
                threshold: float = 0.05) -> list[ZeroRecord]:
     """Grid-scan |eta(1/2 + iy)|; candidates are interior local minima below
     threshold.  Candidates are unrefined.  The grid is evaluated by
-    `eta_accel_many`, which gives eta_abs's bits at every point."""
+    `eta_accel_many` in chunks of _SCAN_CHUNK points, which gives eta_abs's
+    bits at every point."""
     if not y_min >= 0.0:
         raise ValueError(f"need yMin >= 0, got {y_min}")
     if not y_min <= y_max:
@@ -97,14 +101,17 @@ def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
     if count > MAX_SCAN_POINTS:
         raise ValueError(f"scan would need {count} grid points "
                          f"(cap {MAX_SCAN_POINTS}); raise step")
-    ys = y_min + np.arange(count) * step
-    values, _ = eta_accel_many(CRITICAL_X, ys)
-    vals = np.hypot(values.real, values.imag)  # abs(complex) bit for bit
-    del values
+    chunks = []
+    for lo in range(0, count, _SCAN_CHUNK):
+        ys = y_min + np.arange(lo, min(lo + _SCAN_CHUNK, count)) * step
+        values, _ = eta_accel_many(CRITICAL_X, ys)
+        chunks.append(np.hypot(values.real, values.imag))  # abs(complex) bit for bit
+    vals = np.concatenate(chunks)
     mid = vals[1:-1]
     hits = np.flatnonzero((mid < threshold) & (mid <= vals[:-2]) & (mid <= vals[2:])) + 1
-    return [ZeroRecord(ordinate=float(ys[i]), source="Scan",
-                       residual=float(vals[i]), refined=False) for i in hits]
+    # the same float as the grid's y_min + float(i) * step
+    return [ZeroRecord(ordinate=float(y_min + i * step), source="Scan",
+                       residual=float(vals[i]), refined=False) for i in hits.tolist()]
 
 
 def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecord:

@@ -53,6 +53,16 @@ class TestPointCommands:
         assert main(["zeta", "2", "0"]) == 0
         assert "1.644934066848" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, line", [
+        (["eta", "1", "0"], "eta(1+0i) = 0.693147180560 +0.000000000000i  "
+                            "(err <= 1.93e-14, 25 terms, ChebyshevAccelerated)"),
+        (["zeta", "2", "0"], "zeta(2+0i) = 1.644934066848 +0.000000000000i  "
+                             "(err <= 1.87e-14, 26 terms, ChebyshevAccelerated)"),
+    ])
+    def test_full_stdout_line(self, argv, line, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == line + "\n"
+
     def test_zeta_pole_exit_two(self, capsys):
         assert main(["zeta", "1", "0"]) == 2
         assert "pole" in capsys.readouterr().err

@@ -22,6 +22,28 @@ LIMIT_B_1E5 = {
                             0.3164737644376576, 0.18418746749947135),
 }
 
+# Recorded from the kernel that carried C and S as two real running sums:
+# the surface of seeded_shuffle(3, 12, 200) at the first zero on n in
+# (1, 5, 20, 60) and h in (0, 2, 5, 12), and A at h = 1, 4, 12 on that prefix.
+SHUFFLE_ORDERING = (3, 12, 200)
+SHUFFLE_N, SHUFFLE_H = [1, 5, 20, 60], [0, 2, 5, 12]
+SHUFFLE_C = [[0.0, 0.0, 0.0, 0.0],
+             [0.0, 0.0, 0.0, 0.8929155966314077],
+             [0.0, 0.4008595272580593, 0.8838522122543129, 1.4594479526423267],
+             [0.0, 0.16155286811458736, 0.4114478270333937, 0.7504400931583092]]
+SHUFFLE_S = [[0.0, 0.0, 0.0, 0.0],
+             [0.0, 0.0, 0.0, 0.20437479854969334],
+             [0.0, -0.024757728415381985, -0.11586325626168253, -0.125263494732959],
+             [0.0, 0.09259980305777332, 0.1194925677688361, 0.4308630188753114]]
+SHUFFLE_A = {
+    FIRST_ZERO: [(1, -2.6438448773461907e-16, 4.2746143117409673e-16),
+                 (4, 3.3735256256052307e-16, 1.355260387134649e-15),
+                 (12, 6.189451751173129e-16, 4.443345372397983e-15)],
+    StripPoint(0.75, 3.0): [(1, 0.06495506373923411, -0.10357850587497024),
+                            (4, -0.3540681686089736, -0.12984434225201646),
+                            (12, 0.4399270707384761, 0.16398161384093324)],
+}
+
 
 def i_major_oracle(p, ordering, n, h):
     """Alternate summation order: outer loop over i, inner over k."""
@@ -85,12 +107,21 @@ class TestSurface:
         # 101 and 103 divide no k <= 100, so h <= 2 is the empty sum too
         p, n_axis = StripPoint(0.5, 14.0), [10, 50, 100]
         values, signs = np.array([101, 103, 3]), np.array([-1, -1, -1], dtype=np.int8)
-        columns = [(c.copy(), s.copy()) for c, s in c_s_running(p, values, signs, n_axis)]
+        columns = [cs.copy() for cs in c_s_running(p, values, signs, n_axis)]
         h_zero = c_s_surface(p, QOrdering.by_value(100), n_axis, [0])
-        head = np.concatenate([h_zero.C[:, 0], h_zero.S[:, 0], *columns[0], *columns[1]])
+        head = np.concatenate([h_zero.C[:, 0], h_zero.S[:, 0], columns[0].real,
+                               columns[0].imag, columns[1].real, columns[1].imag])
         assert np.all(head == 0.0)
         assert not np.any(np.signbit(head))  # written as "0", never "-0"
-        assert np.all(columns[2][0] != 0.0)
+        assert np.all(columns[2].real != 0.0)
+
+    def test_matches_two_real_sum_goldens(self):
+        surf = c_s_surface(FIRST_ZERO, QOrdering.seeded_shuffle(*SHUFFLE_ORDERING),
+                           SHUFFLE_N, SHUFFLE_H)
+        for got, want in ((surf.C, SHUFFLE_C), (surf.S, SHUFFLE_S)):
+            want = np.array(want)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_k_major_vs_i_major(self):
         p = StripPoint(0.5, 14.0)
@@ -153,11 +184,18 @@ class TestLimitA:
     def test_series_prefix_consistency(self):
         p = StripPoint(0.5, 14.0)
         ordering = QOrdering.by_value(1000)
-        a_cos, a_sin = limit_A_series(p, *ordering.arrays(30))
+        a = limit_A_series(p, *ordering.arrays(30))
         for h in (1, 7, 30):
             single = limit_A(p, ordering, h)
-            assert single[0] == pytest.approx(a_cos[h - 1], abs=1e-14)
-            assert single[1] == pytest.approx(a_sin[h - 1], abs=1e-14)
+            assert single[0] == pytest.approx(a[h - 1].real, abs=1e-14)
+            assert single[1] == pytest.approx(a[h - 1].imag, abs=1e-14)
+
+    @pytest.mark.parametrize("p", list(SHUFFLE_A))
+    def test_series_matches_two_real_sum_goldens(self, p):
+        ordering = QOrdering.seeded_shuffle(*SHUFFLE_ORDERING)
+        a = limit_A_series(p, *ordering.arrays(12))
+        assert a.dtype == complex
+        assert [(h, a[h - 1].real, a[h - 1].imag) for h, _, _ in SHUFFLE_A[p]] == SHUFFLE_A[p]
 
     @pytest.mark.parametrize("p", [StripPoint(2.0, 0.0), FIRST_ZERO])
     def test_vectorised_against_per_element_reference(self, p):
@@ -170,8 +208,8 @@ class TestLimitA:
             total += q.sign * cmath.exp(-p.s * math.log(q.value))
             ref_cos.append((total * eta).real)
             ref_sin.append(-(total * eta).imag)
-        for got, ref in zip(limit_A_series(p, *ordering.arrays(h_max)),
-                            (ref_cos, ref_sin)):
+        a = limit_A_series(p, *ordering.arrays(h_max))
+        for got, ref in zip((a.real, a.imag), (ref_cos, ref_sin)):
             ref = np.array(ref)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 

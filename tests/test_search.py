@@ -54,7 +54,8 @@ def k_major_objective(elements, spec):
     n0, n1 = spec.n_window
     total = 0.0
     for p in spec.points:
-        a_cos, a_sin = limit_A_series(p, values, signs, spec.eta_tol)
+        a = limit_A_series(p, values, signs, spec.eta_tol)
+        a_cos, a_sin = a.real, a.imag
         c_row = [0.0] * spec.h_max
         s_row = [0.0] * spec.h_max
         worst = 0.0

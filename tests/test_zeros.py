@@ -4,7 +4,9 @@ import tracemalloc
 
 import pytest
 
-from etaq.series import _BLOCK_TERMS, StripPoint, zeta_from_eta, bridge_denominator
+from etaq import zeros
+from etaq.series import (_BLOCK_TERMS, AccelerationError, StripPoint, zeta_from_eta,
+                         bridge_denominator)
 from etaq.zeros import (RefinementError, ZeroFileError, eta_abs, load_zeros,
                         refine_zero, scan_zeros, scan_and_refine, write_csv)
 
@@ -86,13 +88,32 @@ class TestScan:
         records = scan_zeros(0.0, 30.0, 0.01)
         assert [(r.ordinate, r.residual) for r in records] == SCAN_0_30
 
+    def test_chunk_boundary_changes_nothing(self, monkeypatch):
+        # grid point 1413 (y = 14.13) is the first of the second chunk
+        monkeypatch.setattr(zeros, "_SCAN_CHUNK", 1413)
+        records = scan_zeros(0.0, 30.0, 0.01)
+        assert [(r.ordinate, r.residual) for r in records] == SCAN_0_30
+
+    def test_past_reach_fails_after_bounded_work(self):
+        # 2,999,901 grid points; the bound passes 1e-12 at the 19,642nd
+        tracemalloc.start()
+        try:
+            with pytest.raises(AccelerationError) as exc:
+                scan_zeros(0.0, 29999.0, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == ("eta acceleration reaches 1.001e-12 > requested "
+                                  "1.000e-12 at s=(0.5,196.41) with 201 terms")
+        assert peak < 16 * 2**20
+
     def test_residuals_are_eta_abs(self):
         for rec in scan_zeros(0.0, 60.0, 0.02):
             assert rec.residual == eta_abs(rec.ordinate)
 
     def test_memory_per_point_is_flat(self):
-        # peak(N) = slope * N + intercept: the blocks go in the intercept,
-        # the per-point arrays (grid, values, errors, |eta|) in the slope
+        # peak(N) = slope * N + intercept: the blocks and chunks go in the
+        # intercept, the per-point |eta| (and its chunks while joined) in the slope
         scan_zeros(0.0, 1.0)
         peaks = {}
         for step in (2e-4, 5e-5):
