@@ -215,8 +215,8 @@ def run_verify(k_max: int, budget: int, inject_fault: str | None) -> list[CheckR
     worst_d = 0.0
     for p in (StripPoint(0.5, 0.0), StripPoint(2.0, 0.0), StripPoint(0.75, 3.0)):
         rep = limits.rh_contradiction_check(p, budget)
-        worst_o = max(worst_o, rep.residual_oracle_cos, rep.residual_oracle_sin)
-        worst_d = max(worst_d, rep.residual_direct_cos, rep.residual_direct_sin)
+        worst_o = max(worst_o, rep.residual_oracle)
+        worst_d = max(worst_d, rep.residual_direct)
     record("contradiction-identity-oracle", worst_o, 1e-10,
            "sum_Gamma == sum + signed sum, closed-form paths")
     record("contradiction-identity-direct", worst_d, 5e-3,
@@ -236,6 +236,8 @@ def run_verify(k_max: int, budget: int, inject_fault: str | None) -> list[CheckR
 
 def cmd_verify(args) -> int:
     series.check_term_count(args.budget)
+    if args.budget < 1:
+        raise ValueError("budget must be >= 1")
     t0 = time.time()
     checks = run_verify(args.k_max, args.budget, args.inject_fault)
     for c in checks:
@@ -289,7 +291,8 @@ def cmd_surface(args) -> int:
 def cmd_gap(args) -> int:
     series.check_term_count(args.budget)
     ordering = parse_ordering(args.ordering, args.q_bound)
-    h_max = args.h_max if args.h_max is not None else len(ordering.arrays()[0])
+    # every ordering is a permutation of Q's arrays: count them unordered
+    h_max = args.h_max if args.h_max is not None else len(qset.q_arrays(args.q_bound)[0])
     report = limits.commutativity_gap(StripPoint(args.x, args.y), ordering,
                                       h_max, args.budget, args.eta_tol)
     if args.out:

@@ -4,10 +4,12 @@ between them.
 
 C(n,h) = sum_(k<=n) f(k,h) a_k and S(n,h) likewise with b_k, where f(k,h)
 counts (with sign) the elements among the ordering's first h that divide k.
-They are carried as one complex sum C + iS of f(k,h) (a_k + i b_k).
-The n-then-h iterated limit has the closed-form oracle geom - eta (the signed
-sum over k outside the powers of two); the h-then-n limit is, term by term in
-h, eta(s) times a signed prefix sum of q^(-s).
+They are carried as one complex sum C + iS of f(k,h) (a_k + i b_k), and
+every quantity the reports carry is one complex value X = X_cos + i X_sin,
+split into its cos and sin parts only in the gap JSON.
+The n-then-h iterated limit has the closed-form oracle conj(geom - eta) (the
+signed sum over k outside the powers of two); the h-then-n limit is, term by
+term in h, the conjugate of eta(s) times a signed prefix sum of q^(-s).
 """
 
 from __future__ import annotations
@@ -137,53 +139,44 @@ def limit_A(p: StripPoint, ordering: QOrdering, h: int,
 
 @dataclass(frozen=True)
 class BEstimate:
-    B_cos: float
-    B_sin: float
-    oracle_cos: float
-    oracle_sin: float
+    """The n-then-h limit B = B_cos + i B_sin: the `direct` truncation at
+    `budget` terms and the closed-form `oracle`."""
+
+    direct: complex
+    oracle: complex
     budget: int
-
-    @property
-    def disagreement_cos(self) -> float:
-        return abs(self.B_cos - self.oracle_cos)
-
-    @property
-    def disagreement_sin(self) -> float:
-        return abs(self.B_sin - self.oracle_sin)
 
 
 def limit_B(p: StripPoint, budget: int, tol: float = 1e-12) -> BEstimate:
-    """The n-then-h iterated limit sum f(k) a_k = -sum_(k not in Gamma) a_k.
+    """The n-then-h iterated limit sum f(k) (a_k + i b_k) = -sum_(k not in
+    Gamma) (a_k + i b_k).
 
     Direct: truncation to `budget` terms with iterated tail averaging.
-    Oracle: Re/-Im of `series.b_closed`.  A disagreement beyond the direct
-    path's error scale is reported in the estimate, never hidden.
+    Oracle: the conjugate of `series.b_closed`.  Their difference is the
+    disagreement, reported by `commutativity_gap`, never hidden.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     a, b = se.term_arrays(p, budget)
     gamma = (1 << np.arange(int(budget).bit_length())) - 1  # indices of k = 2^l
     a[gamma] = b[gamma] = 0.0
-    direct_cos = se.tail_averaged_sum(-a)[0]
-    direct_sin = se.tail_averaged_sum(-b)[0]
-    diff = se.b_closed(p, tol)
-    return BEstimate(B_cos=direct_cos, B_sin=direct_sin,
-                     oracle_cos=diff.real, oracle_sin=-diff.imag,
-                     budget=budget)
+    return BEstimate(complex(se.tail_averaged_sum(-a)[0], se.tail_averaged_sum(-b)[0]),
+                     se.b_closed(p, tol).conjugate(), budget)
 
 
 @dataclass(frozen=True)
 class LimitReport:
+    """Both iterated limits as complex values X = X_cos + i X_sin: the
+    read-only h-then-n series `A`, the direct `B` (None at budget 0), the
+    closed-form `oracle_B` and `gap` = oracle_B - A[-1].  `to_dict` splits
+    each into its `_cos` and `_sin` keys."""
+
     point: StripPoint
     ordering_id: str
-    A_cos: tuple[float, ...]
-    A_sin: tuple[float, ...]
-    B_cos: float | None
-    B_sin: float | None
-    oracleB_cos: float
-    oracleB_sin: float
-    gap_cos: float
-    gap_sin: float
+    A: np.ndarray
+    B: complex | None
+    oracle_B: complex
+    gap: complex
     a_converged: bool
     a_convergence_tol: float
     h_max: int
@@ -195,14 +188,14 @@ class LimitReport:
         return {
             "point": {"x": self.point.x, "y": self.point.y},
             "orderingId": self.ordering_id,
-            "A_cos": list(self.A_cos),
-            "A_sin": list(self.A_sin),
-            "B_cos": self.B_cos,
-            "B_sin": self.B_sin,
-            "oracleB_cos": self.oracleB_cos,
-            "oracleB_sin": self.oracleB_sin,
-            "gap_cos": self.gap_cos,
-            "gap_sin": self.gap_sin,
+            "A_cos": self.A.real.tolist(),
+            "A_sin": self.A.imag.tolist(),
+            "B_cos": None if self.B is None else self.B.real,
+            "B_sin": None if self.B is None else self.B.imag,
+            "oracleB_cos": self.oracle_B.real,
+            "oracleB_sin": self.oracle_B.imag,
+            "gap_cos": self.gap.real,
+            "gap_sin": self.gap.imag,
             "aConverged": self.a_converged,
             "aConvergenceTol": self.a_convergence_tol,
             "hMax": self.h_max,
@@ -230,6 +223,7 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
     if h_max < 0:
         raise ValueError("hMax must be >= 0")
     a = limit_A_series(p, *ordering.arrays(h_max), eta_tol)
+    a.setflags(write=False)
     notes = []
     if h_max > 0:
         tail = max(1, h_max // 4)
@@ -239,30 +233,21 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
             notes.append(f"A-limit not converged at this budget "
                          f"(last-quarter spread {spread:.3e} >= {a_tol:.1e}); "
                          "gap reported against the final A value")
-        a_final = complex(a[-1])
     else:
         converged = False
         notes.append("empty A array (hMax = 0); gap is the bare B oracle")
-        a_final = 0j
     if budget >= 1:
         b_est = limit_B(p, budget, eta_tol)
-        b_cos: float | None = b_est.B_cos
-        b_sin: float | None = b_est.B_sin
-        oracle_cos, oracle_sin = b_est.oracle_cos, b_est.oracle_sin
+        direct, oracle = b_est.direct, b_est.oracle
+        d = direct - oracle
         notes.append(f"direct B vs oracle disagreement: "
-                     f"cos {b_est.disagreement_cos:.3e}, sin {b_est.disagreement_sin:.3e}")
+                     f"cos {abs(d.real):.3e}, sin {abs(d.imag):.3e}")
     else:
-        b_cos = b_sin = None
-        diff = se.b_closed(p, eta_tol)
-        oracle_cos, oracle_sin = diff.real, -diff.imag
+        direct, oracle = None, se.b_closed(p, eta_tol).conjugate()
         notes.append("budget = 0: direct B estimate skipped")
     return LimitReport(
-        point=p, ordering_id=ordering.descriptor(),
-        A_cos=tuple(a.real.tolist()), A_sin=tuple(a.imag.tolist()),
-        B_cos=b_cos, B_sin=b_sin,
-        oracleB_cos=oracle_cos, oracleB_sin=oracle_sin,
-        gap_cos=oracle_cos - a_final.real,
-        gap_sin=oracle_sin - a_final.imag,
+        point=p, ordering_id=ordering.descriptor(), A=a, B=direct,
+        oracle_B=oracle, gap=oracle - (complex(a[-1]) if h_max else 0j),
         a_converged=converged, a_convergence_tol=a_tol,
         h_max=h_max, budget=budget, eta_tol=eta_tol,
         notes=tuple(notes))
@@ -271,38 +256,31 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
 @dataclass(frozen=True)
 class ContradictionReport:
     """Numerical check of the identity sum_Gamma a_k = sum a_k + sum f(k) a_k
-    (and the b_k analogue), each side through independent paths."""
+    and its b_k analogue, as one complex identity in a_k + i b_k, each side
+    through independent paths.  Each residual is the larger of the cos and
+    sin parts of lhs - rhs."""
 
     point: StripPoint
     budget: int
-    lhs_cos: float          # power-of-two sum, direct summation to convergence
-    lhs_sin: float
-    rhs_oracle_cos: float   # accelerated eta + closed-form B
-    rhs_oracle_sin: float
-    rhs_direct_cos: float   # tail-averaged eta + truncated B
-    rhs_direct_sin: float
-    residual_oracle_cos: float
-    residual_oracle_sin: float
-    residual_direct_cos: float
-    residual_direct_sin: float
+    lhs: complex         # power-of-two sum, direct summation to convergence
+    rhs_oracle: complex  # accelerated eta + closed-form B
+    rhs_direct: complex  # tail-averaged eta + truncated B
 
-    def to_dict(self) -> dict:
-        return {
-            "point": {"x": self.point.x, "y": self.point.y},
-            "budget": self.budget,
-            "lhs_cos": self.lhs_cos, "lhs_sin": self.lhs_sin,
-            "rhsOracle_cos": self.rhs_oracle_cos, "rhsOracle_sin": self.rhs_oracle_sin,
-            "rhsDirect_cos": self.rhs_direct_cos, "rhsDirect_sin": self.rhs_direct_sin,
-            "residualOracle_cos": self.residual_oracle_cos,
-            "residualOracle_sin": self.residual_oracle_sin,
-            "residualDirect_cos": self.residual_direct_cos,
-            "residualDirect_sin": self.residual_direct_sin,
-        }
+    @property
+    def residual_oracle(self) -> float:
+        d = self.lhs - self.rhs_oracle
+        return max(abs(d.real), abs(d.imag))
+
+    @property
+    def residual_direct(self) -> float:
+        d = self.lhs - self.rhs_direct
+        return max(abs(d.real), abs(d.imag))
 
 
 def rh_contradiction_check(p: StripPoint, budget: int,
                            gamma_terms: int = 200) -> ContradictionReport:
-    """Verify the contradiction-chain identity numerically.
+    """Verify the contradiction-chain identity numerically, in the conjugate
+    convention a_k + i b_k of the eta terms.
 
     Left side: the power-of-two subseries summed directly (geometric, so
     `gamma_terms` terms reach machine precision).  Right side, oracle path:
@@ -311,21 +289,9 @@ def rh_contradiction_check(p: StripPoint, budget: int,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    lhs = se.gamma_partial(p, gamma_terms)
-    eta_o = se.eta_accel(p).value
-    eta_d = se.eta_averaged(p).value
     b_est = limit_B(p, budget)
-    rhs_oracle_cos = eta_o.real + b_est.oracle_cos
-    rhs_oracle_sin = -eta_o.imag + b_est.oracle_sin
-    rhs_direct_cos = eta_d.real + b_est.B_cos
-    rhs_direct_sin = -eta_d.imag + b_est.B_sin
     return ContradictionReport(
         point=p, budget=budget,
-        lhs_cos=lhs.real, lhs_sin=-lhs.imag,
-        rhs_oracle_cos=rhs_oracle_cos, rhs_oracle_sin=rhs_oracle_sin,
-        rhs_direct_cos=rhs_direct_cos, rhs_direct_sin=rhs_direct_sin,
-        residual_oracle_cos=abs(lhs.real - rhs_oracle_cos),
-        residual_oracle_sin=abs(-lhs.imag - rhs_oracle_sin),
-        residual_direct_cos=abs(lhs.real - rhs_direct_cos),
-        residual_direct_sin=abs(-lhs.imag - rhs_direct_sin),
-    )
+        lhs=se.gamma_partial(p, gamma_terms).conjugate(),
+        rhs_oracle=se.eta_accel(p).value.conjugate() + b_est.oracle,
+        rhs_direct=se.eta_averaged(p).value.conjugate() + b_est.direct)

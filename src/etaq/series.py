@@ -97,7 +97,9 @@ def term_ab(k: int, p: StripPoint) -> tuple[float, float]:
 
 
 def check_term_count(n: int) -> None:
-    """Reject a direct sum of more than MAX_TERMS terms."""
+    """Reject a direct sum of fewer than 0 or more than MAX_TERMS terms."""
+    if n < 0:
+        raise ValueError(f"term count {n} must be >= 0")
     if n > MAX_TERMS:
         raise ValueError(f"{n} terms exceed the cap {MAX_TERMS} "
                          "(about 33 bytes per term)")
@@ -108,7 +110,7 @@ def _signed_terms(p: StripPoint, n: int, step: int = 1,
     """(a, b) at k = step, 2 step, ..., n step: the sign (-1)^(k-1) from each
     k's parity, amplitude k^(-x) and angle y (ln shift + ln k).
 
-    The count is checked against MAX_TERMS before anything is allocated.
+    The count is checked by `check_term_count` before anything is allocated.
     """
     check_term_count(n)
     k = np.arange(step, step * n + 1, step)
@@ -149,8 +151,6 @@ def tail_averaged_sum(terms: np.ndarray, window: int = TAIL_WINDOW,
 
 def eta_partial(p: StripPoint, n: int) -> complex:
     """Compensated partial sum of the first n series terms."""
-    if n < 0:
-        raise ValueError("N must be >= 0")
     a, b = term_arrays(p, n)
     # eta terms are a_k - i b_k
     return complex(math.fsum(a), math.fsum(-b))
@@ -358,7 +358,7 @@ def geom_closed(p: StripPoint) -> complex:
 def b_closed(p: StripPoint, tol: float = 1e-12) -> complex:
     """geom_closed(s) - eta(s): the closed form w of the n-then-h iterated
     limit sum_(k not a power of two) -(-1)^(k-1) k^(-s), so that
-    B_cos = Re w and B_sin = -Im w."""
+    B_cos + i B_sin = conj(w)."""
     return geom_closed(p) - eta_accel(p, tol).value
 
 
@@ -380,8 +380,6 @@ def shifted_sums(p: StripPoint, shift: float, n: int) -> tuple[float, float]:
     analogue over k = 1..n."""
     if shift <= 0.0:
         raise ValueError("shift must be > 0")
-    if n < 0:
-        raise ValueError("N must be >= 0")
     a, b = _signed_terms(p, n, shift=shift)
     return math.fsum(a), math.fsum(b)
 

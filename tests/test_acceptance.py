@@ -132,12 +132,12 @@ def test_c7_non_commutation_at_zero(first_zero):
     ordering = QOrdering.by_value(10_000)
     rep = commutativity_gap(p, ordering, len(ordering.sequence()), budget=10**6)
     g = geom_closed(p)
-    dev_cos = abs(rep.gap_cos - g.real)
-    dev_sin = abs(rep.gap_sin + g.imag)
+    dev_cos = abs(rep.gap.real - g.real)
+    dev_sin = abs(rep.gap.imag + g.imag)
     assert dev_cos <= 1e-6
     assert dev_sin <= 1e-6
     assert abs(g) > 0.5  # the gap is genuinely nonzero, not a small residue
-    report(7, f"gap = ({rep.gap_cos:.6f}, {rep.gap_sin:.6f}) matches the "
+    report(7, f"gap = ({rep.gap.real:.6f}, {rep.gap.imag:.6f}) matches the "
               f"geometric closed form to ({dev_cos:.1e}, {dev_sin:.1e}); "
               "limits do not commute at the first zero")
 
@@ -148,7 +148,7 @@ def test_c8_commutation_in_absolute_region():
     for bound in (100, 1000, 10_000):
         ordering = QOrdering.by_value(bound)
         rep = commutativity_gap(p, ordering, len(ordering.sequence()), budget=10**5)
-        gaps.append(max(abs(rep.gap_cos), abs(rep.gap_sin)))
+        gaps.append(max(abs(rep.gap.real), abs(rep.gap.imag)))
     assert gaps[-1] <= 1e-6
     floor = 1e-9
     for earlier, later in zip(gaps, gaps[1:]):
@@ -168,10 +168,8 @@ def test_c9_contradiction_chain_identity(first_zero):
     worst_direct = 0.0
     for p in points:
         rep = rh_contradiction_check(p, budget=10**6)
-        worst_oracle = max(worst_oracle, rep.residual_oracle_cos,
-                           rep.residual_oracle_sin)
-        worst_direct = max(worst_direct, rep.residual_direct_cos,
-                           rep.residual_direct_sin)
+        worst_oracle = max(worst_oracle, rep.residual_oracle)
+        worst_direct = max(worst_direct, rep.residual_direct)
     assert worst_oracle <= 1e-10
     assert worst_direct <= 5e-3
     report(9, f"sum_Gamma = sum + signed-sum identity: oracle residual "

@@ -1,6 +1,7 @@
 import io
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from etaq import cli, qset, series, zeros
 from etaq._rng import ALGORITHM_ID
 from etaq.cli import main, parse_ordering, parse_range
 from etaq.qset import MAX_ENUM_BOUND
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParseRange:
@@ -132,6 +135,27 @@ class TestGapCommand:
         assert doc["orderingId"].startswith("by-value")
         assert doc["hMax"] == len(doc["A_cos"]) == 403  # all of Q below 1000
 
+    @pytest.mark.parametrize("golden, argv", [
+        ("gap_small.json", ["--x", "0.75", "--y", "3", "--q-bound", "100",
+                            "--budget", "1000"]),
+        ("gap_h0_b0.json", ["--x", "0.5", "--y", "0", "--h-max", "0", "--budget", "0"]),
+    ])
+    def test_report_matches_golden_text(self, golden, argv, capsys):
+        # recorded from the report that held each cos/sin part as its own
+        # field: key order, null B and the -0.0 signs included
+        assert main(["gap", *argv]) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+    def test_default_h_max_builds_the_ordering_once(self, monkeypatch, capsys):
+        calls = []
+        order = qset.QOrdering._order
+        monkeypatch.setattr(qset.QOrdering, "_order",
+                            lambda self, *a: (calls.append(a), order(self, *a))[1])
+        assert main(["gap", "--x", "2", "--y", "0", "--ordering", "byfactor",
+                     "--q-bound", "1000", "--budget", "0"]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["hMax"] == 403
+
     def test_q_bound_past_cap_exit_two(self, capsys):
         rc = main(["gap", "--x", "2", "--y", "0", "--q-bound", str(MAX_ENUM_BOUND + 1)])
         assert rc == 2
@@ -170,6 +194,20 @@ def test_budget_checked_before_any_work(argv, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "cap" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gap", "--x", "2", "--y", "0", "--q-bound", "10000000", "--budget", "-5"],
+     "error: term count -5 must be >= 0"),
+    (["verify", "--budget", "0"], "error: budget must be >= 1"),
+], ids=["gap-negative", "verify-zero"])
+def test_bad_budget_rejected_before_any_work(argv, message, monkeypatch, capsys):
+    sieved = []
+    monkeypatch.setattr(qset, "odd_factor_counts", lambda *a: sieved.append(a))
+    monkeypatch.setattr(cli, "run_verify", lambda *a: sieved.append(a))
+    assert main(argv) == 2
+    assert sieved == []
+    assert capsys.readouterr().err == message + "\n"
 
 
 class TestZerosCommand:

@@ -218,18 +218,19 @@ class TestLimitB:
     def test_oracle_at_half(self):
         est = limit_B(StripPoint(0.5, 0.0), 10**6)
         eta_half = eta_accel(StripPoint(0.5, 0.0)).value.real
-        assert est.oracle_cos == pytest.approx(-math.sqrt(2.0) - eta_half, abs=1e-12)
-        assert est.oracle_cos == pytest.approx(-2.0191122, abs=1e-6)
-        assert est.disagreement_cos <= 5e-3
+        assert est.oracle.real == pytest.approx(-math.sqrt(2.0) - eta_half, abs=1e-12)
+        assert est.oracle.real == pytest.approx(-2.0191122, abs=1e-6)
+        assert abs((est.direct - est.oracle).real) <= 5e-3
 
     def test_direct_vs_oracle_generic(self):
         est = limit_B(StripPoint(0.75, 3.0), 10**6)
-        assert est.disagreement_cos <= 5e-3
-        assert est.disagreement_sin <= 5e-3
+        d = est.direct - est.oracle
+        assert abs(d.real) <= 5e-3
+        assert abs(d.imag) <= 5e-3
 
     def test_absolute_region_tight(self):
         est = limit_B(StripPoint(3.0, 0.0), 10**5)
-        assert est.disagreement_cos <= 1e-9
+        assert abs((est.direct - est.oracle).real) <= 1e-9
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -238,31 +239,31 @@ class TestLimitB:
     @pytest.mark.parametrize("p", list(LIMIT_B_1E5))
     def test_matches_golden(self, p):
         est = limit_B(p, 10**5)
-        assert (est.B_cos, est.B_sin, est.oracle_cos, est.oracle_sin) == LIMIT_B_1E5[p]
+        assert (est.direct.real, est.direct.imag,
+                est.oracle.real, est.oracle.imag) == LIMIT_B_1E5[p]
 
     def test_gap_without_direct_sum_uses_the_same_oracle(self):
         ordering = QOrdering.by_value(500)
         skipped = commutativity_gap(FIRST_ZERO, ordering, 20, budget=0)
         est = limit_B(FIRST_ZERO, 1000)
-        assert (skipped.oracleB_cos, skipped.oracleB_sin) == (est.oracle_cos,
-                                                              est.oracle_sin)
+        assert skipped.oracle_B == est.oracle
 
 
 class TestCommutativityGap:
     def test_degenerate_report(self):
         rep = commutativity_gap(StripPoint(0.5, 0.0), QOrdering.by_value(100),
                                 h_max=0, budget=0)
-        assert rep.A_cos == () and rep.A_sin == ()
-        assert rep.B_cos is None
-        assert rep.gap_cos == rep.oracleB_cos
+        assert rep.A.shape == (0,)
+        assert rep.B is None
+        assert rep.gap.real == rep.oracle_B.real
         assert not rep.a_converged
 
     def test_gap_vanishes_in_absolute_region(self):
         ordering = QOrdering.by_value(10_000)
         rep = commutativity_gap(StripPoint(3.0, 0.0), ordering,
                                 len(ordering.sequence()), budget=10**5)
-        assert abs(rep.gap_cos) <= 1e-6
-        assert abs(rep.gap_sin) <= 1e-6
+        assert abs(rep.gap.real) <= 1e-6
+        assert abs(rep.gap.imag) <= 1e-6
 
     def test_gap_shrinks_with_bound(self):
         gaps = []
@@ -270,10 +271,17 @@ class TestCommutativityGap:
             ordering = QOrdering.by_value(bound)
             rep = commutativity_gap(StripPoint(3.0, 0.0), ordering,
                                     len(ordering.sequence()), budget=1)
-            gaps.append(abs(rep.gap_cos))
+            gaps.append(abs(rep.gap.real))
         floor = 1e-9
         assert gaps[0] > max(gaps[1], floor) or gaps[0] <= floor
         assert gaps[1] > max(gaps[2], floor) or gaps[1] <= floor
+
+    def test_A_is_read_only(self):
+        rep = commutativity_gap(StripPoint(0.75, 3.0), QOrdering.by_value(500),
+                                20, budget=0)
+        assert rep.A.dtype == complex and rep.A.shape == (20,)
+        with pytest.raises(ValueError, match="read-only"):
+            rep.A[0] = 0.0
 
     def test_json_round_trip(self):
         import json
@@ -284,7 +292,7 @@ class TestCommutativityGap:
         doc = json.loads(buf.getvalue())
         assert doc["point"] == {"x": 0.75, "y": 3.0}
         assert len(doc["A_cos"]) == 20
-        assert doc["gap_cos"] == rep.gap_cos
+        assert doc["gap_cos"] == rep.gap.real
 
 
 def test_gap_builds_no_element_views(monkeypatch):
@@ -304,17 +312,15 @@ def test_gap_builds_no_element_views(monkeypatch):
 class TestContradictionCheck:
     def test_oracle_identity_tight(self):
         rep = rh_contradiction_check(StripPoint(2.0, 0.0), 10**5)
-        assert rep.residual_oracle_cos <= 1e-12
-        assert rep.residual_oracle_sin <= 1e-12
+        assert rep.residual_oracle <= 1e-12
 
     def test_direct_paths_at_half(self):
         rep = rh_contradiction_check(StripPoint(0.5, 0.0), 10**6)
-        assert rep.residual_oracle_cos <= 1e-10
-        assert rep.residual_direct_cos <= 1e-2
-        assert rep.lhs_cos == pytest.approx(-math.sqrt(2.0), abs=1e-12)
+        assert rep.residual_oracle <= 1e-10
+        assert rep.residual_direct <= 1e-2
+        assert rep.lhs.real == pytest.approx(-math.sqrt(2.0), abs=1e-12)
 
     def test_report_dict(self):
         rep = rh_contradiction_check(StripPoint(0.75, 3.0), 10**4)
-        doc = rep.to_dict()
-        assert doc["budget"] == 10**4
-        assert doc["residualOracle_cos"] <= 1e-10
+        assert rep.budget == 10**4
+        assert rep.residual_oracle <= 1e-10

@@ -73,12 +73,14 @@ class TestTermAB:
         assert a_neg == pytest.approx(a_pos, abs=1e-14)
         assert b_neg == pytest.approx(-b_pos, abs=1e-14)
 
-    @pytest.mark.parametrize("build", [
+    DIRECT_SUMS = [
         lambda n: term_arrays(FIRST_ZERO, n),
         lambda n: eta_partial(FIRST_ZERO, n),
         lambda n: shifted_sums(FIRST_ZERO, 2.0, n),
         lambda n: subseries_q(FIRST_ZERO, 3, "direct", n),
-    ])
+    ]
+
+    @pytest.mark.parametrize("build", DIRECT_SUMS)
     def test_count_past_cap_rejected_before_allocating(self, build):
         tracemalloc.start()
         try:
@@ -88,6 +90,12 @@ class TestTermAB:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @pytest.mark.parametrize("build", DIRECT_SUMS)
+    @pytest.mark.parametrize("n", [-1, -4])
+    def test_negative_count_rejected(self, build, n):
+        with pytest.raises(ValueError, match=f"term count {n} must be >= 0"):
+            build(n)
 
     def test_arrays_match_scalar(self):
         p = StripPoint(0.7, 9.3)
