@@ -10,7 +10,7 @@ from .series import (SeriesResult, StripPoint, eta_accel, eta_averaged,
                      geom_closed, shifted_sums, subseries_q, term_ab,
                      zeta_from_eta)
 from .limits import (LimitReport, SumSurface, c_s_surface, commutativity_gap,
-                     limit_A, limit_B, rh_contradiction_check)
+                     limit_B, rh_contradiction_check)
 from .zeros import ZeroRecord, load_zeros, refine_zero, scan_zeros
 from .search import ObjectiveSpec, SearchConfig, anneal, objective_gap
 
@@ -21,7 +21,7 @@ __all__ = [
     "euler_product_check", "gamma_partial", "geom_closed", "shifted_sums",
     "subseries_q", "term_ab", "zeta_from_eta",
     "LimitReport", "SumSurface", "c_s_surface", "commutativity_gap",
-    "limit_A", "limit_B", "rh_contradiction_check",
+    "limit_B", "rh_contradiction_check",
     "ZeroRecord", "load_zeros", "refine_zero", "scan_zeros",
     "ObjectiveSpec", "SearchConfig", "anneal", "objective_gap",
 ]

@@ -24,6 +24,8 @@ from . import series as se
 from .qset import QOrdering
 from .series import StripPoint
 
+A_SPREAD_TOL = 1e-9  # largest last-quarter spread of a converged A
+
 
 @dataclass(frozen=True)
 class SumSurface:
@@ -126,17 +128,6 @@ def limit_A_series(p: StripPoint, values, signs, tol: float = 1e-12) -> np.ndarr
     return np.conj(np.cumsum(signs * np.exp(-p.s * np.log(values))) * eta)
 
 
-def limit_A(p: StripPoint, ordering: QOrdering, h: int,
-            tol: float = 1e-12) -> tuple[float, float]:
-    """Inner limit over n for a single h (0 gives the empty sum)."""
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    if h == 0:
-        return 0.0, 0.0
-    a = complex(limit_A_series(p, *ordering.arrays(h), tol)[-1])
-    return a.real, a.imag
-
-
 @dataclass(frozen=True)
 class BEstimate:
     """The n-then-h limit B = B_cos + i B_sin: the `direct` truncation at
@@ -210,15 +201,14 @@ class LimitReport:
 
 
 def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
-                      budget: int, eta_tol: float = 1e-12,
-                      a_tol: float = 1e-9) -> LimitReport:
+                      budget: int, eta_tol: float = 1e-12) -> LimitReport:
     """Assemble both iterated limits and their gap.
 
     The gap is taken against the closed-form oracle for the n-then-h limit
     (the direct truncation, when budget >= 1, is carried alongside with its
     disagreement noted); the h-then-n side is the final A value, flagged as
     converged only when the last quarter of the A sequence varies by less
-    than a_tol.
+    than A_SPREAD_TOL.
     """
     if h_max < 0:
         raise ValueError("hMax must be >= 0")
@@ -228,10 +218,10 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
     if h_max > 0:
         tail = max(1, h_max // 4)
         spread = max(np.ptp(a.real[-tail:]), np.ptp(a.imag[-tail:]))
-        converged = bool(spread < a_tol)
+        converged = bool(spread < A_SPREAD_TOL)
         if not converged:
             notes.append(f"A-limit not converged at this budget "
-                         f"(last-quarter spread {spread:.3e} >= {a_tol:.1e}); "
+                         f"(last-quarter spread {spread:.3e} >= {A_SPREAD_TOL:.1e}); "
                          "gap reported against the final A value")
     else:
         converged = False
@@ -248,7 +238,7 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
     return LimitReport(
         point=p, ordering_id=ordering.descriptor(), A=a, B=direct,
         oracle_B=oracle, gap=oracle - (complex(a[-1]) if h_max else 0j),
-        a_converged=converged, a_convergence_tol=a_tol,
+        a_converged=converged, a_convergence_tol=A_SPREAD_TOL,
         h_max=h_max, budget=budget, eta_tol=eta_tol,
         notes=tuple(notes))
 
@@ -277,21 +267,19 @@ class ContradictionReport:
         return max(abs(d.real), abs(d.imag))
 
 
-def rh_contradiction_check(p: StripPoint, budget: int,
-                           gamma_terms: int = 200) -> ContradictionReport:
+def rh_contradiction_check(p: StripPoint, budget: int) -> ContradictionReport:
     """Verify the contradiction-chain identity numerically, in the conjugate
     convention a_k + i b_k of the eta terms.
 
     Left side: the power-of-two subseries summed directly (geometric, so
-    `gamma_terms` terms reach machine precision).  Right side, oracle path:
+    200 terms reach machine precision).  Right side, oracle path:
     accelerated eta plus the closed-form B; direct path: tail-averaged raw
-    eta plus the truncated, tail-averaged B sum.
+    eta plus the truncated, tail-averaged B sum.  `limit_B` rejects a
+    budget below 1.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     b_est = limit_B(p, budget)
     return ContradictionReport(
         point=p, budget=budget,
-        lhs=se.gamma_partial(p, gamma_terms).conjugate(),
+        lhs=se.gamma_partial(p, 200).conjugate(),
         rhs_oracle=se.eta_accel(p).value.conjugate() + b_est.oracle,
         rhs_direct=se.eta_averaged(p).value.conjugate() + b_est.direct)

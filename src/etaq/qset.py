@@ -149,18 +149,10 @@ def odd_squarefree_divisors(k: int) -> list[OddSquarefree]:
 
 
 def _views(values: np.ndarray, signs: np.ndarray) -> list[OddSquarefree]:
-    """Element views of values in Q.  Each value is divided by the odd primes
-    up to the square root of the largest, which leaves 1 or its largest
-    factor; OddSquarefree checks the factors against the value and sign."""
-    factors = [[] for _ in range(len(values))]
-    rest = np.array(values, dtype=np.int64)
-    for p in sieve_primes(math.isqrt(int(rest.max(initial=0))))[1:]:
-        hit = np.flatnonzero(rest % p == 0)
-        rest[hit] //= p
-        for i in hit.tolist():
-            factors[i].append(p)
-    return [OddSquarefree(v, tuple(f + [r] if r > 1 else f), s)
-            for v, f, r, s in zip(values.tolist(), factors, rest.tolist(), signs.tolist())]
+    """Element views of values in Q, each factored by `odd_prime_factors`;
+    OddSquarefree checks the factors against the value and sign."""
+    return [OddSquarefree(v, tuple(odd_prime_factors(v)), s)
+            for v, s in zip(values.tolist(), signs.tolist())]
 
 
 def is_gamma(k: int) -> bool:

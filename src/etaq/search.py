@@ -19,7 +19,7 @@ import numpy as np
 from . import limits
 from ._rng import ALGORITHM_ID, SplitMix64
 from .qset import QOrdering
-from .series import StripPoint
+from .series import StripPoint, check_tol
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,7 @@ class ObjectiveSpec:
             raise ValueError("need 1 <= n0 <= n1")
         if self.h_max < 0:
             raise ValueError("hMax must be >= 0")
+        check_tol(self.eta_tol, "etaTol")
 
 
 @dataclass(frozen=True)

@@ -105,10 +105,17 @@ def check_term_count(n: int) -> None:
                          "(about 33 bytes per term)")
 
 
-def _signed_terms(p: StripPoint, n: int, step: int = 1,
-                  shift: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) at k = step, 2 step, ..., n step: the sign (-1)^(k-1) from each
-    k's parity, amplitude k^(-x) and angle y (ln shift + ln k).
+def check_tol(tol: float, name: str = "targetTol") -> None:
+    """Reject a tolerance that is NaN, infinite or not > 0."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"{name} must be finite and > 0, got {tol}")
+
+
+def term_arrays(p: StripPoint, n: int, step: int = 1,
+                shift: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The direct sums' one term builder: (a, b) at k = step, 2 step, ...,
+    n step, with the sign (-1)^(k-1) from each k's parity, amplitude k^(-x)
+    and angle y (ln shift + ln k).
 
     The count is checked by `check_term_count` before anything is allocated.
     """
@@ -124,11 +131,6 @@ def _signed_terms(p: StripPoint, n: int, step: int = 1,
     b = np.sin(angle, out=angle)
     b *= amp
     return a, b
-
-
-def term_arrays(p: StripPoint, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors (a_1..a_n, b_1..b_n)."""
-    return _signed_terms(p, n)
 
 
 def tail_averaged_sum(terms: np.ndarray, window: int = TAIL_WINDOW,
@@ -211,8 +213,7 @@ def eta_accel(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
     Raises AccelerationError (best result attached) if the claimed bound
     exceeds target_tol.
     """
-    if target_tol <= 0.0:
-        raise ValueError("targetTol must be > 0")
+    check_tol(target_tol)
     n = _accel_term_count(p, target_tol)
     exponent = math.pi * abs(p.y) / 2.0 - n * _LOG_ACCEL_RATE
     if exponent < 700.0:
@@ -243,8 +244,7 @@ def eta_accel_many(x: float, ys, target_tol: float = 1e-12) -> tuple[np.ndarray,
     ys = np.asarray(ys, dtype=np.float64)
     if not (x > 0.0 and math.isfinite(x) and ys.ndim == 1 and np.isfinite(ys).all()):
         raise ValueError(f"need finite x > 0 and a 1-D sequence of finite y; got x={x}")
-    if target_tol <= 0.0:
-        raise ValueError("targetTol must be > 0")
+    check_tol(target_tol)
     # _accel_term_count, vectorised; clamping |y| keeps pi*|y| finite
     exponent = math.pi * np.minimum(np.abs(ys), _Y_SATURATED) / 2.0
     n = np.ceil(np.minimum((math.log(10.0 / target_tol) + exponent) / _LOG_ACCEL_RATE,
@@ -289,21 +289,17 @@ def eta_accel_many(x: float, ys, target_tol: float = 1e-12) -> tuple[np.ndarray,
     return values, errors
 
 
-def eta_averaged(p: StripPoint, start: int | None = None,
-                 window: int = 96) -> SeriesResult:
-    """Independent cross-check: `tail_averaged_sum` over a window of partial
-    sums, averaged pairwise down to a single value.
+def eta_averaged(p: StripPoint) -> SeriesResult:
+    """Independent cross-check: `tail_averaged_sum` over the last 96 of
+    max(64, ceil(8|y|)) + 96 partial sums, averaged pairwise down to one.
 
     The error estimate is the last-level averaging delta, plus a rounding
     floor n*eps*max|term| (the largest term is the first, of modulus 1),
     plus eps*|y|*ln n*sum|window terms| for the rounding of the angles
-    y ln k, which does not shrink as `start` grows.
+    y ln k, which does not shrink as n grows.
     """
-    if start is None:
-        start = max(64, math.ceil(8.0 * abs(p.y)))
-    if window < 4:
-        raise ValueError("window must be >= 4")
-    n = start + window
+    window = 96
+    n = max(64, math.ceil(8.0 * abs(p.y))) + window
     a, b = term_arrays(p, n)
     re, delta_re = tail_averaged_sum(a, window, window - 1)
     im, delta_im = tail_averaged_sum(-b, window, window - 1)
@@ -380,7 +376,7 @@ def shifted_sums(p: StripPoint, shift: float, n: int) -> tuple[float, float]:
     analogue over k = 1..n."""
     if shift <= 0.0:
         raise ValueError("shift must be > 0")
-    a, b = _signed_terms(p, n, shift=shift)
+    a, b = term_arrays(p, n, shift=shift)
     return math.fsum(a), math.fsum(b)
 
 
@@ -408,7 +404,7 @@ def subseries_q(p: StripPoint, q: int, method: str = "accelerated",
     if method == "accelerated":
         return cmath.exp(-p.s * math.log(q)) * eta_accel(p).value
     if method == "direct":
-        a, b = _signed_terms(p, budget, step=q)
+        a, b = term_arrays(p, budget, step=q)
         return complex(math.fsum(a), math.fsum(-b))
     raise ValueError(f"unknown method {method!r}")
 

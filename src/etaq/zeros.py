@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .series import StripPoint, eta_accel, eta_accel_many
+from .series import StripPoint, check_tol, eta_accel, eta_accel_many
 
 CRITICAL_X = 0.5
 DEDUP_SPACING = 1e-6
@@ -89,15 +89,20 @@ def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
     threshold.  Candidates are unrefined.  The grid is evaluated by
     `eta_accel_many` in chunks of _SCAN_CHUNK points, which gives eta_abs's
     bits at every point."""
+    if not (math.isfinite(y_min) and math.isfinite(y_max)):
+        raise ValueError(f"need finite yMin, yMax; got [{y_min}, {y_max}]")
     if not y_min >= 0.0:
         raise ValueError(f"need yMin >= 0, got {y_min}")
     if not y_min <= y_max:
         raise ValueError(f"need yMin <= yMax, got [{y_min}, {y_max}]")
-    if step <= 0.0:
-        raise ValueError("step must be > 0")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     if y_min == y_max:
         return []
-    count = int(math.floor((y_max - y_min) / step)) + 1
+    span = (y_max - y_min) / step  # inf when a tiny step overflows it
+    count = math.floor(span) + 1 if math.isfinite(span) else span
     if count > MAX_SCAN_POINTS:
         raise ValueError(f"scan would need {count} grid points "
                          f"(cap {MAX_SCAN_POINTS}); raise step")
@@ -118,8 +123,9 @@ def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecor
     """Golden-section minimization of |eta(1/2 + iy)|^2 on [y0-window,
     y0+window].  Fails (best achieved attached) if the residual floor in the
     window stays above tol."""
-    if window <= 0.0 or tol <= 0.0:
-        raise ValueError("window and tol must be > 0")
+    if not (window > 0.0 and math.isfinite(window)):
+        raise ValueError(f"window must be finite and > 0, got {window}")
+    check_tol(tol, "tol")
 
     def g(y: float) -> float:
         return eta_abs(y, tol=1e-12) ** 2
@@ -149,12 +155,11 @@ def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecor
 
 
 def scan_and_refine(y_min: float, y_max: float, step: float = 0.01,
-                    threshold: float = 0.05, window: float | None = None,
-                    tol: float = 1e-9) -> list[ZeroRecord]:
-    """Scan then refine each candidate; ordinates come back ascending."""
-    if window is None:
-        window = 2.0 * step
-    return [refine_zero(rec.ordinate, window=window, tol=tol)
+                    threshold: float = 0.05, tol: float = 1e-9) -> list[ZeroRecord]:
+    """Scan then refine each candidate in a window of two steps either side;
+    ordinates come back ascending."""
+    check_tol(tol, "tol")
+    return [refine_zero(rec.ordinate, window=2.0 * step, tol=tol)
             for rec in scan_zeros(y_min, y_max, step, threshold)]
 
 

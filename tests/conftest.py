@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import etaq
+from etaq.cli import main
 from etaq.zeros import refine_zero
 
 # Directory that holds the imported ``etaq`` package: ``src`` in a source
@@ -37,6 +38,20 @@ def run_cli():
         return proc
 
     return run
+
+
+@pytest.fixture
+def cli_error(capsys):
+    """Return ``fail(argv)``: run ``etaq.cli.main(argv)`` in process, assert
+    exit code 2 and a stderr of exactly one ``error: ...`` line, and return
+    that line's message."""
+    def fail(argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        return err[len("error: "):-1]
+
+    return fail
 
 
 @pytest.fixture(scope="session")

@@ -317,3 +317,50 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "FAIL] geom-algebra" in captured.out
         assert "FAILED: geom-algebra" in captured.err
+
+    def test_f_check_counts_every_k_up_to_k_max(self, monkeypatch):
+        f_closed = qset.f_closed
+        monkeypatch.setattr(qset, "f_closed", lambda k: f_closed(k) - (k == 105))
+        checks = {c.name: c for c in cli.run_verify(120, 100_000, None)}
+        assert not checks["f-closed-vs-bruteforce"].passed
+        assert checks["f-closed-vs-bruteforce"].detail.endswith("1 mismatches over k <= 120")
+
+
+def test_every_public_name_resolves():
+    import etaq
+    assert all(getattr(etaq, name, None) is not None for name in etaq.__all__)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["zeros", "refine", "--y0", "5.0", "--tol", "nan"], "tol"),
+    (["zeros", "refine", "--y0", "14.13", "--tol", "inf"], "tol"),
+    (["zeros", "refine", "--y0", "14.13", "--window", "nan"], "window"),
+    (["zeros", "refine", "--y0", "14.13", "--window", "inf"], "window"),
+    (["eta", "0.5", "1", "--tol", "nan"], "targetTol"),
+    (["zeta", "0.5", "1", "--tol", "nan"], "targetTol"),
+    (["eta", "0.5", "1", "--tol", "inf"], "targetTol"),
+    (["gap", "--x", "2", "--y", "0", "--q-bound", "30000000", "--eta-tol", "nan",
+      "--budget", "0"], "etaTol"),
+    (["gap", "--x", "2", "--y", "0", "--q-bound", "30000000", "--eta-tol", "0",
+      "--budget", "0"], "etaTol"),
+    (["search", "--seed", "1", "--prefix", "20", "--iters", "1", "--eta-tol", "0",
+      "--bound", "30000000", "--out-trace", "t.csv", "--out-best", "b.json"], "etaTol"),
+    (["zeros", "scan", "--y-min", "0", "--y-max", "inf"], "yMax"),
+    (["zeros", "scan", "--y-min", "nan", "--y-max", "1"], "yMin"),
+    (["zeros", "scan", "--y-min", "0", "--y-max", "1", "--step", "nan"], "step"),
+    (["zeros", "scan", "--y-min", "0", "--y-max", "1e308", "--step", "1e-10"], "step"),
+    (["zeros", "scan", "--y-min", "0", "--y-max", "1", "--threshold", "nan"], "threshold"),
+    (["zeros", "scan", "--y-min", "0", "--y-max", "30", "--refine", "--tol", "nan"], "tol"),
+], ids=["refine-tol-nan", "refine-tol-inf", "refine-window-nan", "refine-window-inf",
+        "eta-tol-nan", "zeta-tol-nan", "eta-tol-inf", "gap-eta-tol-nan", "gap-eta-tol-0",
+        "search-eta-tol-0", "scan-y-max-inf", "scan-y-min-nan", "scan-step-nan",
+        "scan-step-overflow", "scan-threshold-nan", "scan-refine-tol-nan"])
+def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, monkeypatch):
+    work = []
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(qset, "odd_factor_counts", lambda *a: work.append(a))
+    monkeypatch.setattr(zeros, "eta_accel", lambda *a: work.append(a))
+    monkeypatch.setattr(zeros, "eta_accel_many", lambda *a: work.append(a))
+    assert name in cli_error(argv)
+    assert work == []
+    assert list(tmp_path.iterdir()) == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from etaq.limits import (SumSurface, c_s_naive, c_s_running, c_s_surface,
-                         commutativity_gap, limit_A, limit_A_series, limit_B,
+                         commutativity_gap, limit_A_series, limit_B,
                          rh_contradiction_check)
 from etaq.qset import OddSquarefree, QOrdering
 from etaq.series import StripPoint, eta_accel, geom_closed
@@ -166,29 +166,21 @@ class TestSurface:
 
 class TestLimitA:
     def test_empty_sum(self):
-        assert limit_A(StripPoint(2.0, 0.0), QOrdering.by_value(100), 0) == (0.0, 0.0)
+        a = limit_A_series(StripPoint(2.0, 0.0), *QOrdering.by_value(100).arrays(0))
+        assert a.shape == (0,)
 
     def test_first_element_at_two(self):
-        a_cos, a_sin = limit_A(StripPoint(2.0, 0.0), QOrdering.by_value(100), 1)
-        assert a_cos == pytest.approx(-math.pi**2 / 108.0, abs=1e-12)
-        assert a_sin == pytest.approx(0.0, abs=1e-12)
+        a = limit_A_series(StripPoint(2.0, 0.0), *QOrdering.by_value(100).arrays(1))[-1]
+        assert a.real == pytest.approx(-math.pi**2 / 108.0, abs=1e-12)
+        assert a.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_depends_on_prefix_set_not_sequence(self):
         # same first-20 set, different order: A at h=20 must coincide
         p = StripPoint(0.75, 3.0)
-        a1 = limit_A(p, QOrdering.by_value(1000), 20)
-        a2 = limit_A(p, QOrdering.seeded_shuffle(11, 20, 1000), 20)
-        assert a1[0] == pytest.approx(a2[0], abs=1e-12)
-        assert a1[1] == pytest.approx(a2[1], abs=1e-12)
-
-    def test_series_prefix_consistency(self):
-        p = StripPoint(0.5, 14.0)
-        ordering = QOrdering.by_value(1000)
-        a = limit_A_series(p, *ordering.arrays(30))
-        for h in (1, 7, 30):
-            single = limit_A(p, ordering, h)
-            assert single[0] == pytest.approx(a[h - 1].real, abs=1e-14)
-            assert single[1] == pytest.approx(a[h - 1].imag, abs=1e-14)
+        a1 = limit_A_series(p, *QOrdering.by_value(1000).arrays(20))[-1]
+        a2 = limit_A_series(p, *QOrdering.seeded_shuffle(11, 20, 1000).arrays(20))[-1]
+        assert a1.real == pytest.approx(a2.real, abs=1e-12)
+        assert a1.imag == pytest.approx(a2.imag, abs=1e-12)
 
     @pytest.mark.parametrize("p", list(SHUFFLE_A))
     def test_series_matches_two_real_sum_goldens(self, p):

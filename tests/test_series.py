@@ -404,3 +404,12 @@ class TestEulerProduct:
     def test_needs_absolute_convergence(self):
         with pytest.raises(ValueError):
             euler_product_check(StripPoint(1.0, 0.0), 100)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("evaluate", [lambda tol: eta_accel(StripPoint(0.5, 1.0), tol),
+                                      lambda tol: eta_accel_many(0.5, [1.0], tol)],
+                         ids=["eta_accel", "eta_accel_many"])
+def test_tolerance_must_be_finite_and_positive(evaluate, tol):
+    with pytest.raises(ValueError, match="targetTol must be finite and > 0"):
+        evaluate(tol)
