@@ -159,8 +159,8 @@ def limit_B(p: StripPoint, budget: int, tol: float = 1e-12) -> BEstimate:
 class LimitReport:
     """Both iterated limits as complex values X = X_cos + i X_sin: the
     read-only h-then-n series `A`, the direct `B` (None at budget 0), the
-    closed-form `oracle_B` and `gap` = oracle_B - A[-1].  `to_dict` splits
-    each into its `_cos` and `_sin` keys."""
+    closed-form `oracle_B` and `gap` = oracle_B - A[-1].  `write_json`
+    splits each into its `_cos` and `_sin` keys."""
 
     point: StripPoint
     ordering_id: str
@@ -175,12 +175,15 @@ class LimitReport:
     eta_tol: float
     notes: tuple[str, ...] = field(default=())
 
-    def to_dict(self) -> dict:
-        return {
+    def write_json(self, fh) -> None:
+        """The report as the bytes of json.dump(..., indent=2) plus a newline,
+        with A split into the lists A_cos and A_sin.  The scalar fields go
+        through json; the A arrays are streamed in chunks of float text."""
+        head = json.dumps({
             "point": {"x": self.point.x, "y": self.point.y},
             "orderingId": self.ordering_id,
-            "A_cos": self.A.real.tolist(),
-            "A_sin": self.A.imag.tolist(),
+        }, indent=2)
+        tail = json.dumps({
             "B_cos": None if self.B is None else self.B.real,
             "B_sin": None if self.B is None else self.B.imag,
             "oracleB_cos": self.oracle_B.real,
@@ -193,11 +196,36 @@ class LimitReport:
             "budget": self.budget,
             "etaTol": self.eta_tol,
             "notes": list(self.notes),
-        }
+        }, indent=2)
+        fh.write(head[:-2])  # drop the closing "\n}"
+        for key, values in (("A_cos", self.A.real), ("A_sin", self.A.imag)):
+            fh.write(f',\n  "{key}": ')
+            _write_float_list(fh, values)
+        fh.write(",\n" + tail[2:] + "\n")  # drop the opening "{\n"
 
-    def write_json(self, fh) -> None:
-        json.dump(self.to_dict(), fh, indent=2)
-        fh.write("\n")
+
+_JSON_CHUNK = 2**14
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_float_list(fh, values: np.ndarray) -> None:
+    """`values` as json.dump(indent=2) writes a list of floats that is a
+    top-level dict's value: float.__repr__ per element, with json's names
+    for the non-finite ones, written in chunks of _JSON_CHUNK."""
+    if not len(values):
+        fh.write("[]")
+        return
+    sep = ",\n    "
+    fh.write("[\n    ")
+    for start in range(0, len(values), _JSON_CHUNK):
+        chunk = values[start:start + _JSON_CHUNK]
+        text = map(float.__repr__, chunk.tolist())
+        if not np.isfinite(chunk).all():
+            text = (_JSON_NONFINITE.get(t, t) for t in text)
+        if start:
+            fh.write(sep)
+        fh.write(sep.join(text))
+    fh.write("\n  ]")
 
 
 def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,

@@ -199,6 +199,10 @@ class QOrdering:
     prefix_length: int = 0
     bound_hint: int = 10_000
 
+    def __post_init__(self):
+        if self.prefix_length < 0:
+            raise ValueError(f"shuffle prefix {self.prefix_length} is negative")
+
     @staticmethod
     def by_value(bound_hint: int = 10_000) -> "QOrdering":
         return QOrdering(strategy="by-value", bound_hint=bound_hint)
@@ -226,7 +230,7 @@ class QOrdering:
         if self.strategy == "by-factor-count":
             return np.lexsort((values, counts))
         if self.strategy == "seeded-shuffle":
-            if not 0 <= self.prefix_length <= len(values):
+            if self.prefix_length > len(values):
                 raise EnumerationShortfallError(
                     f"shuffle prefix {self.prefix_length} exceeds the "
                     f"{len(values)} elements enumerable below {self.bound_hint}")

@@ -54,6 +54,9 @@ class SearchConfig:
             raise ValueError("prefixLength must be >= 2")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if not (self.initial_temperature >= 0.0 and math.isfinite(self.initial_temperature)):
+            raise ValueError("t0 (initialTemperature) must be finite and >= 0, "
+                             f"got {self.initial_temperature}")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must be in (0, 1)")
         if self.neighborhood not in ("adjacent-swap", "random-swap"):

@@ -5,9 +5,15 @@ power-of-two geometric sum and its closed form, and an Euler-product
 cross-check for Re(s) > 1.
 
 Numerics are binary64 throughout.  Direct sums take their terms from one
-builder and are compensated (math.fsum), with one iterated tail-averaging
-routine for conditionally convergent tails; the accelerated evaluator uses
-Chebyshev-derived weights (Cohen, Rodriguez Villegas, Zagier style).
+builder and end in one exact summation kernel, `exact_sum`, which returns
+math.fsum's correctly rounded float by exponent-indexed accumulation
+(Demmel and Hida, "Accurate and efficient floating point summation", SIAM
+J. Sci. Comput. 25(4), 2003; Neal, "Fast exact summation using small and
+large superaccumulators", arXiv:1505.05571) and falls back to math.fsum
+itself for non-finite or huge terms and exact zeros.  One iterated
+tail-averaging routine serves conditionally convergent tails; the
+accelerated evaluator uses Chebyshev-derived weights (Cohen, Rodriguez
+Villegas, Zagier style).
 """
 
 from __future__ import annotations
@@ -31,11 +37,15 @@ _ACCEL_RATE = 3.0 + math.sqrt(8.0)
 _LOG_ACCEL_RATE = math.log(_ACCEL_RATE)
 _MAX_ACCEL_TERMS = 350
 _EPS = 2.0 ** -52
-# eta_accel_many's block of about 1 MiB of complex terms
+# the work block of eta_accel_many (about 1 MiB of complex terms) and exact_sum
 _BLOCK_TERMS = 2**16
 _Y_SATURATED = 1e6  # past this |y|, n = _MAX_ACCEL_TERMS and no terms are summed
 
 MAX_TERMS = 10**7  # direct sums peak at 33 bytes per term: about 0.33 GB
+# exact_sum's buckets: frexp exponents run from -1073 (subnormals) to 1024
+_EXP_OFFSET = 1073
+_EXP_BUCKETS = _EXP_OFFSET + 1025
+_EXACT_MAX_EXP = 970  # terms below 2^970: no partial sum of 2^26 of them overflows
 TAIL_WINDOW = 64
 TAIL_LEVELS = 3
 
@@ -133,16 +143,58 @@ def term_arrays(p: StripPoint, n: int, step: int = 1,
     return a, b
 
 
+def exact_sum(x) -> float:
+    """math.fsum(x), bit for bit, for a 1-D float array: the exact sum,
+    correctly rounded.
+
+    Each term's mantissa times 2^53 is an integer below 2^53, split into a
+    high part of at most 26 bits and a low part of at most 27 bits; each
+    part is summed per binary exponent with bincount, in blocks of
+    _BLOCK_TERMS terms to bound the work memory.  Every bucket stays an
+    integer below 2^53, so exact, while len(x) <= 2^26.  The buckets are
+    combined as Python ints and divided once by a power of two, which
+    Python rounds correctly.  math.fsum itself runs for more than 2^26
+    terms, for a term that is not below 2^_EXACT_MAX_EXP in modulus (NaN,
+    inf, or fsum's intermediate overflow), and for an exact total of 0,
+    where fsum fixes the sign of zero.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if len(x) > 2**26:
+        return math.fsum(x)
+    high = np.zeros(_EXP_BUCKETS)
+    low = np.zeros(_EXP_BUCKETS)
+    # inf - inf in the split makes NaN buckets, caught below
+    with np.errstate(invalid="ignore"):
+        for start in range(0, len(x), _BLOCK_TERMS):
+            m, e = np.frexp(x[start:start + _BLOCK_TERMS])
+            e += _EXP_OFFSET
+            m *= 2.0**53
+            h = np.trunc(m * 2.0**-27)
+            m -= h * 2.0**27
+            high += np.bincount(e, weights=h, minlength=_EXP_BUCKETS)
+            low += np.bincount(e, weights=m, minlength=_EXP_BUCKETS)
+    used = np.flatnonzero(np.logical_or(high, low))
+    if (not len(used) or used[-1] > _EXACT_MAX_EXP + _EXP_OFFSET
+            or not np.isfinite(high[used] + low[used]).all()):
+        return math.fsum(x)
+    total = sum(((int(h) << 27) + int(lo)) << i for h, lo, i
+                in zip(high[used].tolist(), low[used].tolist(), used.tolist()))
+    if total == 0:
+        return math.fsum(x)
+    # bucket i holds multiples of 2^(i - _EXP_OFFSET - 53)
+    return total / (1 << (_EXP_OFFSET + 53))
+
+
 def tail_averaged_sum(terms: np.ndarray, window: int = TAIL_WINDOW,
                       levels: int = TAIL_LEVELS) -> tuple[float, float]:
-    """Compensated sum with iterated averaging of the last `window` partial
+    """Exact sum with iterated averaging of the last `window` partial
     sums, damping the leading alternating oscillation of conditionally
     convergent tails.  Returns the value and the change made by the last
     averaging level (0.0 when no level runs)."""
     n = len(terms)
     window = min(window, n)
     levels = min(levels, window - 1)
-    ps = math.fsum(terms[:n - window]) + np.cumsum(terms[n - window:])
+    ps = exact_sum(terms[:n - window]) + np.cumsum(terms[n - window:])
     delta = 0.0
     for _ in range(levels):
         prev = ps[-1]
@@ -152,10 +204,10 @@ def tail_averaged_sum(terms: np.ndarray, window: int = TAIL_WINDOW,
 
 
 def eta_partial(p: StripPoint, n: int) -> complex:
-    """Compensated partial sum of the first n series terms."""
+    """Exact-summed partial sum of the first n series terms."""
     a, b = term_arrays(p, n)
     # eta terms are a_k - i b_k
-    return complex(math.fsum(a), math.fsum(-b))
+    return complex(exact_sum(a), exact_sum(-b))
 
 
 class _AccelWeights(NamedTuple):
@@ -165,7 +217,7 @@ class _AccelWeights(NamedTuple):
     d: float
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_MAX_ACCEL_TERMS)  # every n once: about 2 MB
 def _accel_weights(n: int) -> _AccelWeights:
     """Chebyshev-derived weights c_0..c_(n-1) (read-only arrays) and
     normalizer d for the alternating-series acceleration
@@ -377,7 +429,7 @@ def shifted_sums(p: StripPoint, shift: float, n: int) -> tuple[float, float]:
     if shift <= 0.0:
         raise ValueError("shift must be > 0")
     a, b = term_arrays(p, n, shift=shift)
-    return math.fsum(a), math.fsum(b)
+    return exact_sum(a), exact_sum(b)
 
 
 def shifted_sums_oracle(p: StripPoint, shift: float,
@@ -405,7 +457,7 @@ def subseries_q(p: StripPoint, q: int, method: str = "accelerated",
         return cmath.exp(-p.s * math.log(q)) * eta_accel(p).value
     if method == "direct":
         a, b = term_arrays(p, budget, step=q)
-        return complex(math.fsum(a), math.fsum(-b))
+        return complex(exact_sum(a), exact_sum(-b))
     raise ValueError(f"unknown method {method!r}")
 
 

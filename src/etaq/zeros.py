@@ -123,6 +123,8 @@ def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecor
     """Golden-section minimization of |eta(1/2 + iy)|^2 on [y0-window,
     y0+window].  Fails (best achieved attached) if the residual floor in the
     window stays above tol."""
+    if not math.isfinite(y0):
+        raise ValueError(f"y0 must be finite, got {y0}")
     if not (window > 0.0 and math.isfinite(window)):
         raise ValueError(f"window must be finite and > 0, got {window}")
     check_tol(tol, "tol")

@@ -351,10 +351,19 @@ def test_every_public_name_resolves():
     (["zeros", "scan", "--y-min", "0", "--y-max", "1e308", "--step", "1e-10"], "step"),
     (["zeros", "scan", "--y-min", "0", "--y-max", "1", "--threshold", "nan"], "threshold"),
     (["zeros", "scan", "--y-min", "0", "--y-max", "30", "--refine", "--tol", "nan"], "tol"),
+    (["search", "--seed", "1", "--prefix", "20", "--iters", "3", "--t0", "nan",
+      "--out-trace", "t.csv", "--out-best", "b.json"], "t0"),
+    (["search", "--seed", "1", "--prefix", "20", "--iters", "3", "--t0", "-1",
+      "--out-trace", "t.csv", "--out-best", "b.json"], "t0"),
+    (["gap", "--x", "2", "--y", "0", "--q-bound", "100", "--ordering", "shuffle:1:-3"],
+     "prefix -3 is negative"),
+    (["zeros", "refine", "--y0", "nan"], "y0"),
 ], ids=["refine-tol-nan", "refine-tol-inf", "refine-window-nan", "refine-window-inf",
         "eta-tol-nan", "zeta-tol-nan", "eta-tol-inf", "gap-eta-tol-nan", "gap-eta-tol-0",
         "search-eta-tol-0", "scan-y-max-inf", "scan-y-min-nan", "scan-step-nan",
-        "scan-step-overflow", "scan-threshold-nan", "scan-refine-tol-nan"])
+        "scan-step-overflow", "scan-threshold-nan", "scan-refine-tol-nan",
+        "search-t0-nan", "search-t0-negative", "gap-shuffle-prefix-negative",
+        "refine-y0-nan"])
 def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, monkeypatch):
     work = []
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,10 @@
 import cmath
+import dataclasses
 import io
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,9 @@ from etaq.limits import (SumSurface, c_s_naive, c_s_running, c_s_surface,
                          commutativity_gap, limit_A_series, limit_B,
                          rh_contradiction_check)
 from etaq.qset import OddSquarefree, QOrdering
-from etaq.series import StripPoint, eta_accel, geom_closed
+from etaq.series import _BLOCK_TERMS, StripPoint, eta_accel, geom_closed
+
+GOLDEN = Path(__file__).parent / "golden"
 
 FIRST_ZERO = StripPoint(0.5, 14.134725141734693)
 
@@ -276,7 +282,6 @@ class TestCommutativityGap:
             rep.A[0] = 0.0
 
     def test_json_round_trip(self):
-        import json
         rep = commutativity_gap(StripPoint(0.75, 3.0), QOrdering.by_value(500),
                                 20, budget=1000)
         buf = io.StringIO()
@@ -285,6 +290,76 @@ class TestCommutativityGap:
         assert doc["point"] == {"x": 0.75, "y": 3.0}
         assert len(doc["A_cos"]) == 20
         assert doc["gap_cos"] == rep.gap.real
+
+
+def json_dump_text(rep) -> str:
+    """The report as one dict with A as two lists, through json.dump."""
+    buf = io.StringIO()
+    json.dump({
+        "point": {"x": rep.point.x, "y": rep.point.y},
+        "orderingId": rep.ordering_id,
+        "A_cos": rep.A.real.tolist(),
+        "A_sin": rep.A.imag.tolist(),
+        "B_cos": None if rep.B is None else rep.B.real,
+        "B_sin": None if rep.B is None else rep.B.imag,
+        "oracleB_cos": rep.oracle_B.real,
+        "oracleB_sin": rep.oracle_B.imag,
+        "gap_cos": rep.gap.real,
+        "gap_sin": rep.gap.imag,
+        "aConverged": rep.a_converged,
+        "aConvergenceTol": rep.a_convergence_tol,
+        "hMax": rep.h_max,
+        "budget": rep.budget,
+        "etaTol": rep.eta_tol,
+        "notes": list(rep.notes),
+    }, buf, indent=2)
+    return buf.getvalue() + "\n"
+
+
+def write_json_text(rep) -> str:
+    buf = io.StringIO()
+    rep.write_json(buf)
+    return buf.getvalue()
+
+
+class TestWriteJson:
+    def test_many_chunks(self):
+        ordering = QOrdering.by_value(100_000)
+        rep = commutativity_gap(FIRST_ZERO, ordering, len(ordering.arrays()[0]), budget=10)
+        assert rep.h_max > 2 * 2**14
+        assert write_json_text(rep) == json_dump_text(rep)
+
+    def test_non_finite_A(self):
+        rep = commutativity_gap(FIRST_ZERO, QOrdering.by_value(100_000), 40_000, budget=0)
+        a = rep.A.copy()
+        a[[0, 5, 20_000, -1]] = [complex(math.nan, math.inf), complex(-math.inf, -0.0),
+                                 complex(math.inf, math.nan), complex(-0.0, -math.inf)]
+        rep = dataclasses.replace(rep, A=a)
+        text = write_json_text(rep)
+        assert text == json_dump_text(rep)
+        assert "NaN" in text and "-Infinity" in text
+
+    @pytest.mark.parametrize("golden, p, bound, h_max, budget", [
+        ("gap_small.json", StripPoint(0.75, 3.0), 100, 40, 1000),
+        ("gap_h0_b0.json", StripPoint(0.5, 0.0), 10_000, 0, 0),
+    ])
+    def test_golden_texts(self, golden, p, bound, h_max, budget):
+        rep = commutativity_gap(p, QOrdering.by_value(bound), h_max, budget)
+        assert write_json_text(rep) == json_dump_text(rep) == (GOLDEN / golden).read_text()
+
+
+def test_limit_B_peak_memory_is_the_term_builders():
+    # term_arrays peaks at 33 bytes per term; the exact sums add one block's
+    # work arrays, never arrays as long as the terms
+    budget = 10**6
+    limit_B(FIRST_ZERO, 1000)
+    tracemalloc.start()
+    try:
+        limit_B(FIRST_ZERO, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 33 * budget + 64 * _BLOCK_TERMS
 
 
 def test_gap_builds_no_element_views(monkeypatch):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaq.series import (MAX_TERMS, AccelerationError, PoleError,
+from etaq.series import (_BLOCK_TERMS, MAX_TERMS, AccelerationError, PoleError,
                          SingularDenominatorError, StripPoint, bridge_denominator,
-                         eta_accel, eta_accel_many, eta_averaged,
+                         eta_accel, eta_accel_many, eta_averaged, exact_sum,
                          eta_partial, euler_product_check, gamma_partial,
                          geom_closed, shifted_sums, shifted_sums_oracle,
                          subseries_q, term_ab, term_arrays, zeta_from_eta)
@@ -104,6 +105,81 @@ class TestTermAB:
             sa, sb = term_ab(k, p)
             assert a[k - 1] == pytest.approx(sa, abs=1e-15)
             assert b[k - 1] == pytest.approx(sb, abs=1e-15)
+
+
+def assert_fsum_bits(x):
+    """exact_sum(x) is math.fsum(x): the same float, sign of zero
+    included, or the same exception."""
+    x = np.asarray(x, dtype=np.float64)
+    try:
+        want = math.fsum(x)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            exact_sum(x)
+        return
+    got = exact_sum(x)
+    assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def spread_terms(rng, n, exp_range=300):
+    return rng.standard_normal(n) * np.exp2(rng.integers(-exp_range, exp_range, n))
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_exponents_and_cancellation(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            x = spread_terms(rng, int(rng.integers(1, 2000)))
+            assert_fsum_bits(x)
+            # the mirror image, nudged by an ulp or two: the sum is all cancellation
+            y = np.concatenate([x, -x * (1.0 + 2.0**-52 * rng.integers(-2, 3, len(x)))])
+            rng.shuffle(y)
+            assert_fsum_bits(y)
+
+    @pytest.mark.parametrize("scale", [2.0**-700, 2.0**-760, 2.0**-1000, 2.0**-1074])
+    def test_near_subnormal(self, scale):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            x = spread_terms(rng, 500, 40) * scale
+            assert_fsum_bits(x)
+            assert_fsum_bits(np.concatenate([x, -x[:-1]]))
+
+    def test_across_block_boundaries(self):
+        rng = np.random.default_rng(3)
+        x = spread_terms(rng, 2 * _BLOCK_TERMS + 5, 60)
+        # the blocks cancel each other but for a few low-order terms
+        x[_BLOCK_TERMS:2 * _BLOCK_TERMS] = -x[:_BLOCK_TERMS]
+        assert_fsum_bits(x)
+        assert_fsum_bits(x[:_BLOCK_TERMS + 1])
+
+    @pytest.mark.parametrize("x", [
+        [], [0.0], [0.0] * 1000, [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0],
+        [math.nan], [1.0, math.nan, 2.0], [math.inf], [-math.inf, 1.0],
+        [math.inf, -math.inf], [math.inf, math.nan], [1e308, 1e308, -1e308],
+        [1e308, 1e308], [2.0**969, 2.0**969], [2.0**971, -2.0**971, 1.0],
+        [5e-324, 5e-324], [5e-324, -1e-323], [1.0, 1e100, 1.0, -1e100],
+    ])
+    def test_edge_cases(self, x):
+        assert_fsum_bits(x)
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_floats(self, x):
+        assert_fsum_bits(x)
+
+    def test_direct_sum_terms(self):
+        a, b = term_arrays(FIRST_ZERO, 10**5)
+        for terms in (a, -b, a[:-64], term_arrays(StripPoint(0.75, 3.0), 1000, step=15)[1]):
+            assert_fsum_bits(terms)
+
+    def test_length_near_max_terms(self):
+        # full mantissas at one exponent fill each bucket fastest
+        x = np.full(MAX_TERMS, np.nextafter(1.0, 0.0))
+        x[::7] = np.nextafter(-0.5, 0.0)
+        x[-1000:] = spread_terms(np.random.default_rng(5), 1000, 30)
+        assert_fsum_bits(x)
 
 
 class TestEtaPartial:
