@@ -33,12 +33,16 @@ ZETA_HALF_REF = -1.4603545088095868  # independently cross-checked reference
 
 Q_BOUND_HELP = (f"largest element of Q enumerated, at most {qset.MAX_ENUM_BOUND} "
                 "(the sieve needs about 5 bytes per unit of bound)")
-TERMS_HELP = f"term count, at most {series.MAX_TERMS} (about 33 bytes per term)"
+TERMS_HELP = (f"term count, at most {series.MAX_TERMS} (about 24 bytes per term; "
+              "32 in the C/S kernel of surface and search)")
+CELLS_HELP = (f"len(--n) x len(--h) is at most {limits.MAX_CELLS} cells "
+              "(16 bytes per cell)")
 
 
-def parse_range(text: str) -> list[int]:
+def parse_range(text: str, name: str = "range") -> list[int]:
     """start:stop[:step] -> [start, start+step, ...]; stop included when hit
-    exactly.  A bare integer is a single-element list."""
+    exactly.  A bare integer is a single-element list.  A range of more
+    values than a surface has cells is rejected before its list is built."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
@@ -54,7 +58,9 @@ def parse_range(text: str) -> list[int]:
         raise ValueError(f"malformed range {text!r} (expected start:stop[:step])")
     if step <= 0 or stop < start:
         raise ValueError(f"malformed range {text!r} (need step > 0, stop >= start)")
-    return list(range(start, stop + 1, step))
+    values = range(start, stop + 1, step)
+    limits.check_cell_count(len(values), f"{name} {text}")
+    return list(values)
 
 
 def parse_ordering(spec: str, bound: int) -> QOrdering:
@@ -259,9 +265,10 @@ def cmd_point(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    n_axis = parse_range(args.n, "--n")
+    h_axis = parse_range(args.h, "--h")
+    limits.check_cell_count(len(n_axis) * len(h_axis), f"--n {args.n} x --h {args.h}")
     ordering = parse_ordering(args.ordering, args.bound)
-    n_axis = parse_range(args.n)
-    h_axis = parse_range(args.h)
     surf = limits.c_s_surface(StripPoint(args.x, args.y), ordering, n_axis, h_axis)
     with open(args.out, "w") as fh:
         surf.write_csv(fh)
@@ -380,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--ordering", default="byvalue")
-    p.add_argument("--n", required=True, help=f"range start:stop[:step]; {TERMS_HELP}")
-    p.add_argument("--h", required=True, help="range start:stop[:step]")
+    p.add_argument("--n", required=True,
+                   help=f"range start:stop[:step]; {TERMS_HELP}; {CELLS_HELP}")
+    p.add_argument("--h", required=True, help=f"range start:stop[:step]; {CELLS_HELP}")
     p.add_argument("--bound", type=int, default=10_000, help=Q_BOUND_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_surface)

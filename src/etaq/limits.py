@@ -25,6 +25,14 @@ from .qset import QOrdering
 from .series import StripPoint
 
 A_SPREAD_TOL = 1e-9  # largest last-quarter spread of a converged A
+MAX_CELLS = 10**7  # a surface holds 16 bytes per (n, h) cell: about 0.16 GB
+
+
+def check_cell_count(cells: int, what: str = "surface") -> None:
+    """Reject a surface of more than MAX_CELLS (n, h) cells."""
+    if cells > MAX_CELLS:
+        raise ValueError(f"{what}: {cells} cells exceed the cap {MAX_CELLS} "
+                         "(16 bytes per cell)")
 
 
 @dataclass(frozen=True)
@@ -38,11 +46,14 @@ class SumSurface:
 
     def write_csv(self, fh) -> None:
         fh.write("n,h,C,S\n")
-        # one row of Python floats at a time: whole-surface lists would
-        # hold ~64 bytes per cell
+        # one row at a time (whole-surface lists would hold ~64 bytes per
+        # cell), through one % template with n and the h texts baked in
+        cells = [f",{h},%.17g,%.17g\n" for h in self.h_axis]
+        row = np.empty((len(cells), 2))
         for n, c_row, s_row in zip(self.n_axis, self.C, self.S):
-            fh.write("".join([f"{n},{h},{c:.17g},{s:.17g}\n" for h, c, s
-                              in zip(self.h_axis, c_row.tolist(), s_row.tolist())]))
+            row[:, 0] = c_row
+            row[:, 1] = s_row
+            fh.write(str(n).join(["", *cells]) % tuple(row.ravel().tolist()))
 
 
 def _validate_axes(n_axis, h_axis):
@@ -90,6 +101,7 @@ def c_s_surface(p: StripPoint, ordering: QOrdering, n_axis, h_axis) -> SumSurfac
     element stay 0.0.
     """
     n_axis, h_axis = _validate_axes(n_axis, h_axis)
+    check_cell_count(len(n_axis) * len(h_axis))
     cs = np.zeros((len(n_axis), len(h_axis)), dtype=complex)
     column = {h: j for j, h in enumerate(h_axis)}
     values, signs = ordering.arrays(max(h_axis, default=0))
@@ -151,7 +163,9 @@ def limit_B(p: StripPoint, budget: int, tol: float = 1e-12) -> BEstimate:
     a, b = se.term_arrays(p, budget)
     gamma = (1 << np.arange(int(budget).bit_length())) - 1  # indices of k = 2^l
     a[gamma] = b[gamma] = 0.0
-    return BEstimate(complex(se.tail_averaged_sum(-a)[0], se.tail_averaged_sum(-b)[0]),
+    np.negative(a, out=a)
+    np.negative(b, out=b)
+    return BEstimate(complex(se.tail_averaged_sum(a)[0], se.tail_averaged_sum(b)[0]),
                      se.b_closed(p, tol).conjugate(), budget)
 
 

@@ -10,10 +10,10 @@ math.fsum's correctly rounded float by exponent-indexed accumulation
 (Demmel and Hida, "Accurate and efficient floating point summation", SIAM
 J. Sci. Comput. 25(4), 2003; Neal, "Fast exact summation using small and
 large superaccumulators", arXiv:1505.05571) and falls back to math.fsum
-itself for non-finite or huge terms and exact zeros.  One iterated
-tail-averaging routine serves conditionally convergent tails; the
-accelerated evaluator uses Chebyshev-derived weights (Cohen, Rodriguez
-Villegas, Zagier style).
+itself for non-finite or huge terms; an exact zero is fsum of at most one
+term.  One iterated tail-averaging routine serves conditionally convergent
+tails; the accelerated evaluator uses Chebyshev-derived weights (Cohen,
+Rodriguez Villegas, Zagier style).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ _EPS = 2.0 ** -52
 _BLOCK_TERMS = 2**16
 _Y_SATURATED = 1e6  # past this |y|, n = _MAX_ACCEL_TERMS and no terms are summed
 
-MAX_TERMS = 10**7  # direct sums peak at 33 bytes per term: about 0.33 GB
+MAX_TERMS = 10**7  # direct sums peak at 24 bytes per term (the C/S kernel at 32)
 # exact_sum's buckets: frexp exponents run from -1073 (subnormals) to 1024
 _EXP_OFFSET = 1073
 _EXP_BUCKETS = _EXP_OFFSET + 1025
@@ -112,7 +112,7 @@ def check_term_count(n: int) -> None:
         raise ValueError(f"term count {n} must be >= 0")
     if n > MAX_TERMS:
         raise ValueError(f"{n} terms exceed the cap {MAX_TERMS} "
-                         "(about 33 bytes per term)")
+                         "(about 24 bytes per term)")
 
 
 def check_tol(tol: float, name: str = "targetTol") -> None:
@@ -130,10 +130,13 @@ def term_arrays(p: StripPoint, n: int, step: int = 1,
     The count is checked by `check_term_count` before anything is allocated.
     """
     check_term_count(n)
-    k = np.arange(step, step * n + 1, step)
-    angle = np.log(k)
+    # k as float64 is exact, so ln k is as for int k, while step * n < 2^53
+    angle = np.arange(step, step * (n + 1), step, dtype=np.float64)
+    np.log(angle, out=angle)
     amp = np.exp(-p.x * angle)
-    np.negative(amp, out=amp, where=k % 2 == 0)
+    # even k: every other term for an odd step, every term for an even one
+    even = amp[1::2] if step % 2 else amp
+    np.negative(even, out=even)
     angle += math.log(shift)
     angle *= p.y
     a = np.cos(angle)
@@ -154,9 +157,11 @@ def exact_sum(x) -> float:
     integer below 2^53, so exact, while len(x) <= 2^26.  The buckets are
     combined as Python ints and divided once by a power of two, which
     Python rounds correctly.  math.fsum itself runs for more than 2^26
-    terms, for a term that is not below 2^_EXACT_MAX_EXP in modulus (NaN,
-    inf, or fsum's intermediate overflow), and for an exact total of 0,
-    where fsum fixes the sign of zero.
+    terms and for a term that is not below 2^_EXACT_MAX_EXP in modulus
+    (NaN, inf, or fsum's intermediate overflow).  An exact total of 0 is
+    fsum of one -0.0 when every term is -0.0, else of no term, which is
+    fsum's zero on any interpreter (+0.0 on CPython 3.11 to 3.13, even for
+    all -0.0).
     """
     x = np.asarray(x, dtype=np.float64)
     if len(x) > 2**26:
@@ -174,13 +179,13 @@ def exact_sum(x) -> float:
             high += np.bincount(e, weights=h, minlength=_EXP_BUCKETS)
             low += np.bincount(e, weights=m, minlength=_EXP_BUCKETS)
     used = np.flatnonzero(np.logical_or(high, low))
-    if (not len(used) or used[-1] > _EXACT_MAX_EXP + _EXP_OFFSET
-            or not np.isfinite(high[used] + low[used]).all()):
+    if len(used) and (used[-1] > _EXACT_MAX_EXP + _EXP_OFFSET
+                      or not np.isfinite(high[used] + low[used]).all()):
         return math.fsum(x)
     total = sum(((int(h) << 27) + int(lo)) << i for h, lo, i
                 in zip(high[used].tolist(), low[used].tolist(), used.tolist()))
     if total == 0:
-        return math.fsum(x)
+        return math.fsum(x[:1] if np.signbit(x).all() else x[:0])
     # bucket i holds multiples of 2^(i - _EXP_OFFSET - 53)
     return total / (1 << (_EXP_OFFSET + 53))
 

@@ -7,7 +7,7 @@ import pytest
 
 import mpmath as mp
 
-from etaq import cli, qset, series, zeros
+from etaq import cli, limits, qset, series, zeros
 from etaq._rng import ALGORITHM_ID
 from etaq.cli import main, parse_ordering, parse_range
 from etaq.qset import MAX_ENUM_BOUND
@@ -178,6 +178,37 @@ def test_term_count_past_cap_exit_two(argv, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "cap" in err
+
+
+class TestSurfaceCellCap:
+    ARGV = ["surface", "--x", "0.5", "--y", "0", "--bound", "10000000", "--out", "s.csv"]
+
+    @pytest.mark.parametrize("flag", ["--n", "--h"])
+    def test_one_axis_past_cap_rejected_before_its_list(self, flag, cli_error, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(limits, "MAX_CELLS", 50)
+        built = []
+        monkeypatch.setattr(cli, "list", lambda values: built.append(values) or [],
+                            raising=False)
+        axes = {"--n": "1:10", "--h": "1:5", flag: "0:100:2"}
+        msg = cli_error([*self.ARGV, "--n", axes["--n"], "--h", axes["--h"]])
+        assert msg == f"{flag} 0:100:2: 51 cells exceed the cap 50 (16 bytes per cell)"
+        assert [len(v) for v in built] == ([] if flag == "--n" else [10])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_kernel_checks_the_cell_count(self, monkeypatch):
+        monkeypatch.setattr(limits, "MAX_CELLS", 50)
+        assert len(parse_range("1:50")) == 50  # an axis at the cap is fine
+        with pytest.raises(ValueError, match="surface: 51 cells exceed the cap 50"):
+            limits.c_s_surface(series.StripPoint(0.5, 0.0), qset.QOrdering.by_value(100),
+                               range(1, 52), [1])
+
+    def test_help_states_the_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["surface", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"len(--n) x len(--h) is at most {limits.MAX_CELLS} cells" in text
 
 
 @pytest.mark.parametrize("argv", [
@@ -358,12 +389,15 @@ def test_every_public_name_resolves():
     (["gap", "--x", "2", "--y", "0", "--q-bound", "100", "--ordering", "shuffle:1:-3"],
      "prefix -3 is negative"),
     (["zeros", "refine", "--y0", "nan"], "y0"),
+    (["surface", "--x", "0.5", "--y", "0", "--bound", "10000000", "--out", "s.csv",
+      "--n", "1:100000", "--h", "1:1000"],
+     f"--n 1:100000 x --h 1:1000: 100000000 cells exceed the cap {limits.MAX_CELLS}"),
 ], ids=["refine-tol-nan", "refine-tol-inf", "refine-window-nan", "refine-window-inf",
         "eta-tol-nan", "zeta-tol-nan", "eta-tol-inf", "gap-eta-tol-nan", "gap-eta-tol-0",
         "search-eta-tol-0", "scan-y-max-inf", "scan-y-min-nan", "scan-step-nan",
         "scan-step-overflow", "scan-threshold-nan", "scan-refine-tol-nan",
         "search-t0-nan", "search-t0-negative", "gap-shuffle-prefix-negative",
-        "refine-y0-nan"])
+        "refine-y0-nan", "surface-cells"])
 def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, monkeypatch):
     work = []
     monkeypatch.chdir(tmp_path)

@@ -156,18 +156,38 @@ class TestSurface:
         assert lines[0] == "n,h,C,S"
         assert len(lines) == 1 + 3 * 2
 
+    @staticmethod
+    def per_cell_csv(surf):
+        return "n,h,C,S\n" + "".join(
+            f"{n},{h},{surf.C[i, j]:.17g},{surf.S[i, j]:.17g}\n"
+            for i, n in enumerate(surf.n_axis) for j, h in enumerate(surf.h_axis))
+
     def test_csv_bytes_match_per_cell_format(self):
-        C = np.array([[-0.0, 0.1 + 0.2], [1.0 / 3.0, -5e-324]])
-        S = np.array([[0.0, -math.pi], [1e300, 2.0 / 3.0]])
+        # C and S built apart, not as views of one complex matrix
+        C = np.array([[-0.0, 0.1 + 0.2], [1.0 / 3.0, -5e-324], [math.nan, math.inf]])
+        S = np.array([[0.0, -math.pi], [1e300, 2.0 / 3.0], [-math.inf, 5e-324]])
         surf = SumSurface(point=StripPoint(0.5, 0.0), ordering_id="by-value(bound=100)",
-                          n_axis=(1, 7), h_axis=(0, 3), C=C, S=S)
+                          n_axis=(1, 7, 12), h_axis=(0, 3), C=C, S=S)
         fh = io.StringIO()
         surf.write_csv(fh)
-        want = "n,h,C,S\n" + "".join(
-            f"{n},{h},{C[i, j]:.17g},{S[i, j]:.17g}\n"
-            for i, n in enumerate(surf.n_axis) for j, h in enumerate(surf.h_axis))
+        want = self.per_cell_csv(surf)
         assert fh.getvalue() == want
         assert "1,0,-0,0\n" in want and "0.30000000000000004" in want
+        assert "12,0,nan,-inf\n12,3,inf,4.9406564584124654e-324\n" in want
+
+    def test_csv_of_an_empty_h_axis_is_the_header(self):
+        surf = SumSurface(point=StripPoint(0.5, 0.0), ordering_id="by-value(bound=100)",
+                          n_axis=(1, 7), h_axis=(), C=np.zeros((2, 0)), S=np.zeros((2, 0)))
+        fh = io.StringIO()
+        surf.write_csv(fh)
+        assert fh.getvalue() == self.per_cell_csv(surf) == "n,h,C,S\n"
+
+    def test_csv_bytes_of_a_computed_surface(self):
+        surf = c_s_surface(StripPoint(0.75, 3.0), QOrdering.seeded_shuffle(5, 40, 300),
+                           range(1, 400, 7), [0, 1, 2, 9, 30, 40])
+        fh = io.StringIO()
+        surf.write_csv(fh)
+        assert fh.getvalue() == self.per_cell_csv(surf)
 
 
 class TestLimitA:
@@ -349,8 +369,9 @@ class TestWriteJson:
 
 
 def test_limit_B_peak_memory_is_the_term_builders():
-    # term_arrays peaks at 33 bytes per term; the exact sums add one block's
-    # work arrays, never arrays as long as the terms
+    # term_arrays peaks at 24 bytes per term and limit_B negates its arrays
+    # in place; the exact sums add one block's work arrays, never arrays as
+    # long as the terms
     budget = 10**6
     limit_B(FIRST_ZERO, 1000)
     tracemalloc.start()
@@ -359,7 +380,7 @@ def test_limit_B_peak_memory_is_the_term_builders():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 33 * budget + 64 * _BLOCK_TERMS
+    assert peak <= 24 * budget + 64 * _BLOCK_TERMS
 
 
 def test_gap_builds_no_element_views(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etaq import series
 from etaq.series import (_BLOCK_TERMS, MAX_TERMS, AccelerationError, PoleError,
                          SingularDenominatorError, StripPoint, bridge_denominator,
                          eta_accel, eta_accel_many, eta_averaged, exact_sum,
@@ -106,6 +107,24 @@ class TestTermAB:
             assert a[k - 1] == pytest.approx(sa, abs=1e-15)
             assert b[k - 1] == pytest.approx(sb, abs=1e-15)
 
+    @pytest.mark.parametrize("p", [StripPoint(0.7, 9.3), StripPoint(2.0, 0.0)])
+    @pytest.mark.parametrize("step", [1, 2, 15])
+    @pytest.mark.parametrize("n", [0, 1, 999, 1000])
+    @pytest.mark.parametrize("shift", [1.0, math.e])
+    def test_arrays_match_parity_mask_construction(self, p, step, n, shift):
+        # the builder as it was: int64 k and a k % 2 == 0 mask for the signs
+        k = np.arange(step, step * n + 1, step)
+        angle = np.log(k)
+        amp = np.exp(-p.x * angle)
+        np.negative(amp, out=amp, where=k % 2 == 0)
+        angle += math.log(shift)
+        angle *= p.y
+        want = (np.cos(angle) * amp, np.sin(angle) * amp)
+        got = term_arrays(p, n, step, shift)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and len(g) == n
+            assert g.tobytes() == w.tobytes()  # the signs of zero too
+
 
 def assert_fsum_bits(x):
     """exact_sum(x) is math.fsum(x): the same float, sign of zero
@@ -173,6 +192,21 @@ class TestExactSum:
         a, b = term_arrays(FIRST_ZERO, 10**5)
         for terms in (a, -b, a[:-64], term_arrays(StripPoint(0.75, 3.0), 1000, step=15)[1]):
             assert_fsum_bits(terms)
+
+    @pytest.mark.parametrize("x", [
+        np.zeros(10**5), -np.zeros(10**5), np.tile([0.0, -0.0, -0.0], 10**5 // 3),
+        -term_arrays(StripPoint(2.0, 0.0), 10**5)[1],
+    ], ids=["zeros", "negative-zeros", "mixed-zeros", "sine-terms-at-y-0"])
+    def test_exact_zero_takes_no_fsum_pass(self, x, monkeypatch):
+        want = math.fsum(x)
+        lengths = []
+        fsum = math.fsum
+        monkeypatch.setattr(series.math, "fsum",
+                            lambda terms: (lengths.append(len(terms)), fsum(terms))[1])
+        got = exact_sum(x)
+        monkeypatch.undo()
+        assert got.hex() == want.hex()
+        assert lengths and max(lengths) <= 1
 
     def test_length_near_max_terms(self):
         # full mantissas at one exponent fill each bucket fastest
