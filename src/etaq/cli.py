@@ -34,7 +34,10 @@ ZETA_HALF_REF = -1.4603545088095868  # independently cross-checked reference
 Q_BOUND_HELP = (f"largest element of Q enumerated, at most {qset.MAX_ENUM_BOUND} "
                 "(the sieve needs about 5 bytes per unit of bound)")
 TERMS_HELP = (f"term count, at most {series.MAX_TERMS} (about 24 bytes per term; "
-              "32 in the C/S kernel of surface and search)")
+              "32 while surface and search pack the terms as complex)")
+SEARCH_CACHE_HELP = ("the search cache holds 16 bytes x sum over the prefix's q of "
+                     "(n1 // q - n0 // q + 1) per point, and its replay 48 bytes "
+                     "per row of the window")
 CELLS_HELP = (f"len(--n) x len(--h) is at most {limits.MAX_CELLS} cells "
               "(16 bytes per cell)")
 
@@ -433,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=0.75)
     p.add_argument("--y", type=float, default=3.0)
     p.add_argument("--n0", type=int, default=200)
-    p.add_argument("--n1", type=int, default=400, help=TERMS_HELP)
+    p.add_argument("--n1", type=int, default=400, help=f"{TERMS_HELP}; {SEARCH_CACHE_HELP}")
     p.add_argument("--h-max", type=int, default=16)
     p.add_argument("--neighborhood", default="random-swap",
                    choices=("random-swap", "adjacent-swap"))

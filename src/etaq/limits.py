@@ -66,28 +66,40 @@ def _validate_axes(n_axis, h_axis):
     return n_axis, h_axis
 
 
+def strided_partials(p: StripPoint, values, n: int):
+    """Yield, for each element q of `values`, its strided complex prefix sums
+    P_q(m) = sum_(j<=m) (a_(jq) + i b_(jq)) for m = 0..n // q.
+
+    The first n terms are packed once into one complex array (16 bytes per
+    term; 32 while `term_arrays`' a and b are still alive), and each P_q is
+    one strided complex cumsum over it.  Complex cumsum works on each part
+    separately, in the order the two real sums would.
+    """
+    a, b = se.term_arrays(p, n)
+    terms = a.astype(complex)
+    terms.imag = b
+    del a, b
+    for q in values.tolist():
+        partial = np.zeros(n // q + 1, dtype=complex)
+        np.cumsum(terms[q - 1::q], out=partial[1:])
+        yield partial
+
+
 def c_s_running(p: StripPoint, values, signs, n_rows):
     """Yield the running C + iS over `n_rows` after each element of an
     ordering's prefix, given as its `values` and `signs`.
 
-    C + iS is one sum of f(k,h) (a_k + i b_k), so the term arrays are packed
-    into one complex array and C(n,h) + iS(n,h) = sum_(i<=h) sgn(q_i)
-    P_(q_i)(n) with P_q(n) = sum_(m<=n/q) (a_(mq) + i b_(mq)): each element
-    adds one strided complex prefix sum, read at n // q.  Complex cumsum,
-    add and subtract work on each part separately, in the order the two
-    real sums would.  No powers-of-two mask is needed, since an odd q
-    divides no power of two.  The yielded vector is updated in place; copy
-    it to keep a column.
+    C + iS is one sum of f(k,h) (a_k + i b_k), so C(n,h) + iS(n,h) =
+    sum_(i<=h) sgn(q_i) P_(q_i)(n // q_i) with P_q from `strided_partials`:
+    each element adds one strided complex prefix sum, read at n // q.
+    Complex add and subtract work on each part separately.  No powers-of-two
+    mask is needed, since an odd q divides no power of two.  The yielded
+    vector is updated in place; copy it to keep a column.
     """
     n_rows = np.asarray(n_rows, dtype=np.int64)
-    a, b = se.term_arrays(p, int(n_rows.max(initial=0)))
-    terms = a.astype(complex)
-    terms.imag = b
-    del a, b
+    partials = strided_partials(p, values, int(n_rows.max(initial=0)))
     total = np.zeros(len(n_rows), dtype=complex)
-    for q, sign in zip(values.tolist(), signs.tolist()):
-        partial = np.zeros(len(terms) // q + 1, dtype=complex)
-        np.cumsum(terms[q - 1::q], out=partial[1:])
+    for q, sign, partial in zip(values.tolist(), signs.tolist(), partials):
         (np.add if sign > 0 else np.subtract)(total, partial[n_rows // q], out=total)
         yield total
 
@@ -137,7 +149,14 @@ def limit_A_series(p: StripPoint, values, signs, tol: float = 1e-12) -> np.ndarr
     one eta evaluation.
     """
     eta = se.eta_accel(p, tol).value
-    return np.conj(np.cumsum(signs * np.exp(-p.s * np.log(values))) * eta)
+    # One expression: the terms are freed once summed, and numpy multiplies
+    # a large temporary by eta in place, so this holds two arrays at most.
+    return np.conj(np.cumsum(odd_terms(p, values, signs)) * eta)
+
+
+def odd_terms(p: StripPoint, values, signs) -> np.ndarray:
+    """Each element's term sgn(q) q^(-s) of the prefix sums behind A."""
+    return signs * np.exp(-p.s * np.log(values))
 
 
 @dataclass(frozen=True)

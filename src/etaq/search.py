@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import limits
 from ._rng import ALGORITHM_ID, SplitMix64
 from .qset import QOrdering
-from .series import StripPoint, check_tol
+from .series import StripPoint, check_term_count, check_tol, eta_accel
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,7 @@ class ObjectiveSpec:
             raise ValueError("need 1 <= n0 <= n1")
         if self.h_max < 0:
             raise ValueError("hMax must be >= 0")
+        check_term_count(n1)
         check_tol(self.eta_tol, "etaTol")
 
 
@@ -52,6 +54,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.prefix_length < 2:
             raise ValueError("prefixLength must be >= 2")
+        if self.objective.h_max > self.prefix_length:
+            raise ValueError(f"hMax {self.objective.h_max} exceeds prefix length "
+                             f"{self.prefix_length}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not (self.initial_temperature >= 0.0 and math.isfinite(self.initial_temperature)):
@@ -76,17 +81,96 @@ class TraceEntry:
     accepted: bool
 
 
-def objective_gap(elements, spec: ObjectiveSpec, *, signs=None) -> float:
+class _Replayed(NamedTuple):
+    prefix: np.ndarray    # an ordering's first h_max values
+    worsts: list          # per point, the worst-so-far after each position
+    objective: float
+
+
+class ObjectiveCache:
+    """The order-free part of `objective_gap` for one set of prefix values,
+    built once, plus the accepted ordering's state to replay from.
+
+    Per spec point it holds eta, each value's A term sgn(q) q^(-s), and
+    each value's strided prefix sums P_q(m) for m in [n0 // q, n1 // q]
+    (`limits.strided_partials`): 16 bytes x sum_q (n1 // q - n0 // q + 1)
+    per point, on top of the term array while it is built.  It also holds
+    the accepted ordering's first h_max values, each point's worst-so-far
+    after each of those positions, and its objective.  `accept` makes the
+    last evaluated ordering the accepted one.
+    """
+
+    def __init__(self, spec: ObjectiveSpec, values, signs):
+        n0, n1 = spec.n_window
+        self.index = {q: i for i, q in enumerate(values.tolist())}
+        self.ops = [np.add if s > 0 else np.subtract for s in signs.tolist()]
+        # a row n of the window reads P_q(n // q) at offset n - q (n0 // q) of
+        # the slice with each entry repeated q times
+        self.offsets = [(q, n0 - q * (n0 // q)) for q in values.tolist()]
+        self.width = n1 - n0 + 1
+        self.points = []
+        for p in spec.points if spec.h_max else ():
+            eta = eta_accel(p, spec.eta_tol).value
+            slices = [partial[n0 // q:].copy() for partial, q in
+                      zip(limits.strided_partials(p, values, n1), values.tolist())]
+            self.points.append((eta, limits.odd_terms(p, values, signs), slices))
+        self.accepted = self.evaluated = None
+
+    def column(self, slices, i: int) -> np.ndarray:
+        """P_q(n // q) over the window's rows n, for the value at index i."""
+        q, offset = self.offsets[i]
+        return slices[i].repeat(q)[offset:offset + self.width]
+
+    def evaluate(self, prefix) -> float:
+        """The objective of an ordering whose first h_max values are
+        `prefix`, replayed from the first position where they differ from
+        the accepted ordering's."""
+        start = 0
+        if self.accepted is not None:
+            changed = np.flatnonzero(prefix != self.accepted.prefix)
+            if not len(changed):
+                self.evaluated = self.accepted
+                return self.accepted.objective
+            start = int(changed[0])
+        idx = [self.index[q] for q in prefix.tolist()]
+        objective = 0.0
+        worsts = []
+        for j, (eta, terms, slices) in enumerate(self.points):
+            # limit_A_series' own expression, so A has its bits
+            a = np.conj(np.cumsum(terms[idx]) * eta).tolist()
+            so_far = self.accepted.worsts[j][:start] if start else []
+            worst = so_far[-1] if so_far else 0.0
+            total = np.zeros(self.width, dtype=complex)
+            for h, i in enumerate(idx):
+                self.ops[i](total, self.column(slices, i), out=total)
+                if h >= start:
+                    d = total - a[h]
+                    worst = max(worst, float((np.abs(d.real) + np.abs(d.imag)).max()))
+                    so_far.append(worst)
+            worsts.append(so_far)
+            objective += worst
+        self.evaluated = _Replayed(prefix.copy(), worsts, objective)
+        return objective
+
+    def accept(self) -> None:
+        """Replay later evaluations from the last evaluated ordering."""
+        self.accepted = self.evaluated
+
+
+def objective_gap(elements, spec: ObjectiveSpec, *, signs=None, cache=None) -> float:
     """Sum over spec points of max_h max_n (|Re d| + |Im d|) with
     d = C(n,h) + iS(n,h) - A(h), that is |C - A_cos| + |S - A_sin|, with n
     in the window and the candidate prefix as the ordering.
 
     The prefix is `elements`, a sequence of element views, or, when `signs`
-    is given, the arrays `elements` (values) and `signs` that
-    `limits.c_s_running` takes; `anneal` passes arrays.  C + iS comes from
-    `limits.c_s_running` over the window's rows, the complex A from
-    `limits.limit_A_series`; only one running vector is held, never a
-    (window x h) matrix.  Nothing is cached across calls.
+    is given, the arrays `elements` (values) and `signs`; `anneal` passes
+    arrays and its `ObjectiveCache` over the same values and signs.  C + iS
+    is the running sum of `limits.c_s_running`, from the cache's strided
+    prefix sums, and A is `limits.limit_A_series`, from its eta and A terms;
+    only one running vector is held, never a (window x h) matrix.  With a
+    cache, the running sum and the reductions are replayed from the first
+    of the h_max positions where the prefix differs from the cache's
+    accepted ordering; without one, a one-shot cache replays from position 0.
     """
     if signs is None:
         elements = tuple(elements)
@@ -96,18 +180,10 @@ def objective_gap(elements, spec: ObjectiveSpec, *, signs=None) -> float:
         raise ValueError(f"hMax {spec.h_max} exceeds prefix length {len(elements)}")
     if spec.h_max == 0:
         return 0.0
-    values, signs = elements[:spec.h_max], signs[:spec.h_max]
-    n0, n1 = spec.n_window
-    rows = np.arange(n0, n1 + 1)
-    total = 0.0
-    for p in spec.points:
-        a = limits.limit_A_series(p, values, signs, spec.eta_tol)
-        worst = 0.0
-        for a_h, cs in zip(a.tolist(), limits.c_s_running(p, values, signs, rows)):
-            d = cs - a_h
-            worst = max(worst, float((np.abs(d.real) + np.abs(d.imag)).max()))
-        total += worst
-    return total
+    values = elements[:spec.h_max]
+    if cache is None:
+        cache = ObjectiveCache(spec, values, signs[:spec.h_max])
+    return cache.evaluate(values)
 
 
 @dataclass(frozen=True)
@@ -146,12 +222,16 @@ def anneal(config: SearchConfig) -> SearchResult:
 
     The state is a permutation of indices into the by-value prefix's arrays.
     Proposal: one swap per iteration (adjacent or random pair); acceptance by
-    the standard exponential criterion.  Fully deterministic given the seed.
+    the standard exponential criterion.  Every evaluation goes through
+    `objective_gap` with one `ObjectiveCache`, built for this call, which is
+    told of each accepted state.  Fully deterministic given the seed.
     """
     values, signs = QOrdering.by_value(config.bound_hint).arrays(config.prefix_length)
+    cache = ObjectiveCache(config.objective, values, signs)
     rng = SplitMix64(config.seed)
     current = np.arange(config.prefix_length)
-    current_obj = objective_gap(values, config.objective, signs=signs)
+    current_obj = objective_gap(values, config.objective, signs=signs, cache=cache)
+    cache.accept()
     best = OrderingCandidate(tuple(values.tolist()), current_obj)
     temperature = config.initial_temperature
     trace = []
@@ -167,11 +247,12 @@ def anneal(config: SearchConfig) -> SearchResult:
         candidate = current.copy()
         candidate[[i, j]] = candidate[[j, i]]
         cand_obj = objective_gap(values[candidate], config.objective,
-                                 signs=signs[candidate])
+                                 signs=signs[candidate], cache=cache)
         delta = cand_obj - current_obj
         accepted = delta <= 0.0 or (temperature > 0.0 and
                                     rng.uniform() < math.exp(-delta / temperature))
         if accepted:
+            cache.accept()
             current, current_obj = candidate, cand_obj
             if cand_obj < best.objective:
                 best = OrderingCandidate(tuple(values[candidate].tolist()), cand_obj)

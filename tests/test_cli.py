@@ -211,6 +211,14 @@ class TestSurfaceCellCap:
         assert f"len(--n) x len(--h) is at most {limits.MAX_CELLS} cells" in text
 
 
+def test_search_help_states_the_cache_bytes(capsys):
+    with pytest.raises(SystemExit):
+        main(["search", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("16 bytes x sum over the prefix's q of (n1 // q - n0 // q + 1) per point"
+            in text)
+
+
 @pytest.mark.parametrize("argv", [
     ["gap", "--x", "2", "--y", "0", "--q-bound", "10000000",
      "--budget", str(series.MAX_TERMS + 1)],
@@ -392,12 +400,20 @@ def test_every_public_name_resolves():
     (["surface", "--x", "0.5", "--y", "0", "--bound", "10000000", "--out", "s.csv",
       "--n", "1:100000", "--h", "1:1000"],
      f"--n 1:100000 x --h 1:1000: 100000000 cells exceed the cap {limits.MAX_CELLS}"),
+    (["search", "--seed", "1", "--prefix", "20", "--iters", "1", "--h-max", "30",
+      "--bound", "30000000", "--out-trace", "t.csv", "--out-best", "b.json"],
+     "hMax 30 exceeds prefix length 20"),
+    (["search", "--seed", "1", "--prefix", "20", "--iters", "1",
+      "--n1", str(series.MAX_TERMS + 1), "--bound", "30000000",
+      "--out-trace", "t.csv", "--out-best", "b.json"],
+     f"{series.MAX_TERMS + 1} terms exceed the cap {series.MAX_TERMS}"),
 ], ids=["refine-tol-nan", "refine-tol-inf", "refine-window-nan", "refine-window-inf",
         "eta-tol-nan", "zeta-tol-nan", "eta-tol-inf", "gap-eta-tol-nan", "gap-eta-tol-0",
         "search-eta-tol-0", "scan-y-max-inf", "scan-y-min-nan", "scan-step-nan",
         "scan-step-overflow", "scan-threshold-nan", "scan-refine-tol-nan",
         "search-t0-nan", "search-t0-negative", "gap-shuffle-prefix-negative",
-        "refine-y0-nan", "surface-cells"])
+        "refine-y0-nan", "surface-cells", "search-h-max-over-prefix",
+        "search-n1-over-cap"])
 def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, monkeypatch):
     work = []
     monkeypatch.chdir(tmp_path)

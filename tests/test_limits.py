@@ -383,6 +383,23 @@ def test_limit_B_peak_memory_is_the_term_builders():
     assert peak <= 24 * budget + 64 * _BLOCK_TERMS
 
 
+def test_limit_A_series_peak_memory_is_two_complex_arrays():
+    # the A terms are freed once summed and the sums are multiplied by eta
+    # in place, so at most two complex arrays are alive at once
+    n = 2**20
+    values = np.arange(3, 2 * n + 3, 2)
+    signs = np.ones(n, dtype=np.int8)
+    p = StripPoint(2.0, 0.0)
+    limit_A_series(p, values[:10], signs[:10])
+    tracemalloc.start()
+    try:
+        limit_A_series(p, values, signs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n + 2**16
+
+
 def test_gap_builds_no_element_views(monkeypatch):
     built = []
     check = OddSquarefree.__post_init__

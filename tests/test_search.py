@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from etaq import search
-from etaq.limits import limit_A_series
+from etaq.limits import c_s_running, limit_A_series
 from etaq.qset import OddSquarefree, QOrdering
 from etaq.search import (ObjectiveSpec, OrderingCandidate, SearchConfig,
                         anneal, objective_gap)
@@ -24,6 +26,29 @@ def adjacent_config():
                         neighborhood="adjacent-swap", bound_hint=1000)
 
 
+FIRST_ZERO = StripPoint(0.5, 14.134725141734693)
+TWO_POINTS = (FIRST_ZERO, StripPoint(2.0, 0.0))
+
+# Shapes the two configs above miss: most positions past h_max, h_max equal
+# to the prefix with n0 = 1, two spec points, and t0 = 0 with n0 = n1.
+GOLDEN_CONFIGS = {
+    "adjacent-swap-short-h": SearchConfig(
+        seed=5, prefix_length=16, iterations=20, objective=small_spec(h_max=6),
+        neighborhood="adjacent-swap", bound_hint=1000),
+    "random-swap-h-is-prefix": SearchConfig(
+        seed=7, prefix_length=10, iterations=20,
+        objective=small_spec(h_max=10, n_window=(1, 90)), bound_hint=1000),
+    "two-points": SearchConfig(
+        seed=11, prefix_length=12, iterations=15,
+        objective=ObjectiveSpec(points=TWO_POINTS, n_window=(100, 300), h_max=8),
+        bound_hint=1000),
+    "t0-zero": SearchConfig(
+        seed=13, prefix_length=12, iterations=15,
+        objective=small_spec(h_max=6, n_window=(60, 60)), initial_temperature=0.0,
+        bound_hint=1000),
+}
+
+
 # Trace objectives and best permutations recorded from the search as it was
 # when every proposal was evaluated on element views.
 GOLDEN_RANDOM_SWAP = (
@@ -43,6 +68,40 @@ GOLDEN_ADJACENT_SWAP = (
      0.1405178907259297],
     (3, 5, 7, 11, 13, 15, 17, 19),
 )
+# Recorded from the search that evaluated every proposal from scratch.
+GOLDEN_MORE = {
+    "adjacent-swap-short-h": (
+        [0.14202084500452333] + [0.14202084500452328] * 8
+        + [0.1594522822557337, 0.1594522822557337, 0.15945228225573368]
+        + [0.1594522822557337] * 8,
+        (3, 5, 7, 11, 15, 13, 17, 19, 23, 21, 29, 31, 33, 35, 37, 39),
+    ),
+    "random-swap-h-is-prefix": (
+        [0.7891455047561748] * 6
+        + [0.5481187316872743, 0.658187496046247, 0.5481187316872743,
+           0.7708902747853318, 0.7708902747853319, 0.7708902747853319,
+           0.4969808040104896, 0.4969808040104896, 0.4969808040104896,
+           0.633864126947234, 0.4969808040104896, 0.7891455047561748,
+           0.658187496046247, 0.5555551794928189],
+        (23, 5, 7, 13, 11, 19, 15, 3, 17, 21),
+    ),
+    "two-points": (
+        [0.6034823446586478, 0.5791274970520073, 0.5791274970520073,
+         0.5791274970520074, 0.6015869540964964, 0.6129098262086716,
+         0.7117870789480071, 0.6129098262086716, 0.6129098262086716,
+         0.8337417616682335, 0.8337417616682335, 0.8415038618787696,
+         0.5060678601035764, 0.6624760810070249, 0.6624910398258469],
+        (7, 15, 29, 21, 11, 23, 17, 13, 3, 5, 19, 31),
+    ),
+    "t0-zero": (
+        [0.08494566171752144, 0.08639357343461501, 0.09299576264608467,
+         0.14611693954638627, 0.08756621941113664, 0.09401271805551215,
+         0.06873969254463577, 0.07039646357394698, 0.06616591526993904,
+         0.06616591526993892, 0.06616591526993892, 0.05534943139748978,
+         0.05534943139748978, 0.07239006613483051, 0.08805034446392622],
+        (7, 5, 17, 11, 15, 13, 19, 21, 29, 23, 3, 31),
+    ),
+}
 
 
 def k_major_objective(elements, spec):
@@ -141,7 +200,8 @@ class TestAnneal:
     @pytest.mark.parametrize("config, golden", [
         (small_config(), GOLDEN_RANDOM_SWAP),
         (adjacent_config(), GOLDEN_ADJACENT_SWAP),
-    ], ids=["random-swap", "adjacent-swap"])
+        *((GOLDEN_CONFIGS[name], GOLDEN_MORE[name]) for name in GOLDEN_CONFIGS),
+    ], ids=["random-swap", "adjacent-swap", *GOLDEN_CONFIGS])
     def test_golden_trace(self, config, golden):
         result = anneal(config)
         assert [e.objective for e in result.trace] == golden[0]
@@ -156,9 +216,9 @@ class TestAnneal:
         candidates = []
         core = search.objective_gap
 
-        def recording(values, spec, *, signs):  # anneal passes arrays only
+        def recording(values, spec, *, signs, cache):  # anneal passes arrays only
             candidates.append((values.tolist(), signs.tolist()))
-            return core(values, spec, signs=signs)
+            return core(values, spec, signs=signs, cache=cache)
 
         monkeypatch.setattr(search, "objective_gap", recording)
         cfg = small_config(iters=15)
@@ -206,6 +266,90 @@ class TestAnneal:
         assert len(doc["permutation"]) == 16
         assert doc["permutation"] == list(result.best.permutation)
         assert doc["rng"] == "splitmix64-v1"
+
+
+def running_objective(values, signs, spec):
+    """The objective as the search computed it before the cache: one
+    `c_s_running` pass and one `limit_A_series` per point."""
+    values, signs = values[:spec.h_max], signs[:spec.h_max]
+    rows = np.arange(spec.n_window[0], spec.n_window[1] + 1)
+    total = 0.0
+    for p in spec.points:
+        a = limit_A_series(p, values, signs, spec.eta_tol)
+        worst = 0.0
+        for a_h, cs in zip(a.tolist(), c_s_running(p, values, signs, rows)):
+            d = cs - a_h
+            worst = max(worst, float((np.abs(d.real) + np.abs(d.imag)).max()))
+        total += worst
+    return total
+
+
+class TestObjectiveCache:
+    @pytest.mark.parametrize("spec, prefix", [
+        (small_spec(h_max=8), 20),
+        (small_spec(h_max=1), 6),
+        (small_spec(h_max=5, n_window=(70, 70)), 12),
+        (ObjectiveSpec(points=TWO_POINTS, n_window=(1, 150), h_max=6), 14),
+        (small_spec(h_max=10, n_window=(40, 160)), 10),
+    ], ids=["random", "h-max-1", "n0-is-n1", "two-points", "h-max-is-prefix"])
+    def test_replayed_objective_equals_from_scratch(self, spec, prefix):
+        rng = np.random.default_rng(prefix * 100 + spec.h_max)
+        values, signs = QOrdering.by_value(1000).arrays(prefix)
+        cache = search.ObjectiveCache(spec, values, signs)
+        current = np.arange(prefix)
+        first = objective_gap(values, spec, signs=signs, cache=cache)
+        assert first == objective_gap(values, spec, signs=signs)
+        assert first == running_objective(values, signs, spec)
+        cache.accept()
+        tail_swaps = accepts = 0
+        for _ in range(80):
+            i, j = rng.choice(prefix, size=2, replace=False)
+            tail_swaps += min(i, j) >= spec.h_max
+            candidate = current.copy()
+            candidate[[i, j]] = candidate[[j, i]]
+            got = objective_gap(values[candidate], spec, signs=signs[candidate],
+                                cache=cache)
+            assert got == objective_gap(values[candidate], spec, signs=signs[candidate])
+            assert got == running_objective(values[candidate], signs[candidate], spec)
+            if rng.random() < 0.5:
+                cache.accept()
+                current = candidate
+                accepts += 1
+        assert 10 < accepts < 70
+        assert tail_swaps > 0 or spec.h_max == prefix
+
+    def test_unchanged_prefix_is_not_replayed(self, monkeypatch):
+        spec = small_spec(h_max=4)
+        values, signs = QOrdering.by_value(1000).arrays(10)
+        cache = search.ObjectiveCache(spec, values, signs)
+        first = objective_gap(values, spec, signs=signs, cache=cache)
+        cache.accept()
+        monkeypatch.setattr(search.ObjectiveCache, "column", None)
+        swapped = values[[0, 1, 2, 3, 9, 5, 6, 7, 8, 4]]
+        assert objective_gap(swapped, spec, signs=signs, cache=cache) == first
+
+    def test_h_zero_anneal_builds_nothing(self, monkeypatch):
+        monkeypatch.setattr(search.limits, "strided_partials", None)
+        cfg = SearchConfig(seed=1, prefix_length=6, iterations=5,
+                           objective=small_spec(h_max=0), bound_hint=1000)
+        assert [e.objective for e in anneal(cfg).trace] == [0.0] * 5
+
+    def test_anneal_peak_memory_is_the_cache_and_the_term_build(self):
+        # The cache holds 16 bytes per entry of each value's slice of strided
+        # prefix sums; building it takes the term builder's 24 bytes per term
+        # plus 8 for the complex copy packed while a and b are still alive.
+        n0, n1 = 500_000, 1_000_000
+        cfg = SearchConfig(seed=1, prefix_length=96, iterations=3, bound_hint=1000,
+                           objective=small_spec(h_max=16, n_window=(n0, n1)))
+        values, _ = QOrdering.by_value(cfg.bound_hint).arrays(cfg.prefix_length)
+        cache_bytes = 16 * sum(n1 // q - n0 // q + 1 for q in values.tolist())
+        tracemalloc.start()
+        try:
+            anneal(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cache_bytes + 32 * n1
 
 
 def test_candidate_type():
