@@ -33,8 +33,9 @@ ZETA_HALF_REF = -1.4603545088095868  # independently cross-checked reference
 
 Q_BOUND_HELP = (f"largest element of Q enumerated, at most {qset.MAX_ENUM_BOUND} "
                 "(the sieve needs about 5 bytes per unit of bound)")
-TERMS_HELP = (f"term count, at most {series.MAX_TERMS} (about 24 bytes per term; "
-              "32 while surface and search pack the terms as complex)")
+TERMS_HELP = (f"term count, at most {series.MAX_TERMS} (gap and verify sum the terms "
+              "a block at a time, whatever the count; surface and search hold 16 "
+              "bytes per term)")
 SEARCH_CACHE_HELP = ("the search cache holds 16 bytes x sum over the prefix's q of "
                      "(n1 // q - n0 // q + 1) per point, and its replay 48 bytes "
                      "per row of the window")

@@ -70,15 +70,16 @@ def strided_partials(p: StripPoint, values, n: int):
     """Yield, for each element q of `values`, its strided complex prefix sums
     P_q(m) = sum_(j<=m) (a_(jq) + i b_(jq)) for m = 0..n // q.
 
-    The first n terms are packed once into one complex array (16 bytes per
-    term; 32 while `term_arrays`' a and b are still alive), and each P_q is
-    one strided complex cumsum over it.  Complex cumsum works on each part
-    separately, in the order the two real sums would.
+    The first n terms are copied block by block from `series.term_blocks`
+    into one complex array (16 bytes per term), and each P_q is one strided
+    complex cumsum over it.  Complex cumsum works on each part separately,
+    in the order the two real sums would.
     """
-    a, b = se.term_arrays(p, n)
-    terms = a.astype(complex)
-    terms.imag = b
-    del a, b
+    se.check_term_count(n)
+    terms = np.empty(n, dtype=complex)
+    for lo, a, b in se.term_blocks(p, n):
+        terms.real[lo:lo + len(a)] = a
+        terms.imag[lo:lo + len(b)] = b
     for q in values.tolist():
         partial = np.zeros(n // q + 1, dtype=complex)
         np.cumsum(terms[q - 1::q], out=partial[1:])
@@ -173,19 +174,27 @@ def limit_B(p: StripPoint, budget: int, tol: float = 1e-12) -> BEstimate:
     """The n-then-h iterated limit sum f(k) (a_k + i b_k) = -sum_(k not in
     Gamma) (a_k + i b_k).
 
-    Direct: truncation to `budget` terms with iterated tail averaging.
-    Oracle: the conjugate of `series.b_closed`.  Their difference is the
-    disagreement, reported by `commutativity_gap`, never hidden.
+    Direct: truncation to `budget` terms with iterated tail averaging,
+    streamed through `series.direct_sums` in blocks.  Oracle: the conjugate
+    of `series.b_closed`.  Their difference is the disagreement, reported
+    by `commutativity_gap`, never hidden.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    a, b = se.term_arrays(p, budget)
-    gamma = (1 << np.arange(int(budget).bit_length())) - 1  # indices of k = 2^l
+    re, im, tail_re, tail_im = se.direct_sums(p, budget, window=se.TAIL_WINDOW,
+                                              prepare=_negated_outside_gamma)
+    return BEstimate(complex(se.tail_averaged_sum(re, tail_re)[0],
+                             se.tail_averaged_sum(im, tail_im)[0]),
+                     se.b_closed(p, tol).conjugate(), budget)
+
+
+def _negated_outside_gamma(lo: int, a: np.ndarray, b: np.ndarray) -> None:
+    """A block of terms, from position lo, as -(a_k, b_k) with the terms at
+    k = 2^l (positions 2^l - 1) zeroed."""
+    gamma = (1 << np.arange(lo.bit_length(), (lo + len(a)).bit_length())) - 1 - lo
     a[gamma] = b[gamma] = 0.0
     np.negative(a, out=a)
     np.negative(b, out=b)
-    return BEstimate(complex(se.tail_averaged_sum(a)[0], se.tail_averaged_sum(b)[0]),
-                     se.b_closed(p, tol).conjugate(), budget)
 
 
 @dataclass(frozen=True)

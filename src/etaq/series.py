@@ -5,15 +5,17 @@ power-of-two geometric sum and its closed form, and an Euler-product
 cross-check for Re(s) > 1.
 
 Numerics are binary64 throughout.  Direct sums take their terms from one
-builder and end in one exact summation kernel, `exact_sum`, which returns
-math.fsum's correctly rounded float by exponent-indexed accumulation
-(Demmel and Hida, "Accurate and efficient floating point summation", SIAM
-J. Sci. Comput. 25(4), 2003; Neal, "Fast exact summation using small and
-large superaccumulators", arXiv:1505.05571) and falls back to math.fsum
-itself for non-finite or huge terms; an exact zero is fsum of at most one
-term.  One iterated tail-averaging routine serves conditionally convergent
-tails; the accelerated evaluator uses Chebyshev-derived weights (Cohen,
-Rodriguez Villegas, Zagier style).
+block builder, `term_blocks`, and stream them block by block into one exact
+summation kernel, `_ExactSum`, so they hold a few blocks of work memory
+whatever the term count.  The kernel returns math.fsum's correctly rounded
+float by exponent-indexed accumulation (Demmel and Hida, "Accurate and
+efficient floating point summation", SIAM J. Sci. Comput. 25(4), 2003; Neal,
+"Fast exact summation using small and large superaccumulators",
+arXiv:1505.05571) and falls back to math.fsum itself for non-finite or huge
+terms; an exact zero is fsum of at most one term.  One iterated
+tail-averaging routine serves conditionally convergent tails; the
+accelerated evaluator uses Chebyshev-derived weights (Cohen, Rodriguez
+Villegas, Zagier style).
 """
 
 from __future__ import annotations
@@ -37,15 +39,22 @@ _ACCEL_RATE = 3.0 + math.sqrt(8.0)
 _LOG_ACCEL_RATE = math.log(_ACCEL_RATE)
 _MAX_ACCEL_TERMS = 350
 _EPS = 2.0 ** -52
-# the work block of eta_accel_many (about 1 MiB of complex terms) and exact_sum
-_BLOCK_TERMS = 2**16
+_BLOCK_TERMS = 2**16  # the work block of eta_accel_many: about 1 MiB of complex terms
+# the block of the direct sums: its few work arrays stay in L2 (of 2^12 to
+# 2^16, 2^14 ran limit_B(1e6) fastest)
+_SUM_BLOCK_TERMS = 2**14
 _Y_SATURATED = 1e6  # past this |y|, n = _MAX_ACCEL_TERMS and no terms are summed
 
-MAX_TERMS = 10**7  # direct sums peak at 24 bytes per term (the C/S kernel at 32)
-# exact_sum's buckets: frexp exponents run from -1073 (subnormals) to 1024
-_EXP_OFFSET = 1073
-_EXP_BUCKETS = _EXP_OFFSET + 1025
+# direct sums hold a few blocks whatever the count; surface and search, and
+# `term_arrays`, 16 bytes per term
+MAX_TERMS = 10**7
 _EXACT_MAX_EXP = 970  # terms below 2^970: no partial sum of 2^26 of them overflows
+# _ExactSum's buckets: frexp exponents from -1073 (subnormals) to _EXACT_MAX_EXP
+_EXP_OFFSET = 1073
+_EXP_BUCKETS = _EXP_OFFSET + _EXACT_MAX_EXP + 1
+# each exponent's bucket is split 4 ways by term position, so that
+# bincount's adds into one bucket do not wait on each other
+_LANES = 4
 TAIL_WINDOW = 64
 TAIL_LEVELS = 3
 
@@ -112,7 +121,7 @@ def check_term_count(n: int) -> None:
         raise ValueError(f"term count {n} must be >= 0")
     if n > MAX_TERMS:
         raise ValueError(f"{n} terms exceed the cap {MAX_TERMS} "
-                         "(about 24 bytes per term)")
+                         "(surface and search hold 16 bytes per term)")
 
 
 def check_tol(tol: float, name: str = "targetTol") -> None:
@@ -121,85 +130,182 @@ def check_tol(tol: float, name: str = "targetTol") -> None:
         raise ValueError(f"{name} must be finite and > 0, got {tol}")
 
 
-def term_arrays(p: StripPoint, n: int, step: int = 1,
-                shift: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """The direct sums' one term builder: (a, b) at k = step, 2 step, ...,
-    n step, with the sign (-1)^(k-1) from each k's parity, amplitude k^(-x)
-    and angle y (ln shift + ln k).
+def term_blocks(p: StripPoint, n: int, step: int = 1, shift: float = 1.0):
+    """The one place terms are computed.  Yields (lo, a, b): the terms
+    (a_k, b_k) at positions lo .. lo + len(a) - 1, that is at
+    k = (lo + 1) step, (lo + 2) step, ..., up to n step, _SUM_BLOCK_TERMS
+    at a time.  Each has the sign (-1)^(k-1) from k's parity, amplitude
+    k^(-x) and angle y (ln shift + ln k), with ln k taken of k as float64,
+    exact while step * n < 2^53.
 
-    The count is checked by `check_term_count` before anything is allocated.
+    a and b are buffers reused from block to block: the caller may edit
+    them in place, and copies what must outlive the next block.  The count
+    is checked by `check_term_count` before anything is allocated.
     """
     check_term_count(n)
-    # k as float64 is exact, so ln k is as for int k, while step * n < 2^53
-    angle = np.arange(step, step * (n + 1), step, dtype=np.float64)
-    np.log(angle, out=angle)
-    amp = np.exp(-p.x * angle)
-    # even k: every other term for an odd step, every term for an even one
-    even = amp[1::2] if step % 2 else amp
-    np.negative(even, out=even)
-    angle += math.log(shift)
-    angle *= p.y
-    a = np.cos(angle)
-    a *= amp
-    b = np.sin(angle, out=angle)
-    b *= amp
+    size = min(n, _SUM_BLOCK_TERMS)
+    k = np.arange(step, step * (size + 1), step, dtype=np.float64)
+    a_buf, b_buf, amp_buf = np.empty((3, size))
+    log_shift = math.log(shift)
+    for lo in range(0, n, _SUM_BLOCK_TERMS):
+        m = min(size, n - lo)
+        a, angle, amp = a_buf[:m], b_buf[:m], amp_buf[:m]
+        np.add(k[:m], lo * step, out=angle)
+        np.log(angle, out=angle)
+        np.multiply(angle, -p.x, out=amp)
+        np.exp(amp, out=amp)
+        # even k: every other term for an odd step, every term for an even one
+        even = amp[(lo + 1) % 2::2] if step % 2 else amp
+        np.negative(even, out=even)
+        angle += log_shift
+        angle *= p.y
+        np.cos(angle, out=a)
+        a *= amp
+        np.sin(angle, out=angle)
+        angle *= amp
+        yield lo, a, angle
+
+
+def term_arrays(p: StripPoint, n: int, step: int = 1,
+                shift: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of `term_blocks` as two full arrays a and b (16 bytes per
+    term), the count checked before they are allocated."""
+    check_term_count(n)
+    a, b = np.empty(n), np.empty(n)
+    for lo, a_block, b_block in term_blocks(p, n, step, shift):
+        a[lo:lo + len(a_block)] = a_block
+        b[lo:lo + len(b_block)] = b_block
     return a, b
 
 
-def exact_sum(x) -> float:
-    """math.fsum(x), bit for bit, for a 1-D float array: the exact sum,
-    correctly rounded.
+class _ExactSum:
+    """math.fsum of float64 terms added a block at a time, bit for bit: the
+    exact sum, correctly rounded.
 
-    Each term's mantissa times 2^53 is an integer below 2^53, split into a
-    high part of at most 26 bits and a low part of at most 27 bits; each
-    part is summed per binary exponent with bincount, in blocks of
-    _BLOCK_TERMS terms to bound the work memory.  Every bucket stays an
-    integer below 2^53, so exact, while len(x) <= 2^26.  The buckets are
-    combined as Python ints and divided once by a power of two, which
-    Python rounds correctly.  math.fsum itself runs for more than 2^26
-    terms and for a term that is not below 2^_EXACT_MAX_EXP in modulus
-    (NaN, inf, or fsum's intermediate overflow).  An exact total of 0 is
-    fsum of one -0.0 when every term is -0.0, else of no term, which is
-    fsum's zero on any interpreter (+0.0 on CPython 3.11 to 3.13, even for
-    all -0.0).
+    Each term's mantissa times 2^26 splits into an integer part of at most
+    26 bits and a fraction of 27 bits; each part is summed per binary
+    exponent and lane with bincount, in reused work arrays of `size` terms.
+    Every bucket stays exact while at most 2^26 terms are added.  `value`
+    combines the buckets as Python ints and divides once by a power of two,
+    which Python rounds correctly.  It returns None where math.fsum itself
+    must run over the terms: for a term that is not below 2^_EXACT_MAX_EXP
+    in modulus (NaN, inf, or fsum's intermediate overflow), which lands
+    past the buckets or makes one NaN whatever the other terms.  An exact
+    total of 0 is fsum of one -0.0 when every term is -0.0, else of no
+    term, which is fsum's zero on any interpreter (+0.0 on CPython 3.11 to
+    3.13, even for all -0.0).
     """
+
+    def __init__(self, size: int):
+        self.high = np.zeros(_LANES * _EXP_BUCKETS)
+        self.low = np.zeros(_LANES * _EXP_BUCKETS)  # fractions, in units of 2^-27
+        self.negative = None  # every term so far has its sign bit set; None before any
+        self.huge = False  # a finite term at or past 2^_EXACT_MAX_EXP was added
+        self._work = np.empty((2, size)), np.empty(size, dtype=np.intp)
+        # a term's bincount index is _LANES * exponent + _lanes[its position]
+        self._lanes = np.arange(size) % _LANES + _LANES * _EXP_OFFSET
+
+    def add(self, x: np.ndarray) -> None:
+        """Add the terms of x, at most `size` of them."""
+        if not len(x) or self.huge:
+            return
+        if self.negative is not False:
+            self.negative = bool(np.signbit(x).all())
+        (m, h), e = self._work[0][:, :len(x)], self._work[1][:len(x)]
+        # inf - inf in the split makes NaN buckets, caught by value
+        with np.errstate(invalid="ignore"):
+            np.frexp(x, out=(m, e))
+            e *= _LANES
+            e += self._lanes[:len(x)]
+            m *= 2.0**26
+            np.trunc(m, out=h)
+            m -= h
+        high = np.bincount(e, weights=h, minlength=len(self.high))
+        # bincount grows past the buckets for a term's exponent past theirs
+        self.huge = len(high) > len(self.high)
+        if not self.huge:
+            self.high += high
+            self.low += np.bincount(e, weights=m, minlength=len(self.low))
+
+    def value(self) -> float | None:
+        with np.errstate(invalid="ignore"):  # inf - inf, as in add
+            # each exponent's lanes summed: integers below 2^53, exact in any order
+            high = self.high.reshape(-1, _LANES) @ np.ones(_LANES)
+            low = self.low.reshape(-1, _LANES) @ np.full(_LANES, 2.0**27)
+        used = np.flatnonzero(np.logical_or(high, low))
+        if self.huge or not np.isfinite(high[used] + low[used]).all():
+            return None
+        total = sum(((int(h) << 27) + int(lo)) << i for h, lo, i
+                    in zip(high[used].tolist(), low[used].tolist(), used.tolist()))
+        if total == 0:
+            return math.fsum([-0.0] if self.negative else [])
+        # bucket i holds multiples of 2^(i - _EXP_OFFSET - 53)
+        return total / (1 << (_EXP_OFFSET + 53))
+
+
+def exact_sum(x) -> float:
+    """math.fsum(x), bit for bit, for a 1-D float array: `_ExactSum` over
+    its blocks of _SUM_BLOCK_TERMS terms, and math.fsum itself for more
+    than 2^26 terms or where the kernel defers to it."""
     x = np.asarray(x, dtype=np.float64)
     if len(x) > 2**26:
         return math.fsum(x)
-    high = np.zeros(_EXP_BUCKETS)
-    low = np.zeros(_EXP_BUCKETS)
-    # inf - inf in the split makes NaN buckets, caught below
-    with np.errstate(invalid="ignore"):
-        for start in range(0, len(x), _BLOCK_TERMS):
-            m, e = np.frexp(x[start:start + _BLOCK_TERMS])
-            e += _EXP_OFFSET
-            m *= 2.0**53
-            h = np.trunc(m * 2.0**-27)
-            m -= h * 2.0**27
-            high += np.bincount(e, weights=h, minlength=_EXP_BUCKETS)
-            low += np.bincount(e, weights=m, minlength=_EXP_BUCKETS)
-    used = np.flatnonzero(np.logical_or(high, low))
-    if len(used) and (used[-1] > _EXACT_MAX_EXP + _EXP_OFFSET
-                      or not np.isfinite(high[used] + low[used]).all()):
-        return math.fsum(x)
-    total = sum(((int(h) << 27) + int(lo)) << i for h, lo, i
-                in zip(high[used].tolist(), low[used].tolist(), used.tolist()))
-    if total == 0:
-        return math.fsum(x[:1] if np.signbit(x).all() else x[:0])
-    # bucket i holds multiples of 2^(i - _EXP_OFFSET - 53)
-    return total / (1 << (_EXP_OFFSET + 53))
+    total = _ExactSum(min(len(x), _SUM_BLOCK_TERMS))
+    for start in range(0, len(x), _SUM_BLOCK_TERMS):
+        total.add(x[start:start + _SUM_BLOCK_TERMS])
+    value = total.value()
+    return math.fsum(x) if value is None else value
 
 
-def tail_averaged_sum(terms: np.ndarray, window: int = TAIL_WINDOW,
+def direct_sums(p: StripPoint, n: int, step: int = 1, shift: float = 1.0, window: int = 0,
+                prepare=None) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The terms of `term_blocks` streamed through two `_ExactSum`s.
+
+    `prepare(lo, a, b)`, when given, first edits each block in place.
+    Returns the sums of a and of b over the first n - window terms, each
+    math.fsum's float bit for bit, and copies of the last `window` terms of
+    a and of b (all n when window > n).  The work memory is a few blocks,
+    whatever n.
+    """
+    check_term_count(n)
+    head = n - min(window, n)
+
+    def blocks():  # each prepared block, and how many of its terms are head terms
+        for lo, a, b in term_blocks(p, n, step, shift):
+            if prepare is not None:
+                prepare(lo, a, b)
+            yield lo, min(max(head - lo, 0), len(a)), (a, b)
+
+    sums = [_ExactSum(min(head, _SUM_BLOCK_TERMS)) for _ in range(2)]
+    tails = np.empty((2, n - head))
+    for lo, cut, ab in blocks():
+        for total, tail, x in zip(sums, tails, ab):
+            total.add(x[:cut])
+            if cut < len(x):
+                tail[lo + cut - head:lo + len(x) - head] = x[cut:]
+    values = [total.value() for total in sums]
+    for i, value in enumerate(values):
+        # the terms are at most 1 in modulus, so only a NaN term defers to
+        # math.fsum, over the head terms built again
+        if value is None:
+            values[i] = math.fsum(t for _, cut, ab in blocks() for t in ab[i][:cut].tolist())
+    return values[0], values[1], tails[0], tails[1]
+
+
+def _conjugate(lo: int, a: np.ndarray, b: np.ndarray) -> None:
+    """A `direct_sums` block as the eta terms a_k - i b_k: b negated."""
+    np.negative(b, out=b)
+
+
+def tail_averaged_sum(head: float, tail: np.ndarray,
                       levels: int = TAIL_LEVELS) -> tuple[float, float]:
-    """Exact sum with iterated averaging of the last `window` partial
-    sums, damping the leading alternating oscillation of conditionally
-    convergent tails.  Returns the value and the change made by the last
-    averaging level (0.0 when no level runs)."""
-    n = len(terms)
-    window = min(window, n)
-    levels = min(levels, window - 1)
-    ps = exact_sum(terms[:n - window]) + np.cumsum(terms[n - window:])
+    """head, the exact sum of a series' leading terms, plus the `tail`
+    terms, with iterated averaging of the partial sums head + cumsum(tail),
+    damping the leading alternating oscillation of conditionally convergent
+    tails.  Returns the value and the change made by the last averaging
+    level (0.0 when no level runs)."""
+    levels = min(levels, len(tail) - 1)
+    ps = head + np.cumsum(tail)
     delta = 0.0
     for _ in range(levels):
         prev = ps[-1]
@@ -210,9 +316,7 @@ def tail_averaged_sum(terms: np.ndarray, window: int = TAIL_WINDOW,
 
 def eta_partial(p: StripPoint, n: int) -> complex:
     """Exact-summed partial sum of the first n series terms."""
-    a, b = term_arrays(p, n)
-    # eta terms are a_k - i b_k
-    return complex(exact_sum(a), exact_sum(-b))
+    return complex(*direct_sums(p, n, prepare=_conjugate)[:2])
 
 
 class _AccelWeights(NamedTuple):
@@ -357,10 +461,10 @@ def eta_averaged(p: StripPoint) -> SeriesResult:
     """
     window = 96
     n = max(64, math.ceil(8.0 * abs(p.y))) + window
-    a, b = term_arrays(p, n)
-    re, delta_re = tail_averaged_sum(a, window, window - 1)
-    im, delta_im = tail_averaged_sum(-b, window, window - 1)
-    angles = _EPS * abs(p.y) * math.log(n) * float(np.hypot(a[-window:], b[-window:]).sum())
+    re, im, tail_re, tail_im = direct_sums(p, n, window=window, prepare=_conjugate)
+    re, delta_re = tail_averaged_sum(re, tail_re, window - 1)
+    im, delta_im = tail_averaged_sum(im, tail_im, window - 1)
+    angles = _EPS * abs(p.y) * math.log(n) * float(np.hypot(tail_re, tail_im).sum())
     return SeriesResult(value=complex(re, im), method="AveragedTail", terms_used=n,
                         error_estimate=math.hypot(delta_re, delta_im) + n * _EPS + angles)
 
@@ -433,8 +537,7 @@ def shifted_sums(p: StripPoint, shift: float, n: int) -> tuple[float, float]:
     analogue over k = 1..n."""
     if shift <= 0.0:
         raise ValueError("shift must be > 0")
-    a, b = term_arrays(p, n, shift=shift)
-    return exact_sum(a), exact_sum(b)
+    return direct_sums(p, n, shift=shift)[:2]
 
 
 def shifted_sums_oracle(p: StripPoint, shift: float,
@@ -461,8 +564,7 @@ def subseries_q(p: StripPoint, q: int, method: str = "accelerated",
     if method == "accelerated":
         return cmath.exp(-p.s * math.log(q)) * eta_accel(p).value
     if method == "direct":
-        a, b = term_arrays(p, budget, step=q)
-        return complex(exact_sum(a), exact_sum(-b))
+        return complex(*direct_sums(p, budget, step=q, prepare=_conjugate)[:2])
     raise ValueError(f"unknown method {method!r}")
 
 

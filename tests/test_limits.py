@@ -13,7 +13,8 @@ from etaq.limits import (SumSurface, c_s_naive, c_s_running, c_s_surface,
                          commutativity_gap, limit_A_series, limit_B,
                          rh_contradiction_check)
 from etaq.qset import OddSquarefree, QOrdering
-from etaq.series import _BLOCK_TERMS, StripPoint, eta_accel, geom_closed
+from etaq.series import (_SUM_BLOCK_TERMS, StripPoint, eta_accel, geom_closed,
+                          term_arrays)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -232,6 +233,29 @@ class TestLimitA:
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+B = _SUM_BLOCK_TERMS
+
+
+def whole_array_direct_B(p: StripPoint, budget: int) -> complex:
+    """limit_B's direct value as it was computed before its sums were
+    streamed: whole term arrays, the powers of two zeroed, negated, then
+    math.fsum of all but the last 64 terms plus their averaged cumsum."""
+    a, b = term_arrays(p, budget)
+    gamma = (1 << np.arange(int(budget).bit_length())) - 1
+    a[gamma] = b[gamma] = 0.0
+    np.negative(a, out=a)
+    np.negative(b, out=b)
+
+    def tail_averaged(terms):
+        window = min(64, len(terms))
+        ps = math.fsum(terms[:len(terms) - window]) + np.cumsum(terms[len(terms) - window:])
+        for _ in range(min(3, window - 1)):
+            ps = 0.5 * (ps[1:] + ps[:-1])
+        return float(ps[-1])
+
+    return complex(tail_averaged(a), tail_averaged(b))
+
+
 class TestLimitB:
     def test_oracle_at_half(self):
         est = limit_B(StripPoint(0.5, 0.0), 10**6)
@@ -259,6 +283,19 @@ class TestLimitB:
         est = limit_B(p, 10**5)
         assert (est.direct.real, est.direct.imag,
                 est.oracle.real, est.oracle.imag) == LIMIT_B_1E5[p]
+
+    @pytest.mark.parametrize("p", [FIRST_ZERO, StripPoint(2.0, 0.0), StripPoint(2.0, -0.0),
+                                   StripPoint(0.75, 3.0)])
+    @pytest.mark.parametrize("budget", [
+        1, 2, 63, 64, 65,
+        # block edges; at 2^14 and past, k = 2^j falls on a block's last slot
+        B - 1, B, B + 1, 3 * B + 17, 4 * B + 1,
+    ])
+    def test_direct_matches_whole_array_sums(self, p, budget):
+        est = limit_B(p, budget)
+        want = whole_array_direct_B(p, budget)
+        assert (est.direct.real.hex(), est.direct.imag.hex()) == (want.real.hex(),
+                                                                  want.imag.hex())
 
     def test_gap_without_direct_sum_uses_the_same_oracle(self):
         ordering = QOrdering.by_value(500)
@@ -369,18 +406,17 @@ class TestWriteJson:
 
 
 def test_limit_B_peak_memory_is_the_term_builders():
-    # term_arrays peaks at 24 bytes per term and limit_B negates its arrays
-    # in place; the exact sums add one block's work arrays, never arrays as
-    # long as the terms
-    budget = 10**6
+    # the term builder's and the exact sums' work arrays for one block and
+    # the buckets, whatever the budget: never arrays as long as the terms
     limit_B(FIRST_ZERO, 1000)
-    tracemalloc.start()
-    try:
-        limit_B(FIRST_ZERO, budget)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * budget + 64 * _BLOCK_TERMS
+    for budget in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            limit_B(FIRST_ZERO, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * _SUM_BLOCK_TERMS, budget
 
 
 def test_limit_A_series_peak_memory_is_two_complex_arrays():

@@ -8,7 +8,7 @@ from etaq.limits import c_s_running, limit_A_series
 from etaq.qset import OddSquarefree, QOrdering
 from etaq.search import (ObjectiveSpec, OrderingCandidate, SearchConfig,
                         anneal, objective_gap)
-from etaq.series import StripPoint, subseries_q, term_ab
+from etaq.series import _SUM_BLOCK_TERMS, StripPoint, subseries_q, term_ab
 
 
 def small_spec(h_max=8, n_window=(50, 120), point=StripPoint(0.75, 3.0)):
@@ -336,20 +336,27 @@ class TestObjectiveCache:
 
     def test_anneal_peak_memory_is_the_cache_and_the_term_build(self):
         # The cache holds 16 bytes per entry of each value's slice of strided
-        # prefix sums; building it takes the term builder's 24 bytes per term
-        # plus 8 for the complex copy packed while a and b are still alive.
-        n0, n1 = 500_000, 1_000_000
-        cfg = SearchConfig(seed=1, prefix_length=96, iterations=3, bound_hint=1000,
-                           objective=small_spec(h_max=16, n_window=(n0, n1)))
-        values, _ = QOrdering.by_value(cfg.bound_hint).arrays(cfg.prefix_length)
-        cache_bytes = 16 * sum(n1 // q - n0 // q + 1 for q in values.tolist())
-        tracemalloc.start()
-        try:
-            anneal(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= cache_bytes + 32 * n1
+        # prefix sums.  Building it holds the complex terms, 16 bytes per term
+        # copied in from the term builder's blocks, and one value's strided
+        # prefix sums at a time (16 bytes per term / q, with q >= 3); the
+        # replay holds 48 bytes per row of the window.  The replay sets the
+        # peak at n0 = 5e5, the build at n0 = 9e5.
+        n1 = 1_000_000
+        for n0 in (500_000, 900_000):
+            cfg = SearchConfig(seed=1, prefix_length=96, iterations=3, bound_hint=1000,
+                               objective=small_spec(h_max=16, n_window=(n0, n1)))
+            values, _ = QOrdering.by_value(cfg.bound_hint).arrays(cfg.prefix_length)
+            assert values.min() == 3
+            cache_bytes = 16 * sum(n1 // q - n0 // q + 1 for q in values.tolist())
+            build = 16 * n1 + 16 * (n1 // 3 + 1)
+            replay = 48 * (n1 - n0 + 1)
+            tracemalloc.start()
+            try:
+                anneal(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= cache_bytes + max(build, replay) + 160 * _SUM_BLOCK_TERMS, n0
 
 
 def test_candidate_type():

@@ -11,17 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etaq import series
-from etaq.series import (_BLOCK_TERMS, MAX_TERMS, AccelerationError, PoleError,
-                         SingularDenominatorError, StripPoint, bridge_denominator,
-                         eta_accel, eta_accel_many, eta_averaged, exact_sum,
-                         eta_partial, euler_product_check, gamma_partial,
-                         geom_closed, shifted_sums, shifted_sums_oracle,
+from etaq.series import (_BLOCK_TERMS, _SUM_BLOCK_TERMS, MAX_TERMS, AccelerationError,
+                         PoleError, SingularDenominatorError, StripPoint,
+                         bridge_denominator, direct_sums, eta_accel, eta_accel_many,
+                         eta_averaged, exact_sum, eta_partial, euler_product_check,
+                         gamma_partial, geom_closed, shifted_sums, shifted_sums_oracle,
                          subseries_q, term_ab, term_arrays, zeta_from_eta)
 
 # evaluated with an independent high-precision calculator before building
 A3_B3_AT_NEAR_ZERO = (-0.56808634198281059, 0.10301087993956033)
 
 FIRST_ZERO = StripPoint(0.5, 14.134725141734693)
+
+B = _SUM_BLOCK_TERMS
+# term counts at the edges of the direct sums' blocks
+BLOCK_EDGES = [1, B - 1, B, B + 1, 3 * B + 17]
 
 # Recorded from the code before the direct sums shared one term builder.
 SUBSERIES_DIRECT_1000 = {
@@ -107,9 +111,10 @@ class TestTermAB:
             assert a[k - 1] == pytest.approx(sa, abs=1e-15)
             assert b[k - 1] == pytest.approx(sb, abs=1e-15)
 
-    @pytest.mark.parametrize("p", [StripPoint(0.7, 9.3), StripPoint(2.0, 0.0)])
+    @pytest.mark.parametrize("p", [StripPoint(0.7, 9.3), StripPoint(2.0, 0.0),
+                                   StripPoint(2.0, -0.0)])
     @pytest.mark.parametrize("step", [1, 2, 15])
-    @pytest.mark.parametrize("n", [0, 1, 999, 1000])
+    @pytest.mark.parametrize("n", [0, 1, 999, 1000, *BLOCK_EDGES[1:]])
     @pytest.mark.parametrize("shift", [1.0, math.e])
     def test_arrays_match_parity_mask_construction(self, p, step, n, shift):
         # the builder as it was: int64 k and a k % 2 == 0 mask for the signs
@@ -179,6 +184,8 @@ class TestExactSum:
         [math.inf, -math.inf], [math.inf, math.nan], [1e308, 1e308, -1e308],
         [1e308, 1e308], [2.0**969, 2.0**969], [2.0**971, -2.0**971, 1.0],
         [5e-324, 5e-324], [5e-324, -1e-323], [1.0, 1e100, 1.0, -1e100],
+        # huge terms that cancel in their bucket: fsum overflows all the same
+        [1.7976931348623157e308] * 2 + [-1.7976931348623157e308] * 2,
     ])
     def test_edge_cases(self, x):
         assert_fsum_bits(x)
@@ -214,6 +221,90 @@ class TestExactSum:
         x[::7] = np.nextafter(-0.5, 0.0)
         x[-1000:] = spread_terms(np.random.default_rng(5), 1000, 30)
         assert_fsum_bits(x)
+
+
+def fsum_bits(x) -> str:
+    return math.fsum(x).hex()  # hex keeps the sign of zero
+
+
+class TestDirectSums:
+    """The streamed sums against math.fsum of the whole term arrays."""
+
+    POINTS = [FIRST_ZERO, StripPoint(2.0, 0.0), StripPoint(2.0, -0.0)]
+
+    @pytest.mark.parametrize("p", POINTS)
+    @pytest.mark.parametrize("step", [1, 2, 15])
+    @pytest.mark.parametrize("shift", [1.0, 2.5])
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_head_sums_and_tails_at_block_edges(self, p, step, shift, n):
+        a, b = term_arrays(p, n, step, shift)
+        sa, sb, ta, tb = direct_sums(p, n, step, shift)
+        assert (sa.hex(), sb.hex()) == (fsum_bits(a), fsum_bits(b))
+        assert len(ta) == len(tb) == 0
+        # a 64-term tail: all n terms (n = 1), the end of the only block
+        # (B - 1 and B), or straddling a block edge (B + 1 and 3 B + 17)
+        head = max(n - 64, 0)
+        sa, sb, ta, tb = direct_sums(p, n, step, shift, window=64)
+        assert (sa.hex(), sb.hex()) == (fsum_bits(a[:head]), fsum_bits(b[:head]))
+        assert (ta.tobytes(), tb.tobytes()) == (a[head:].tobytes(), b[head:].tobytes())
+
+    @pytest.mark.parametrize("p", POINTS)
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_public_sums_at_block_edges(self, p, n):
+        a, b = term_arrays(p, n)
+        got = eta_partial(p, n)
+        assert (got.real.hex(), got.imag.hex()) == (fsum_bits(a), fsum_bits(-b))
+        a, b = term_arrays(p, n, shift=2.5)
+        assert [x.hex() for x in shifted_sums(p, 2.5, n)] == [fsum_bits(a), fsum_bits(b)]
+        a, b = term_arrays(p, n, step=15)
+        got = subseries_q(p, 15, "direct", n)
+        assert (got.real.hex(), got.imag.hex()) == (fsum_bits(a), fsum_bits(-b))
+
+    @pytest.mark.parametrize("y, step, negative", [
+        (0.0, 2, True),    # every k even: every sine term is -0.0
+        (-0.0, 2, False),  # every sine term is +0.0
+        (0.0, 1, False),   # -0.0 at even k only
+    ])
+    def test_exact_zero_tracked_across_blocks(self, y, step, negative, monkeypatch):
+        n = 3 * B + 17
+        p = StripPoint(2.0, y)
+        b = term_arrays(p, n, step)[1]
+        assert bool(np.signbit(b).all()) == negative
+        want = fsum_bits(b)
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(series.math, "fsum",
+                            lambda terms: (calls.append(list(terms)), fsum(terms))[1])
+        got = direct_sums(p, n, step)[1]
+        monkeypatch.undo()
+        assert got.hex() == want
+        # the cosine sum is not zero; the sine sum is fsum of one -0.0 or none
+        assert [[x.hex() for x in c] for c in calls] == [[(-0.0).hex()] if negative else []]
+
+    def test_a_nan_term_sums_as_fsum(self):
+        # y ln k overflows from k = 7: cos and sin of inf are NaN
+        p = StripPoint(0.5, 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = term_arrays(p, B + 3)
+            got = direct_sums(p, B + 3)
+        assert np.isnan(a).any()
+        for g, w in zip(got, (math.fsum(a), math.fsum(b))):
+            assert math.isnan(g) and math.isnan(w)
+            assert math.copysign(1.0, g) == math.copysign(1.0, w)
+
+    @pytest.mark.parametrize("direct_sum", TestTermAB.DIRECT_SUMS[1:],
+                             ids=["eta_partial", "shifted_sums", "subseries_q"])
+    def test_peak_memory_is_a_few_blocks(self, direct_sum):
+        # the block's term and work arrays and the buckets, never arrays as
+        # long as the terms
+        direct_sum(1000)
+        tracemalloc.start()
+        try:
+            direct_sum(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * _SUM_BLOCK_TERMS
 
 
 class TestEtaPartial:
