@@ -6,7 +6,7 @@ the command, parameters, seeds, and numeric-method identifiers; data files
 themselves contain no timestamps, so identical manifests (minus timestamp)
 give byte-identical outputs.
 
-Exit codes: 0 success, 1 check failure, 2 usage or precondition error.
+Exit codes: 0 success, 1 check failure, 2 usage, precondition or output error.
 """
 
 from __future__ import annotations
@@ -73,10 +73,11 @@ def parse_ordering(spec: str, bound: int) -> QOrdering:
     if spec == "byfactor":
         return QOrdering.by_factor_count(bound)
     if spec.startswith("shuffle:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError("shuffle ordering is shuffle:SEED:PREFIX")
-        return QOrdering.seeded_shuffle(int(parts[1]), int(parts[2]), bound)
+        try:
+            seed, prefix = map(int, spec.split(":")[1:])
+        except ValueError:  # a part that is no integer, or not two parts
+            raise ValueError(f"shuffle ordering is shuffle:SEED:PREFIX, got {spec!r}") from None
+        return QOrdering.seeded_shuffle(seed, prefix, bound)
     raise ValueError(f"unknown ordering {spec!r} "
                      "(byvalue, byfactor, shuffle:SEED:PREFIX)")
 
@@ -233,6 +234,8 @@ def cmd_verify(args) -> int:
     series.check_term_count(args.budget)
     if args.budget < 1:
         raise ValueError("budget must be >= 1")
+    if args.k_max < 1:
+        raise ValueError(f"--k-max {args.k_max} must be >= 1")
     t0 = time.time()
     checks = run_verify(args.k_max, args.budget, args.inject_fault)
     for c in checks:
@@ -461,7 +464,7 @@ def main(argv=None) -> int:
         print(f"error: pole at z=1 ({exc})", file=sys.stderr)
         return 2
     except (AccelerationError, SingularDenominatorError, ValueError,
-            zeros.RefinementError, qset.EnumerationShortfallError) as exc:
+            zeros.RefinementError, qset.EnumerationShortfallError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,16 +70,12 @@ def strided_partials(p: StripPoint, values, n: int):
     """Yield, for each element q of `values`, its strided complex prefix sums
     P_q(m) = sum_(j<=m) (a_(jq) + i b_(jq)) for m = 0..n // q.
 
-    The first n terms are copied block by block from `series.term_blocks`
-    into one complex array (16 bytes per term), and each P_q is one strided
-    complex cumsum over it.  Complex cumsum works on each part separately,
-    in the order the two real sums would.
+    The first n terms are one complex array from `series.term_arrays` (16
+    bytes per term), and each P_q is one strided complex cumsum over it.
+    Complex cumsum works on each part separately, in the order the two real
+    sums would.
     """
-    se.check_term_count(n)
-    terms = np.empty(n, dtype=complex)
-    for lo, a, b in se.term_blocks(p, n):
-        terms.real[lo:lo + len(a)] = a
-        terms.imag[lo:lo + len(b)] = b
+    terms = se.term_arrays(p, n)
     for q in values.tolist():
         partial = np.zeros(n // q + 1, dtype=complex)
         np.cumsum(terms[q - 1::q], out=partial[1:])

@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,32 +30,11 @@ class EnumerationShortfallError(ValueError):
     """An ordering was asked for more elements than its bound can produce."""
 
 
-@dataclass(frozen=True)
-class OddSquarefree:
-    """An element of Q: a product of distinct odd primes, with its sign."""
+class OddSquarefree(NamedTuple):
+    """An element of Q as an element view: its value and its sign."""
 
     value: int
-    factors: tuple[int, ...]
     sign: int
-
-    def __post_init__(self):
-        prod = 1
-        for p in self.factors:
-            prod *= p
-        if prod != self.value or self.value < 3:
-            raise ValueError(f"value {self.value} is not the product of {self.factors}")
-        if 2 in self.factors or len(set(self.factors)) != len(self.factors):
-            raise ValueError(f"factors {self.factors} must be distinct odd primes")
-        if self.sign != (-1) ** len(self.factors):
-            raise ValueError(f"sign {self.sign} inconsistent with {len(self.factors)} factors")
-
-    @classmethod
-    def from_factors(cls, factors) -> "OddSquarefree":
-        factors = tuple(sorted(factors))
-        prod = 1
-        for p in factors:
-            prod *= p
-        return cls(value=prod, factors=factors, sign=(-1) ** len(factors))
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -137,22 +117,12 @@ def odd_prime_factors(k: int) -> list[int]:
     return factors
 
 
-def odd_squarefree_divisors(k: int) -> list[OddSquarefree]:
-    """Elements of Q dividing k (i.e. products of nonempty subsets of k's
-    distinct odd prime divisors)."""
+def odd_squarefree_divisors(k: int) -> list[int]:
+    """Elements of Q dividing k: the products of the nonempty subsets of k's
+    distinct odd prime divisors."""
     primes = odd_prime_factors(k)
-    out = []
-    for r in range(1, len(primes) + 1):
-        for combo in itertools.combinations(primes, r):
-            out.append(OddSquarefree.from_factors(combo))
-    return out
-
-
-def _views(values: np.ndarray, signs: np.ndarray) -> list[OddSquarefree]:
-    """Element views of values in Q, each factored by `odd_prime_factors`;
-    OddSquarefree checks the factors against the value and sign."""
-    return [OddSquarefree(v, tuple(odd_prime_factors(v)), s)
-            for v, s in zip(values.tolist(), signs.tolist())]
+    return [math.prod(combo) for r in range(1, len(primes) + 1)
+            for combo in itertools.combinations(primes, r)]
 
 
 def is_gamma(k: int) -> bool:
@@ -190,8 +160,8 @@ class QOrdering:
                           prefix_length by-value elements; by-value beyond
 
     An ordering is a permutation of indices into `q_arrays(bound_hint)`;
-    `arrays(h)` gives its first h values and signs, and element views are
-    built only by `sequence()` and `prefix()`.
+    `arrays(h)` gives its first h values and signs, and `sequence()` the
+    element views of all of them.
     """
 
     strategy: str = "by-value"
@@ -255,12 +225,9 @@ class QOrdering:
         return values[:h], signs[:h]
 
     def sequence(self) -> list[OddSquarefree]:
-        """The full materialized sequence for this ordering's bound."""
-        return _views(*self.arrays())
-
-    def prefix(self, h: int) -> list[OddSquarefree]:
-        """First h elements; raises if the bound cannot produce that many."""
-        return _views(*self.arrays(h))
+        """All of `arrays()`, in order, as (value, sign) element views."""
+        values, signs = self.arrays()
+        return list(map(OddSquarefree, values.tolist(), signs.tolist()))
 
 
 def f_kh(k: int, ordering: QOrdering, h: int) -> int:
@@ -283,4 +250,4 @@ def f_kh_fast(k: int, ordering: QOrdering, h: int) -> int:
     (from k's factorisation) is looked up among the first h elements."""
     values, signs = ordering.arrays(h)
     sign_of = dict(zip(values.tolist(), signs.tolist()))
-    return sum(sign_of.get(q.value, 0) for q in odd_squarefree_divisors(k))
+    return sum(sign_of.get(q, 0) for q in odd_squarefree_divisors(k))

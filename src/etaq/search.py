@@ -172,10 +172,8 @@ def objective_gap(elements, spec: ObjectiveSpec, *, signs=None, cache=None) -> f
     of the h_max positions where the prefix differs from the cache's
     accepted ordering; without one, a one-shot cache replays from position 0.
     """
-    if signs is None:
-        elements = tuple(elements)
-        signs = np.array([q.sign for q in elements], dtype=np.int8)
-        elements = np.array([q.value for q in elements], dtype=np.int64)
+    if signs is None:  # (value, sign) element views
+        elements, signs = np.array(list(elements), dtype=np.int64).reshape(-1, 2).T
     if spec.h_max > len(elements):
         raise ValueError(f"hMax {spec.h_max} exceeds prefix length {len(elements)}")
     if spec.h_max == 0:

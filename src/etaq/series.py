@@ -45,8 +45,8 @@ _BLOCK_TERMS = 2**16  # the work block of eta_accel_many: about 1 MiB of complex
 _SUM_BLOCK_TERMS = 2**14
 _Y_SATURATED = 1e6  # past this |y|, n = _MAX_ACCEL_TERMS and no terms are summed
 
-# direct sums hold a few blocks whatever the count; surface and search, and
-# `term_arrays`, 16 bytes per term
+# direct sums hold a few blocks whatever the count; surface and search hold
+# 16 bytes per term, in `term_arrays`' complex array
 MAX_TERMS = 10**7
 _EXACT_MAX_EXP = 970  # terms below 2^970: no partial sum of 2^26 of them overflows
 # _ExactSum's buckets: frexp exponents from -1073 (subnormals) to _EXACT_MAX_EXP
@@ -89,10 +89,6 @@ class StripPoint:
     @property
     def s(self) -> complex:
         return complex(self.x, self.y)
-
-    @property
-    def in_critical_strip(self) -> bool:
-        return 0.0 < self.x < 1.0
 
 
 @dataclass(frozen=True)
@@ -166,16 +162,16 @@ def term_blocks(p: StripPoint, n: int, step: int = 1, shift: float = 1.0):
         yield lo, a, angle
 
 
-def term_arrays(p: StripPoint, n: int, step: int = 1,
-                shift: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of `term_blocks` as two full arrays a and b (16 bytes per
-    term), the count checked before they are allocated."""
+def term_arrays(p: StripPoint, n: int, step: int = 1, shift: float = 1.0) -> np.ndarray:
+    """The terms of `term_blocks` as one complex array a + ib (16 bytes per
+    term), the count checked before it is allocated.  Blocks are copied, not
+    computed, into its strided parts, so every term keeps the builder's bits."""
     check_term_count(n)
-    a, b = np.empty(n), np.empty(n)
-    for lo, a_block, b_block in term_blocks(p, n, step, shift):
-        a[lo:lo + len(a_block)] = a_block
-        b[lo:lo + len(b_block)] = b_block
-    return a, b
+    terms = np.empty(n, dtype=complex)
+    for lo, a, b in term_blocks(p, n, step, shift):
+        terms.real[lo:lo + len(a)] = a
+        terms.imag[lo:lo + len(b)] = b
+    return terms
 
 
 class _ExactSum:

@@ -46,6 +46,12 @@ class TestParseOrdering:
         with pytest.raises(ValueError):
             parse_ordering("random", 100)
 
+    @pytest.mark.parametrize("spec", ["shuffle:a:3", "shuffle:1:x", "shuffle:1",
+                                      "shuffle:1:2:3", "shuffle::"])
+    def test_malformed_shuffle_names_the_form(self, spec):
+        with pytest.raises(ValueError, match="^shuffle ordering is shuffle:SEED:PREFIX, got "):
+            parse_ordering(spec, 100)
+
 
 class TestPointCommands:
     def test_eta_ln2(self, capsys):
@@ -338,6 +344,34 @@ class TestDeterminism:
         assert (tmp_path / "b1.json").read_bytes() == (tmp_path / "b2.json").read_bytes()
 
 
+@pytest.mark.parametrize("k_max", ["-5", "0"])
+def test_k_max_below_one_rejected_before_any_check(k_max, monkeypatch, cli_error):
+    ran = []
+    monkeypatch.setattr(cli, "run_verify", lambda *a: ran.append(a))
+    assert cli_error(["verify", "--k-max", k_max]) == f"--k-max {k_max} must be >= 1"
+    assert ran == []
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["gap", "--x", "2", "--y", "0", "--budget", "10", "--q-bound", "100",
+      "--out", "{missing}"], "missing"),
+    (["surface", "--x", "0.5", "--y", "0", "--n", "1:5", "--h", "1:2",
+      "--out", "{directory}"], "directory"),
+    (["zeros", "scan", "--y-min", "14", "--y-max", "14.2", "--step", "0.1",
+      "--out", "{missing}"], "missing"),
+    (["search", "--seed", "1", "--prefix", "4", "--iters", "1", "--h-max", "2",
+      "--n0", "10", "--n1", "20", "--out-trace", "{directory}", "--out-best", "b.json"],
+     "directory"),
+    (["verify", "--k-max", "10", "--budget", "1000", "--json", "{missing}"], "missing"),
+], ids=["gap", "surface", "zeros-scan", "search", "verify"])
+def test_unwritable_output_exits_two(argv, target, cli_error, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    paths = {"missing": str(tmp_path / "no-such-dir" / "out"), "directory": str(tmp_path)}
+    message = cli_error([arg.format(**paths) for arg in argv])
+    assert paths[target] in message
+    assert not (tmp_path / "no-such-dir").exists()
+
+
 class TestVerify:
     def test_small_budget_passes(self, tmp_path, capsys):
         summary = tmp_path / "verify.json"
@@ -396,6 +430,8 @@ def test_every_public_name_resolves():
       "--out-trace", "t.csv", "--out-best", "b.json"], "t0"),
     (["gap", "--x", "2", "--y", "0", "--q-bound", "100", "--ordering", "shuffle:1:-3"],
      "prefix -3 is negative"),
+    (["gap", "--x", "2", "--y", "0", "--q-bound", "100", "--ordering", "shuffle:a:3"],
+     "shuffle ordering is shuffle:SEED:PREFIX, got 'shuffle:a:3'"),
     (["zeros", "refine", "--y0", "nan"], "y0"),
     (["surface", "--x", "0.5", "--y", "0", "--bound", "10000000", "--out", "s.csv",
       "--n", "1:100000", "--h", "1:1000"],
@@ -412,6 +448,7 @@ def test_every_public_name_resolves():
         "search-eta-tol-0", "scan-y-max-inf", "scan-y-min-nan", "scan-step-nan",
         "scan-step-overflow", "scan-threshold-nan", "scan-refine-tol-nan",
         "search-t0-nan", "search-t0-negative", "gap-shuffle-prefix-negative",
+        "gap-shuffle-seed-not-an-integer",
         "refine-y0-nan", "surface-cells", "search-h-max-over-prefix",
         "search-n1-over-cap"])
 def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -10,9 +11,9 @@ from etaq.qset import (MAX_ENUM_BOUND, EnumerationShortfallError, OddSquarefree,
                        odd_squarefree_divisors, q_arrays, sieve_primes)
 
 
-def by_value_sequence(bound):
-    """All elements of Q up to bound, ascending, as element views."""
-    return QOrdering.by_value(bound).sequence()
+def by_value_lists(bound):
+    """All elements of Q up to bound, ascending, as lists of values and signs."""
+    return [a.tolist() for a in QOrdering.by_value(bound).arrays()]
 
 
 def trial_division_primes(limit):
@@ -91,10 +92,11 @@ class TestMoebiusSieve:
         assert counts.tolist() == [len(odd_prime_factors(k)) for k in ks]
 
     def test_matches_recursive_enumerator(self):
-        got = [(q.value, q.factors, q.sign) for q in by_value_sequence(100_000)]
-        assert got == recursive_q(100_000)
+        got = list(zip(*(a.tolist() for a in q_arrays(100_000))))
+        assert got == [(value, sign, len(factors))
+                       for value, factors, sign in recursive_q(100_000)]
 
-    @pytest.mark.parametrize("make", [q_arrays, by_value_sequence,
+    @pytest.mark.parametrize("make", [q_arrays, lambda b: QOrdering.by_value(b).sequence(),
                                       lambda b: QOrdering.by_value(b).arrays()])
     def test_bound_past_cap_rejected_before_allocating(self, make):
         tracemalloc.start()
@@ -109,53 +111,32 @@ class TestMoebiusSieve:
 
 class TestEnumerateQ:
     def test_empty_below_three(self):
-        assert by_value_sequence(2) == []
-        assert by_value_sequence(0) == []
+        assert by_value_lists(2) == [[], []]
+        assert by_value_lists(0) == [[], []]
 
     def test_up_to_fifteen(self):
-        qs = by_value_sequence(15)
-        assert [q.value for q in qs] == [3, 5, 7, 11, 13, 15]
-        assert 9 not in {q.value for q in qs}  # 3^2 is not squarefree
-        assert qs[-1].sign == +1 and qs[-1].factors == (3, 5)
+        values, signs, counts = (a.tolist() for a in q_arrays(15))
+        assert values == [3, 5, 7, 11, 13, 15]  # 3^2 is not squarefree
+        assert signs[-1] == +1 and counts[-1] == 2
 
     def test_three_factor_element(self):
-        qs = {q.value: q for q in by_value_sequence(105)}
-        assert qs[105].factors == (3, 5, 7) and qs[105].sign == -1
+        values, signs, counts = (a.tolist() for a in q_arrays(105))
+        assert (values[-1], signs[-1], counts[-1]) == (105, -1, 3)
 
     def test_matches_squarefree_count_oracle(self):
-        values = [q.value for q in by_value_sequence(10_000)]
-        assert values == squarefree_odd_oracle(10_000)
+        assert by_value_lists(10_000)[0] == squarefree_odd_oracle(10_000)
 
     def test_elements_valid(self):
-        for q in by_value_sequence(500):
-            assert q.value % 2 == 1 and q.value >= 3
-            prod = 1
-            for p in q.factors:
-                prod *= p
-            assert prod == q.value
-
-
-class TestOddSquarefreeInvariants:
-    def test_rejects_even_factor(self):
-        with pytest.raises(ValueError):
-            OddSquarefree(6, (2, 3), +1)
-
-    def test_rejects_wrong_sign(self):
-        with pytest.raises(ValueError):
-            OddSquarefree(15, (3, 5), -1)
-
-    def test_rejects_bad_product(self):
-        with pytest.raises(ValueError):
-            OddSquarefree(16, (3, 5), +1)
+        for value in by_value_lists(500)[0]:
+            assert value % 2 == 1 and value >= 3
+            assert math.prod(odd_prime_factors(value)) == value
 
 
 def test_sgn_examples():
-    three, five, seven = (OddSquarefree.from_factors(f)
-                          for f in [(3,), (5,), (7,)])
-    assert three.sign == -1
-    assert OddSquarefree.from_factors((3, 5)).sign == +1
-    assert OddSquarefree.from_factors((3, 5, 7)).sign == -1
-    assert five.sign == -1 and seven.sign == -1
+    sign_of = dict(zip(*by_value_lists(105)))
+    assert sign_of[3] == sign_of[5] == sign_of[7] == -1
+    assert sign_of[15] == +1
+    assert sign_of[105] == -1
 
 
 class TestFkh:
@@ -174,10 +155,9 @@ class TestFkh:
     def test_stabilizes_to_f_closed(self):
         # once h passes the last dividing index, f(k,h) is frozen at f(k)
         ordering = QOrdering.by_value(2000)
+        values = ordering.arrays()[0].tolist()
         for k in (12, 15, 45, 105, 64, 1):
-            seq = ordering.sequence()
-            last = max((i + 1 for i, q in enumerate(seq) if k % q.value == 0),
-                       default=0)
+            last = max((i + 1 for i, q in enumerate(values) if k % q == 0), default=0)
             for h in (last, last + 7, last + 100):
                 assert f_kh(k, ordering, h) == f_closed(k)
 
@@ -214,63 +194,69 @@ def test_is_gamma():
 
 
 def test_odd_squarefree_divisors():
-    assert [q.value for q in odd_squarefree_divisors(45)] == [3, 5, 15]
+    assert odd_squarefree_divisors(45) == [3, 5, 15]
+    assert odd_squarefree_divisors(2 * 3 * 5 * 7) == [3, 5, 7, 15, 21, 35, 105]
     assert odd_squarefree_divisors(64) == []
 
 
 class TestOrderings:
     def test_by_value_ascending(self):
-        seq = QOrdering.by_value(1000).sequence()
-        values = [q.value for q in seq]
+        values = QOrdering.by_value(1000).arrays()[0].tolist()
         assert values == sorted(values)
 
     def test_by_factor_count(self):
-        seq = QOrdering.by_factor_count(200).sequence()
-        keys = [(len(q.factors), q.value) for q in seq]
+        values, _, counts = q_arrays(200)
+        count_of = dict(zip(values.tolist(), counts.tolist()))
+        keys = [(count_of[v], v) for v in QOrdering.by_factor_count(200).arrays()[0].tolist()]
         assert keys == sorted(keys)
 
     def test_seeded_shuffle_reproducible(self):
-        a = QOrdering.seeded_shuffle(7, 64, 1000).sequence()
-        b = QOrdering.seeded_shuffle(7, 64, 1000).sequence()
-        assert [q.value for q in a] == [q.value for q in b]
+        a = QOrdering.seeded_shuffle(7, 64, 1000).arrays()
+        b = QOrdering.seeded_shuffle(7, 64, 1000).arrays()
+        assert [x.tolist() for x in a] == [x.tolist() for x in b]
 
     def test_seeded_shuffle_permutes_only_prefix(self):
-        base = QOrdering.by_value(1000).sequence()
-        shuffled = QOrdering.seeded_shuffle(42, 20, 1000).sequence()
-        assert sorted(q.value for q in shuffled[:20]) == [q.value for q in base[:20]]
+        base = QOrdering.by_value(1000).arrays()[0].tolist()
+        shuffled = QOrdering.seeded_shuffle(42, 20, 1000).arrays()[0].tolist()
+        assert sorted(shuffled[:20]) == base[:20]
         assert shuffled[20:] == base[20:]
         assert shuffled[:20] != base[:20]  # seed 42 actually moves something
 
     def test_by_factor_count_golden(self):
         # recorded from the recursive enumerator the Moebius sieve replaced:
         # the last primes below 1000, then the products of two primes
-        ordering = QOrdering.by_factor_count(1000)
-        seq = ordering.sequence()
-        assert len(seq) == 403
-        assert [q.value for q in seq[160:200]] == [
+        values, signs = QOrdering.by_factor_count(1000).arrays()
+        assert len(values) == 403
+        assert values[160:200].tolist() == [
             953, 967, 971, 977, 983, 991, 997, 15, 21, 33, 35, 39, 51, 55, 57,
             65, 69, 77, 85, 87, 91, 93, 95, 111, 115, 119, 123, 129, 133, 141,
             143, 145, 155, 159, 161, 177, 183, 185, 187, 201]
-        values, signs = ordering.arrays(200)
-        assert values.tolist() == [q.value for q in seq[:200]]
-        assert signs.tolist() == [q.sign for q in seq[:200]]
+        assert signs[160:200].tolist() == [-1] * 7 + [+1] * 33
 
     def test_seeded_shuffle_golden(self):
         # recorded from the shuffle of element lists the index shuffle replaced
         ordering = QOrdering.seeded_shuffle(7, 64, 1000)
-        assert [q.value for q in ordering.prefix(70)] == [
+        assert ordering.arrays(70)[0].tolist() == [
             35, 107, 57, 149, 111, 33, 19, 139, 13, 23, 159, 129, 37, 67, 151,
             89, 41, 39, 47, 7, 83, 29, 95, 5, 91, 109, 73, 71, 133, 55, 97, 143,
             15, 17, 145, 69, 113, 157, 123, 3, 137, 43, 131, 11, 127, 141, 85,
             79, 115, 101, 65, 105, 51, 93, 155, 103, 119, 21, 53, 87, 31, 77,
             61, 59, 161, 163, 165, 167, 173, 177]
-        assert ordering.arrays(70)[0].tolist() == [q.value for q in ordering.prefix(70)]
 
     def test_different_seeds_differ(self):
-        a = QOrdering.seeded_shuffle(1, 50, 1000).sequence()
-        b = QOrdering.seeded_shuffle(2, 50, 1000).sequence()
-        assert [q.value for q in a] != [q.value for q in b]
+        a = QOrdering.seeded_shuffle(1, 50, 1000).arrays()[0]
+        b = QOrdering.seeded_shuffle(2, 50, 1000).arrays()[0]
+        assert a.tolist() != b.tolist()
+
+    @pytest.mark.parametrize("ordering", [
+        QOrdering.by_value(1000), QOrdering.by_factor_count(1000),
+        QOrdering.seeded_shuffle(7, 64, 1000)], ids=lambda o: o.strategy)
+    def test_sequence_is_the_arrays_zipped(self, ordering):
+        seq = ordering.sequence()
+        assert seq == list(zip(*(a.tolist() for a in ordering.arrays())))
+        assert all(type(q) is OddSquarefree for q in seq)
+        assert [(q.value, q.sign) for q in seq[:3]] == seq[:3]
 
     def test_enumeration_bound_cap(self):
         with pytest.raises(ValueError):
-            by_value_sequence(2**41)
+            QOrdering.by_value(2**41).sequence()

@@ -104,12 +104,11 @@ GOLDEN_MORE = {
 }
 
 
-def k_major_objective(elements, spec):
+def k_major_objective(values, signs, spec):
     """The objective by its definition: one k at a time, divisors of k found
     by trial division, every h column updated."""
-    prefix = elements[:spec.h_max]
-    values = np.array([q.value for q in prefix])
-    signs = np.array([q.sign for q in prefix])
+    values, signs = values[:spec.h_max], signs[:spec.h_max]
+    prefix = list(zip(values.tolist(), signs.tolist()))
     n0, n1 = spec.n_window
     total = 0.0
     for p in spec.points:
@@ -120,11 +119,11 @@ def k_major_objective(elements, spec):
         worst = 0.0
         for k in range(1, n1 + 1):
             a_k, b_k = term_ab(k, p)
-            for i, q in enumerate(prefix):
-                if k % q.value == 0:
+            for i, (q, sign) in enumerate(prefix):
+                if k % q == 0:
                     for h in range(i, spec.h_max):
-                        c_row[h] += q.sign * a_k
-                        s_row[h] += q.sign * b_k
+                        c_row[h] += sign * a_k
+                        s_row[h] += sign * b_k
             if k >= n0:
                 worst = max(worst, *(abs(c - a) + abs(s - b) for c, a, s, b
                                      in zip(c_row, a_cos, s_row, a_sin)))
@@ -134,21 +133,24 @@ def k_major_objective(elements, spec):
 
 class TestObjective:
     def test_h_zero_is_zero(self):
-        elems = QOrdering.by_value(100).prefix(4)
-        assert objective_gap(elems, small_spec(h_max=0)) == 0.0
+        values, signs = QOrdering.by_value(100).arrays(4)
+        assert objective_gap(values, small_spec(h_max=0), signs=signs) == 0.0
 
     def test_deterministic(self):
-        elems = QOrdering.by_value(1000).prefix(16)
+        values, signs = QOrdering.by_value(1000).arrays(16)
+        views = QOrdering.by_value(1000).sequence()[:16]
         spec = small_spec()
-        assert objective_gap(elems, spec) == objective_gap(list(elems), spec)
+        want = objective_gap(values, spec, signs=signs)
+        assert objective_gap(values, spec, signs=signs) == want
+        assert objective_gap(views, spec) == objective_gap(iter(views), spec) == want
 
     def test_two_element_identity_matches_subseries_tail(self):
         # only q1=3 contributes at hMax=1; objective is the worst deviation of
         # the truncated q=3 subseries from its limit over the n window
         p = StripPoint(2.0, 0.0)
         spec = ObjectiveSpec(points=(p,), n_window=(100, 200), h_max=1)
-        elems = QOrdering.by_value(100).prefix(2)
-        got = objective_gap(elems, spec)
+        values, signs = QOrdering.by_value(100).arrays(2)
+        got = objective_gap(values, spec, signs=signs)
         limit = subseries_q(p, 3, "accelerated")
         worst = 0.0
         for n in range(100, 201):
@@ -164,25 +166,25 @@ class TestObjective:
                       n_window=(500, 1000), h_max=32),
     ])
     def test_against_k_major_reference(self, spec):
-        elems = QOrdering.seeded_shuffle(5, 40, 1000).prefix(40)
-        assert objective_gap(elems, spec) == pytest.approx(
-            k_major_objective(elems, spec), rel=1e-12)
+        values, signs = QOrdering.seeded_shuffle(5, 40, 1000).arrays(40)
+        assert objective_gap(values, spec, signs=signs) == pytest.approx(
+            k_major_objective(values, signs, spec), rel=1e-12)
 
     def test_swap_outside_divisor_range_is_neutral(self):
         # swapping two elements dividing nothing <= n1 leaves the objective alone
         spec = ObjectiveSpec(points=(StripPoint(0.75, 3.0),),
                              n_window=(10, 40), h_max=18)
-        base = QOrdering.by_value(1000).prefix(18)
-        values = [q.value for q in base]
-        i, j = values.index(41), values.index(43)  # primes > n1 = 40
-        swapped = list(base)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        assert objective_gap(base, spec) == objective_gap(swapped, spec)
+        values, signs = QOrdering.by_value(1000).arrays(18)
+        i, j = values.tolist().index(41), values.tolist().index(43)  # primes > n1 = 40
+        order = np.arange(18)
+        order[[i, j]] = [j, i]
+        assert objective_gap(values, spec, signs=signs) == objective_gap(
+            values[order], spec, signs=signs[order])
 
     def test_h_max_exceeding_prefix_rejected(self):
-        elems = QOrdering.by_value(100).prefix(4)
+        values, signs = QOrdering.by_value(100).arrays(4)
         with pytest.raises(ValueError):
-            objective_gap(elems, small_spec(h_max=10))
+            objective_gap(values, small_spec(h_max=10), signs=signs)
 
 
 class TestAnneal:
@@ -224,8 +226,8 @@ class TestAnneal:
         cfg = small_config(iters=15)
         result = anneal(cfg)
         assert len(candidates) == cfg.iterations + 1  # the start, then each proposal
-        views = {q.value: q for q in
-                 QOrdering.by_value(cfg.bound_hint).prefix(cfg.prefix_length)}
+        # element views, as a caller holding only the best JSON's values has them
+        views = {q.value: q for q in QOrdering.by_value(cfg.bound_hint).sequence()}
         for entry, (values, signs) in zip(result.trace, candidates[1:]):
             elements = [views[v] for v in values]
             assert [q.sign for q in elements] == signs
@@ -233,8 +235,8 @@ class TestAnneal:
 
     def test_best_never_worse_than_identity(self):
         cfg = small_config(iters=40)
-        identity = QOrdering.by_value(cfg.bound_hint).prefix(cfg.prefix_length)
-        identity_obj = objective_gap(identity, cfg.objective)
+        values, signs = QOrdering.by_value(cfg.bound_hint).arrays(cfg.prefix_length)
+        identity_obj = objective_gap(values, cfg.objective, signs=signs)
         result = anneal(cfg)
         assert result.best.objective <= identity_obj
 
@@ -367,10 +369,10 @@ def test_candidate_type():
 
 def test_anneal_builds_no_element_views(monkeypatch):
     built = []
-    check = OddSquarefree.__post_init__
-    monkeypatch.setattr(OddSquarefree, "__post_init__",
-                        lambda q: (built.append(q.value), check(q)))
+    new = OddSquarefree.__new__
+    monkeypatch.setattr(OddSquarefree, "__new__",
+                        lambda cls, value, sign: (built.append(value), new(cls, value, sign))[1])
     anneal(small_config())
     assert built == []
-    QOrdering.by_value(100).prefix(2)  # the counter does see element views
+    QOrdering.by_value(6).sequence()  # the counter does see element views
     assert built == [3, 5]
