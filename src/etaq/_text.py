@@ -1,0 +1,304 @@
+"""CSV text of float64 and integer columns, a block of rows at a time.
+
+A float's text is exactly ``'%.17g' % v`` and an integer's is ``str(v)``.
+
+The 17-digit significand of |v| is |v| * 10^(16 - e) rounded half to even,
+taken from a double-double product (Dekker's TwoProduct, "A floating-point
+technique for extending the available precision", Numer. Math. 18, 1971)
+with 10^(16 - e) as an exact (hi, lo) pair.  The decimal exponent
+e = floor(log10|v|) is only an estimate: a product outside [10^16, 10^17)
+shows that it was wrong.  Where 10^(16 - e) is exact (0 <= 16 - e <= 22)
+the product is exact, and a tie goes to the even significand.  Python's
+``%`` writes the values this cannot decide:
+- non-finite ones, and magnitudes outside [_MIN_ABS, _MAX_ABS], which
+  covers the subnormal and the huge ones;
+- those whose product falls outside [10^16, 10^17 - 1);
+- those whose product lies within 2^-20 of a half-integer where
+  10^(16 - e) is inexact, since they could be ties.
+``str`` writes the integers outside [0, 10^12).  Python's ``%`` also writes
+a block of fewer than FEW_VALUES values, one value at a time.
+
+Each row is one line of a uint64 matrix, and each value a fixed slot of
+8-byte words in it: a float takes 6 words, an integer 2 or 3.  Digits come
+from tables of 4-digit groups.  A float's digits are each followed by a NUL
+byte where a decimal point may go, and its zero digits are NUL: a mask keyed
+by (digits kept, point position) writes back the zeros kept and the point.
+Tables keyed by the exponent give the sign, the "0.000" prefix and the
+"e+XX" suffix.  The last byte of each slot holds the "," or newline that
+follows the value.  One ``bytes.translate`` then deletes every NUL.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+from itertools import groupby
+
+import numpy as np
+
+# rows per block: at the surface's 4 columns, a block's matrix, texts and
+# work arrays take about 1 MB
+BLOCK_ROWS = 2**11
+_FLOAT_WORDS = 6
+_MIN_ABS = 1e-290  # 10^(16 - e) and its halves stay normal doubles
+_MAX_ABS = 1e290   # the Veltkamp split of |v| does not overflow
+_E_MIN = -300      # the exponent tables cover every e of a value in range
+_E_SPAN = 600
+_HALF_BAND = 2.0**-20  # this close to 1/2, an inexact product goes to Python
+_SPLIT = 134217729.0   # 2^27 + 1, Veltkamp's splitting constant
+# below this many values in a block, Python's % and str take less time than
+# the numpy calls and the first build of the tables
+FEW_VALUES = 2048
+# the last word of a slot, with the separator after its value
+_COMMA, _NEWLINE = np.frombuffer(b"\0" * 7 + b"," + b"\0" * 7 + b"\n", np.uint64)
+
+
+def _words(byte_rows: np.ndarray) -> np.ndarray:
+    """uint8 rows of a multiple of 8 bytes, as uint64 words."""
+    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _tables() -> dict:
+    """The lookup tables, built on first use."""
+    g = np.arange(10_000, dtype=np.int16)
+    digits = np.empty((10_000, 4), np.uint8)
+    for j in range(4):
+        digits[:, j] = g // 10 ** (3 - j) % 10
+    # a float's group of 4 digits, each followed by a NUL byte, with its
+    # zero digits NUL too
+    spaced = np.zeros((10_000, 8), np.uint8)
+    spaced[:, ::2] = digits
+    spaced[:, ::2] |= np.where(digits > 0, 48, 0).astype(np.uint8)
+    # digits kept up to the last nonzero digit of a group, when it is group
+    # j = 0..3 of the 16 digits after a float's first, which is always kept
+    trailing_zeros = (g % 10 == 0).astype(np.int8) + (g % 100 == 0) + (g % 1000 == 0)
+    kept = [np.where(g > 0, 4 * j + 5 - trailing_zeros, 1).astype(np.int8) for j in range(4)]
+
+    # a float's masks over its words 0..4, keyed by keep * 17 + point + 1:
+    # "0" at each of the keep digits kept and "." after digit `point` (-1:
+    # none); digit i sits at byte 6 + 2i and its point slot at 7 + 2i
+    i = np.arange(17)
+    fill = np.zeros((18, 17, 40), np.uint8)
+    fill[:, :, 6 + 2 * i] = np.where(i < np.arange(18)[:, None], 48, 0)[:, None, :]
+    fill[:, 1 + i[:16], 7 + 2 * i[:16]] = ord(".")
+    fill = _words(fill).reshape(18 * 17, 5)
+
+    # (exponent, digits kept) -> mask key: the point follows digit e in
+    # fixed notation (0 <= e <= 16), digit 0 in scientific, and sits in the
+    # "0.000" prefix for -4 <= e < 0; it is left out where no digit follows
+    e = np.arange(_E_MIN, _E_MIN + _E_SPAN, dtype=np.int16)[:, None]
+    kept_digits = np.arange(18, dtype=np.int16)
+    fixed = (e >= 0) & (e <= 16)
+    keep = np.where(fixed, np.maximum(kept_digits, e + 1), kept_digits)
+    point = np.where(fixed, e, np.where((e >= -4) & (e < 0), -1, 0))
+    point = np.where(keep > point + 1, point, -1)
+
+    # "e+XX" or "e-XXX" where scientific, and "-" then "0." and up to 3
+    # zeros for -4 <= e < 0
+    x = e[:, 0].astype(np.int64)
+    suffix = np.zeros((_E_SPAN, 8), np.uint8)
+    suffix[:, :2] = np.where(x < 0, ord("-"), ord("+"))[:, None]
+    suffix[:, 0] = ord("e")
+    mag = np.abs(x)
+    three = mag >= 100
+    row = np.arange(_E_SPAN)
+    suffix[three, 2] = 48 + mag[three] // 100
+    suffix[row, 2 + three] = 48 + mag // 10 % 10
+    suffix[row, 3 + three] = 48 + mag % 10
+    suffix[(x >= -4) & (x <= 16)] = 0
+    sign_prefix = np.zeros((_E_SPAN, 2, 8), np.uint8)
+    for x in range(-4, 0):
+        sign_prefix[x - _E_MIN, :, 1:2 - x] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
+    sign_prefix[:, 1, 0] = ord("-")
+    first = np.zeros((10, 8), np.uint8)
+    first[:, 6] = np.arange(10)  # ORed onto the mask's "0"
+
+    # an integer's digits, 4 to a 32-bit group, and masks keyed by the digit
+    # count (1..12) that clear its leading zeros
+    lead = np.where(np.arange(12) >= 12 - np.arange(13)[:, None], 255, 0).astype(np.uint8)
+    return {
+        "spaced": _words(spaced).ravel(),
+        "kept": kept,
+        "fill": [np.ascontiguousarray(fill[:, j]) for j in range(5)],
+        "key": (keep * 17 + point + 1).ravel(),
+        "sign_prefix": _words(sign_prefix).ravel(),
+        "suffix": _words(suffix).ravel(),
+        "first": _words(first).ravel(),
+        "plain": (48 + digits).view(np.uint32).ravel(),
+        "lead": [np.ascontiguousarray(lead[:, 4 * j:4 * j + 4]).view(np.uint32).ravel()
+                 for j in range(3)],
+        "int_powers": 10 ** np.arange(1, 12, dtype=np.int64),
+    }
+
+
+@lru_cache(maxsize=None)
+def _pow10(k: int) -> tuple[float, float, float, float, float]:
+    """10^k as hi + lo, hi the nearest double and lo the nearest double to
+    the rest, with hi split into two halves of at most 26 bits; then the
+    half band, 0 where 10^k is exact so that a tie is decided here."""
+    if k >= 0:
+        exact = 10**k
+        hi = float(exact)
+        lo = float(exact - int(hi))
+    else:
+        scale = 10**-k
+        hi = 1 / scale  # int true division rounds correctly
+        num, den = hi.as_integer_ratio()
+        lo = (den - num * scale) / (den * scale)
+    mant, exp = math.frexp(hi)
+    big = mant * _SPLIT
+    h1 = math.ldexp(big - (big - mant), exp)
+    return hi, h1, hi - h1, lo, 0.0 if lo == 0.0 else _HALF_BAND
+
+
+def _python_words(texts: list[str], words: int) -> np.ndarray:
+    """Slots of `words` words holding the given texts."""
+    raw = bytearray(b"".join(t.encode().ljust(8 * words, b"\0") for t in texts))
+    return np.frombuffer(raw, np.uint64).reshape(len(texts), words)
+
+
+def _significands(v: np.ndarray):
+    """(sig, e, decided): |v| = sig * 10^(e - 16) rounded half to even, with
+    sig a 17-digit int64 (0 for a zero), and whether that is sure."""
+    with np.errstate(all="ignore"):
+        a = np.abs(v)
+        zero = a == 0.0
+        fast = (a >= _MIN_ABS) & (a <= _MAX_ABS)
+        a = np.where(fast, a, 1.0)
+        e = np.floor(np.log10(a)).astype(np.int64)
+        e_max = int(e.max(initial=0))
+        powers = np.array([_pow10(16 - x) for x in range(e_max, int(e.min(initial=0)) - 1, -1)])
+        at = e_max - e
+        hi, h1, h2, lo, band = (np.ascontiguousarray(col).take(at) for col in powers.T)
+        big = a * _SPLIT
+        a1 = big - (big - a)
+        a2 = a - a1
+        p = a * hi  # an integer, since it is at least 2^53
+        rest = (((a1 * h1 - p) + a1 * h2) + a2 * h1) + a2 * h2 + a * lo
+        floor = np.floor(rest)
+        half = rest - floor - 0.5
+        sig = p.astype(np.int64) + floor.astype(np.int64)
+        # the product must lie in [10^16, 10^17 - 1) before rounding, which
+        # may reach 10^16
+        decided = (fast & ((sig - 10**16).view(np.uint64) < 9 * 10**16 - 1)
+                   & (np.abs(half) >= band)) | zero
+        # half to even: near 0, half is a multiple of 2^-54, so an odd sig
+        # rounds up where half >= 0 and an even one where half > 0
+        sig += half > (sig & 1) * -(2.0**-60)
+    sig[zero] = 0
+    return sig, e, decided
+
+
+def _float_slots(v: np.ndarray, out: np.ndarray, sep: np.ndarray) -> None:
+    """Write '%.17g' of each value of `v`, then `sep` (broadcast against
+    `v`), into the 6-word slots `out` of shape v.shape + (6,)."""
+    t = _tables()
+    sig, e, decided = _significands(v)
+    top = sig // 10**8
+    low = (sig - top * 10**8).astype(np.int32)
+    top = top.astype(np.int32)
+    q1 = top // 10**4
+    q3 = low // 10**4
+    first = q1 // 10**4
+    groups = (q1 - first * 10**4, top - q1 * 10**4, q3, low - q3 * 10**4)
+    kept = [table.take(g) for table, g in zip(t["kept"], groups)]
+    kept = np.maximum(np.maximum(kept[0], kept[1]), np.maximum(kept[2], kept[3]))
+    ei = e - _E_MIN
+    key = t["key"].take(ei * 18 + kept).astype(np.intp)
+    fill = t["fill"]
+    out[..., 0] = (t["sign_prefix"].take(2 * ei + np.signbit(v)) | t["first"].take(first)
+                   | fill[0].take(key))
+    for j, g in enumerate(groups, 1):
+        out[..., j] = t["spaced"].take(g) | fill[j].take(key)
+    out[..., 5] = t["suffix"].take(ei) | sep
+    if not decided.all():
+        slow = np.nonzero(~decided)
+        words = _python_words(["%.17g" % x for x in v[slow].tolist()], _FLOAT_WORDS)
+        words[:, -1] |= np.broadcast_to(sep, v.shape)[slow]
+        out[slow] = words
+
+
+def _int_width(v: np.ndarray) -> int:
+    """Slot words for the integers `v`: 2 hold up to 15 characters."""
+    return 2 if v.size == 0 or (v.min() > -10**14 and v.max() < 10**15) else 3
+
+
+def _int_slots(v: np.ndarray, out: np.ndarray, sep: np.uint64) -> None:
+    """Write str of each integer of `v`, then `sep`, into the zeroed slots
+    `out` of _int_width(v) words."""
+    t = _tables()
+    v = v.astype(np.int64)
+    python = (v < 0) | (v >= 10**12)
+    rest = np.where(python, 0, v)
+    digits = 1 + np.searchsorted(t["int_powers"], rest, side="right")
+    out32 = out.view(np.uint32)
+    for j in range(2, 2 - (int(digits.max(initial=1)) + 3) // 4, -1):
+        q = rest // 10**4
+        out32[:, j] = t["plain"].take(rest - q * 10**4) & t["lead"][j].take(digits)
+        rest = q
+    out[:, -1] |= sep
+    if python.any():
+        slow = np.flatnonzero(python)
+        words = _python_words([str(x) for x in v[slow].tolist()], out.shape[1])
+        words[:, -1] |= sep
+        out[slow] = words
+
+
+def csv_rows(columns) -> str:
+    """The CSV lines of equal-length columns.  A column is a float64 array,
+    written as '%.17g'; an integer or bool array, written as str; or a pair
+    (values, index) of an integer array and the positions to take from it,
+    for a column that repeats a few values.  Python formats the lines one
+    value at a time when they hold fewer than FEW_VALUES values."""
+    columns = [c if isinstance(c, tuple) else (np.asarray(c), None) for c in columns]
+    if sum(len(values if index is None else index) for values, index in columns) >= FEW_VALUES:
+        return _rows(columns).tobytes().translate(None, b"\0").decode("ascii")
+    line = ",".join("%.17g" if values.dtype.kind == "f" else "%d" for values, _ in columns)
+    flat = [(values if index is None else values[index]).tolist() for values, index in columns]
+    return "".join(line % row + "\n" for row in zip(*flat))
+
+
+def _rows(columns) -> np.ndarray:
+    """The uint64 row matrix of csv_rows' (values, index) columns, NUL-padded."""
+    floats = [values.dtype.kind == "f" for values, _ in columns]
+    widths = [_FLOAT_WORDS if f else _int_width(values)
+              for (values, _), f in zip(columns, floats)]
+    starts = np.cumsum([0, *widths])
+    values, index = columns[0]
+    rows = np.zeros((len(values if index is None else index), starts[-1]), np.uint64)
+    seps = np.full(len(columns), _COMMA)
+    seps[-1] = _NEWLINE
+    for is_float, run in groupby(range(len(columns)), floats.__getitem__):
+        run = list(run)
+        if is_float:  # one pass over a run of float columns, since each
+            # numpy call costs as much as a few hundred values
+            out = rows[:, starts[run[0]]:starts[run[-1] + 1]]
+            _float_slots(np.stack([columns[k][0] for k in run]),
+                         out.reshape(len(rows), len(run), _FLOAT_WORDS).transpose(1, 0, 2),
+                         seps[run, None])
+            continue
+        for k in run:
+            values, index = columns[k]
+            out = rows[:, starts[k]:starts[k + 1]]
+            if index is None or len(values) > len(index):
+                _int_slots(values if index is None else values[index], out, seps[k])
+            else:
+                distinct = np.zeros((len(values), widths[k]), np.uint64)
+                _int_slots(values, distinct, seps[k])
+                out[:] = distinct.take(index, axis=0)
+    return rows
+
+
+def write_csv(fh, header: str, rows: int, columns) -> None:
+    """Write `header`, then the CSV lines of rows 0..rows-1, BLOCK_ROWS at a
+    time; `columns(start, stop)` gives the columns of rows start..stop-1."""
+    fh.write(header)
+    for start in range(0, rows, BLOCK_ROWS):
+        fh.write(csv_rows(columns(start, min(start + BLOCK_ROWS, rows))))
+
+
+def write_columns(fh, header: str, *columns) -> None:
+    """Write `header`, then the CSV lines of equal-length columns."""
+    write_csv(fh, header, len(columns[0]),
+              lambda start, stop: [c[start:stop] for c in columns])

@@ -6,14 +6,21 @@ the command, parameters, seeds, and numeric-method identifiers; data files
 themselves contain no timestamps, so identical manifests (minus timestamp)
 give byte-identical outputs.
 
-Exit codes: 0 success, 1 check failure, 2 usage, precondition or output error.
+Every output path is checked before any work, so that a path that cannot be
+written fails at once.
+
+Exit codes: 0 success, 1 check failure, 2 usage, precondition or output error,
+141 (128 + SIGPIPE, as a shell reports for a command stopped by a closed pipe)
+when the reader of stdout closes it early; nothing is printed then.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -41,6 +48,21 @@ SEARCH_CACHE_HELP = ("the search cache holds 16 bytes x sum over the prefix's q 
                      "per row of the window")
 CELLS_HELP = (f"len(--n) x len(--h) is at most {limits.MAX_CELLS} cells "
               "(16 bytes per cell)")
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE
+
+
+def check_outputs(*paths: str | None, sidecar: bool = True) -> None:
+    """Raise the OSError that opening each given path for writing would
+    raise, without creating it; with `sidecar`, check its manifest too."""
+    for path in filter(None, paths):
+        for target in (path, path + ".manifest.json") if sidecar else (path,):
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+            parent = os.path.dirname(target) or "."
+            if not os.path.isdir(parent):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), target)
+            if not os.access(target if os.path.exists(target) else parent, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
 
 
 def parse_range(text: str, name: str = "range") -> list[int]:
@@ -231,6 +253,7 @@ def run_verify(k_max: int, budget: int, inject_fault: str | None) -> list[CheckR
 
 
 def cmd_verify(args) -> int:
+    check_outputs(args.json, sidecar=False)
     series.check_term_count(args.budget)
     if args.budget < 1:
         raise ValueError("budget must be >= 1")
@@ -272,6 +295,7 @@ def cmd_point(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    check_outputs(args.out)
     n_axis = parse_range(args.n, "--n")
     h_axis = parse_range(args.h, "--h")
     limits.check_cell_count(len(n_axis) * len(h_axis), f"--n {args.n} x --h {args.h}")
@@ -288,6 +312,7 @@ def cmd_surface(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    check_outputs(args.out)
     series.check_term_count(args.budget)
     series.check_tol(args.eta_tol, "etaTol")
     ordering = parse_ordering(args.ordering, args.q_bound)
@@ -318,6 +343,7 @@ def _emit_zero_records(records, out: str | None, manifest: RunManifest) -> None:
 
 
 def cmd_zeros(args) -> int:
+    check_outputs(args.out)
     if args.zeros_cmd == "scan":
         grid = (args.y_min, args.y_max, args.step, args.threshold)
         records = (zeros.scan_and_refine(*grid, tol=args.tol) if args.refine
@@ -341,6 +367,7 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_search(args) -> int:
+    check_outputs(args.out_trace, args.out_best)
     spec = search.ObjectiveSpec(
         points=(StripPoint(args.x, args.y),),
         n_window=(args.n0, args.n1), h_max=args.h_max, eta_tol=args.eta_tol)
@@ -459,7 +486,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: stop quietly, with stdout on the
+        # null device so that the flush at shutdown cannot fail again
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout without a file descriptor
+            pass
+        return EXIT_BROKEN_PIPE
     except PoleError as exc:
         print(f"error: pole at z=1 ({exc})", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _text
 from . import series as se
 from .qset import QOrdering
 from .series import StripPoint
@@ -45,15 +46,19 @@ class SumSurface:
     S: np.ndarray
 
     def write_csv(self, fh) -> None:
-        fh.write("n,h,C,S\n")
-        # one row at a time (whole-surface lists would hold ~64 bytes per
-        # cell), through one % template with n and the h texts baked in
-        cells = [f",{h},%.17g,%.17g\n" for h in self.h_axis]
-        row = np.empty((len(cells), 2))
-        for n, c_row, s_row in zip(self.n_axis, self.C, self.S):
-            row[:, 0] = c_row
-            row[:, 1] = s_row
-            fh.write(str(n).join(["", *cells]) % tuple(row.ravel().tolist()))
+        n_axis = np.array(self.n_axis, dtype=np.int64)
+        h_axis = np.array(self.h_axis, dtype=np.int64)
+
+        def cells(start, stop):
+            # the block's n rows, and the cells' places in their raveled copy
+            first, cell = divmod(start, len(h_axis))
+            rows = slice(first, (stop - 1) // len(h_axis) + 1)
+            at = np.arange(cell, cell + stop - start)
+            i = at // len(h_axis)
+            return ((n_axis[rows], i), (h_axis, at - i * len(h_axis)),
+                    self.C[rows].ravel()[at], self.S[rows].ravel()[at])
+
+        _text.write_csv(fh, "n,h,C,S\n", len(n_axis) * len(h_axis), cells)
 
 
 def _validate_axes(n_axis, h_axis):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import limits
+from . import _text, limits
 from ._rng import ALGORITHM_ID, SplitMix64
 from .qset import QOrdering
 from .series import StripPoint, check_term_count, check_tol, eta_accel
@@ -191,9 +191,10 @@ class SearchResult:
     config: SearchConfig
 
     def trace_csv(self, fh) -> None:
-        fh.write("iteration,objective,accepted\n")
-        for e in self.trace:
-            fh.write(f"{e.iteration},{e.objective:.17g},{int(e.accepted)}\n")
+        _text.write_columns(fh, "iteration,objective,accepted\n",
+                            np.array([e.iteration for e in self.trace], dtype=np.int64),
+                            np.array([e.objective for e in self.trace], dtype=float),
+                            np.array([e.accepted for e in self.trace], dtype=np.int64))
 
     def best_json(self) -> str:
         return json.dumps({

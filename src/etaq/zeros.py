@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _text
 from .series import StripPoint, check_tol, eta_accel, eta_accel_many
 
 CRITICAL_X = 0.5
@@ -166,6 +167,7 @@ def scan_and_refine(y_min: float, y_max: float, step: float = 0.01,
 
 
 def write_csv(records: list[ZeroRecord], fh) -> None:
-    fh.write("ordinate,residual,refined\n")
-    for rec in records:
-        fh.write(f"{rec.ordinate:.17g},{rec.residual:.17g},{int(rec.refined)}\n")
+    _text.write_columns(fh, "ordinate,residual,refined\n",
+                        np.array([r.ordinate for r in records], dtype=float),
+                        np.array([r.residual for r in records], dtype=float),
+                        np.array([r.refined for r in records], dtype=np.int64))

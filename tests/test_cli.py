@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +14,8 @@ from etaq import cli, limits, qset, series, zeros
 from etaq._rng import ALGORITHM_ID
 from etaq.cli import main, parse_ordering, parse_range
 from etaq.qset import MAX_ENUM_BOUND
+
+from conftest import CLI_TIMEOUT_S, ETAQ_ROOT
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -370,6 +375,62 @@ def test_unwritable_output_exits_two(argv, target, cli_error, tmp_path, monkeypa
     message = cli_error([arg.format(**paths) for arg in argv])
     assert paths[target] in message
     assert not (tmp_path / "no-such-dir").exists()
+
+
+# each command with an output path that cannot be written, and the function
+# that does its work
+UNWRITABLE = {
+    "surface": (["surface", "--x", "0.5", "--y", "0", "--n", "1:5", "--h", "1:2",
+                 "--out", "{directory}"], limits, "c_s_surface"),
+    "gap": (["gap", "--x", "2", "--y", "0", "--budget", "10", "--q-bound", "100",
+             "--out", "{missing}"], limits, "commutativity_gap"),
+    "zeros-scan": (["zeros", "scan", "--y-min", "14", "--y-max", "14.2", "--step", "0.1",
+                    "--out", "{missing}"], zeros, "scan_zeros"),
+    "zeros-refine": (["zeros", "refine", "--y0", "14.13", "--out", "{directory}"],
+                     zeros, "refine_zero"),
+    "search-trace": (["search", "--seed", "1", "--prefix", "4", "--iters", "1",
+                      "--h-max", "2", "--n0", "10", "--n1", "20", "--out-trace",
+                      "{directory}", "--out-best", "b.json"], cli.search, "anneal"),
+    "search-best": (["search", "--seed", "1", "--prefix", "4", "--iters", "1",
+                     "--h-max", "2", "--n0", "10", "--n1", "20", "--out-trace", "t.csv",
+                     "--out-best", "{missing}"], cli.search, "anneal"),
+    "verify": (["verify", "--k-max", "10", "--budget", "1000", "--json", "{missing}"],
+               cli, "run_verify"),
+    "surface-sidecar": (["surface", "--x", "0.5", "--y", "0", "--n", "1:5", "--h", "1:2",
+                         "--out", "{sidecar}"], limits, "c_s_surface"),
+}
+
+
+@pytest.mark.parametrize("name", UNWRITABLE)
+def test_unwritable_output_rejected_before_any_work(name, cli_error, tmp_path, monkeypatch):
+    argv, module, work = UNWRITABLE[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv.manifest.json").mkdir()
+    calls = []
+    monkeypatch.setattr(module, work, lambda *a, **k: calls.append(a))
+    paths = {"missing": str(tmp_path / "no-such-dir" / "out"), "directory": str(tmp_path),
+             "sidecar": "s.csv"}
+    message = cli_error([arg.format(**paths) for arg in argv])
+    assert message.startswith("[Errno ")
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv.manifest.json"]
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    """A reader that closes stdout after one line stops the command with
+    exit code 141 and nothing on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (ETAQ_ROOT, env.get("PYTHONPATH")) if p)
+    # a report of about 1.4 MB, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "etaq.cli", "gap", "--x", "2", "--y", "0",
+         "--q-bound", "100000", "--budget", "10"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=CLI_TIMEOUT_S) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 class TestVerify:

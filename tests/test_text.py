@@ -1,0 +1,234 @@
+"""The CSV text writer against Python's own '%.17g' and str."""
+
+import io
+import os
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from etaq import _text
+from etaq.limits import SumSurface
+from etaq.series import StripPoint
+
+from conftest import CLI_TIMEOUT_S, ETAQ_ROOT
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+
+AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def python_csv(*columns) -> str:
+    """The CSV lines of the columns, one Python float or int at a time."""
+    return "".join(
+        ",".join("%.17g" % x if isinstance(x, float) else str(x) for x in row) + "\n"
+        for row in zip(*(c.tolist() for c in columns)))
+
+
+def numpy_csv(*columns) -> str:
+    """csv_rows through the numpy path, whatever the number of values."""
+    few, _text.FEW_VALUES = _text.FEW_VALUES, 0
+    try:
+        return _text.csv_rows(columns)
+    finally:
+        _text.FEW_VALUES = few
+
+
+def tie_sample() -> np.ndarray:
+    """Values whose product |v| * 10^k is a half-integer, for k = 1..22 where
+    10^k is exact: v = N / 2^(k + 1) with N odd and 10^(16 - k) <= v."""
+    rng = np.random.default_rng(7)
+    values = []
+    for k in range(1, 23):
+        lo = 10 ** (16 - k) * 2 ** (k + 1)
+        hi = min(10 ** (17 - k) * 2 ** (k + 1), 2**53)
+        odd = [n | 1 for n in rng.integers(lo, hi, 40).tolist()]
+        values += [n / 2 ** (k + 1) for n in odd]
+    return np.array(values)
+
+
+def sample(seed: int = 0) -> np.ndarray:
+    """Values where a 17-digit writer is easy to get wrong, and ordinary ones."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64 - 1, 20_000, dtype=np.uint64, endpoint=True)
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024), 10.0 ** np.arange(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    subnormals = rng.integers(1, 2**52, 1_000, dtype=np.uint64).view(np.float64)
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                         2.2250738585072014e-308, 1.7976931348623157e308, 1e-290, 1e290,
+                         0.1, 0.5, 1.0, 9.999999999999999e15, 1e16, 1e17, 123456789.0])
+    ordinary = rng.standard_normal(20_000) * 10.0 ** rng.integers(-30, 30, 20_000)
+    ties = tie_sample()
+    return np.concatenate([bits.view(np.float64), near, -near, subnormals, -subnormals,
+                           specials, -specials, ordinary, ties, -ties])
+
+
+def test_float_text_is_percent_17g():
+    v = sample()
+    assert numpy_csv(v) == python_csv(v)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float_text_over_more_bit_patterns(seed):
+    v = np.random.default_rng(seed).integers(
+        0, 2**64 - 1, 50_000, dtype=np.uint64, endpoint=True).view(np.float64)
+    assert numpy_csv(v) == python_csv(v)
+
+
+def test_exact_ties_round_to_the_even_significand():
+    v = tie_sample()
+    sig, e, decided = _text._significands(v)
+    ties = [Fraction(x) * 10 ** (16 - int(k)) for x, k in zip(v.tolist(), e.tolist())]
+    assert sum(t.denominator == 2 for t in ties) == len(v)
+    assert decided.all()  # exact at 0 <= 16 - e <= 22: none go to Python
+    assert (sig % 2 == 0).all()
+    assert numpy_csv(v) == python_csv(v)
+
+
+def test_both_the_vector_and_the_python_path_run(monkeypatch):
+    texts = []
+    python_words = _text._python_words
+    monkeypatch.setattr(_text, "_python_words",
+                        lambda t, words: (texts.extend(t), python_words(t, words))[1])
+    v = sample()
+    decided = _text._significands(v)[2]
+    assert numpy_csv(v) == python_csv(v)
+    assert len(texts) == np.count_nonzero(~decided)
+    assert 0 < len(texts) < 0.5 * len(v)
+    assert {"nan", "inf", "-inf", "4.9406564584124654e-324"} <= set(texts)
+    texts.clear()
+    ordinary = np.random.default_rng(4).standard_normal(10_000)
+    assert numpy_csv(ordinary) == python_csv(ordinary)
+    assert len(texts) <= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_hypothesis_floats(values):
+    v = np.array(values, dtype=float)
+    assert numpy_csv(v) == python_csv(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
+def test_hypothesis_integers(values):
+    v = np.array(values, dtype=np.int64)
+    assert numpy_csv(v) == python_csv(v)
+
+
+def test_mixed_columns_in_any_order():
+    rng = np.random.default_rng(5)
+    n = 3_000
+    ints = rng.integers(0, 10**6, n)
+    big = rng.integers(-2**63, 2**63 - 1, n)
+    floats = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, n) for _ in range(3)]
+    columns = [ints, floats[0], big, floats[1], floats[2], ints]
+    assert numpy_csv(*columns) == python_csv(*columns)
+
+
+def test_indexed_integer_columns():
+    values = np.array([7, 130, 10**13, -4])
+    index = np.array([0, 3, 3, 1, 2, 0, 1])
+    floats = np.linspace(-1.0, 1.0, len(index))
+    want = python_csv(values[index], floats)
+    for write in (numpy_csv, lambda *columns: _text.csv_rows(columns)):
+        assert write((values, index), floats) == want
+        assert write((values, index[:2]), floats[:2]) == python_csv(values[index[:2]], floats[:2])
+
+
+def test_bools_write_as_digits():
+    columns = [np.array([True, False]), np.array([0.5, 2.0])]
+    assert numpy_csv(*columns) == _text.csv_rows(columns) == "1,0.5\n0,2\n"
+
+
+def test_few_values_take_the_python_path(monkeypatch):
+    monkeypatch.setattr(_text, "_rows", None)  # the numpy path would fail
+    v = sample()[:_text.FEW_VALUES // 2 - 1]
+    n = np.arange(len(v))
+    assert _text.csv_rows([n, v]) == python_csv(n, v)
+
+
+def test_no_rows_is_no_text():
+    assert numpy_csv(np.zeros(0), np.zeros(0, dtype=np.int64)) == ""
+    fh = io.StringIO()
+    _text.write_columns(fh, "a,b\n", np.zeros(0), np.zeros(0, dtype=np.int64))
+    assert fh.getvalue() == "a,b\n"
+
+
+def test_blocks_join_to_the_whole(monkeypatch):
+    monkeypatch.setattr(_text, "BLOCK_ROWS", 1500)  # the last block has few values
+    v = sample()[:10_000]
+    n = np.arange(len(v))
+    fh = io.StringIO()
+    _text.write_columns(fh, "n,v\n", n, v)
+    assert fh.getvalue() == "n,v\n" + python_csv(n, v)
+
+
+class _Sink:
+    """A file that keeps only the count of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+# work memory of the surface writer: a few blocks of BLOCK_ROWS rows, at
+# about 0.5 kB a row, whatever the surface's size
+WRITER_PEAK_BYTES = 2 * 2**20
+
+
+@pytest.mark.parametrize("rows", [1000, 4000])
+def test_surface_writer_memory_is_bounded(rows):
+    """At the 120-column shape of the benchmark's largest surface, the
+    writer's peak traced memory stays under one bound as rows grow."""
+    rng = np.random.default_rng(rows)
+    h_axis = tuple(range(1, 1201, 10))
+    cs = rng.standard_normal((rows, len(h_axis))) + 1j * rng.standard_normal((rows, len(h_axis)))
+    surf = SumSurface(point=StripPoint(0.75, 3.0), ordering_id="shuffle", h_axis=h_axis,
+                      n_axis=tuple(range(1, 10 * rows, 10)), C=cs.real, S=cs.imag)
+    surf.write_csv(_Sink())  # tables and exponent pairs, built once
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        surf.write_csv(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 30 * rows * len(h_axis)
+    assert peak < WRITER_PEAK_BYTES
+
+
+DISPATCH_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_text import CPU_FEATURES, numpy_csv, python_csv, sample
+assert not CPU_FEATURES["X86_V4"]
+for seed in range(3):
+    v = sample(seed)
+    assert numpy_csv(v) == python_csv(v), seed
+print("ok")
+"""
+
+
+@pytest.mark.skipif(
+    not CPU_FEATURES.get("X86_V4", False),
+    reason="the host has no AVX-512 dispatch to turn off")
+def test_text_does_not_depend_on_the_simd_dispatch():
+    """log10 gives other last bits without AVX-512; the text stays the same."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_OFF)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (ETAQ_ROOT, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", DISPATCH_SCRIPT, str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
