@@ -6,16 +6,14 @@ cross-check for Re(s) > 1.
 
 Numerics are binary64 throughout.  Direct sums take their terms from one
 block builder, `term_blocks`, and stream them block by block into one exact
-summation kernel, `_ExactSum`, so they hold a few blocks of work memory
-whatever the term count.  The kernel returns math.fsum's correctly rounded
-float by exponent-indexed accumulation (Demmel and Hida, "Accurate and
-efficient floating point summation", SIAM J. Sci. Comput. 25(4), 2003; Neal,
-"Fast exact summation using small and large superaccumulators",
-arXiv:1505.05571) and falls back to math.fsum itself for non-finite or huge
-terms; an exact zero is fsum of at most one term.  One iterated
-tail-averaging routine serves conditionally convergent tails; the
-accelerated evaluator uses Chebyshev-derived weights (Cohen, Rodriguez
-Villegas, Zagier style).
+summation kernel, `_block_sum`, so they hold a few blocks of work memory
+whatever the term count.  It sums each block exactly into a Python int by
+error-free extraction onto grids (Rump, Ogita and Oishi, "Accurate
+floating-point summation part I: faithful rounding", SIAM J. Sci. Comput.
+31(1), 2008), rounded once to math.fsum's float; math.fsum itself runs for
+non-finite or huge terms.  One iterated tail-averaging routine serves
+conditionally convergent tails; the accelerated evaluator uses
+Chebyshev-derived weights (Cohen, Rodriguez Villegas, Zagier style).
 """
 
 from __future__ import annotations
@@ -48,13 +46,11 @@ _Y_SATURATED = 1e6  # past this |y|, n = _MAX_ACCEL_TERMS and no terms are summe
 # direct sums hold a few blocks whatever the count; surface and search hold
 # 16 bytes per term, in `term_arrays`' complex array
 MAX_TERMS = 10**7
-_EXACT_MAX_EXP = 970  # terms below 2^970: no partial sum of 2^26 of them overflows
-# _ExactSum's buckets: frexp exponents from -1073 (subnormals) to _EXACT_MAX_EXP
-_EXP_OFFSET = 1073
-_EXP_BUCKETS = _EXP_OFFSET + _EXACT_MAX_EXP + 1
-# each exponent's bucket is split 4 ways by term position, so that
-# bincount's adds into one bucket do not wait on each other
-_LANES = 4
+_EXACT_MAX_EXP = 970  # terms below 2^970: no partial sum of 2^53 of them overflows
+# W, the bits of each _block_sum level: np.sum adds a block of at most
+# 2^(53 - W) terms of at most 2^W grid units exactly, so the block size bounds
+# the exactness, and a larger block narrows the levels instead of breaking the bits
+_LEVEL_BITS = 53 - (_SUM_BLOCK_TERMS - 1).bit_length()
 TAIL_WINDOW = 64
 TAIL_LEVELS = 3
 
@@ -174,88 +170,59 @@ def term_arrays(p: StripPoint, n: int, step: int = 1, shift: float = 1.0) -> np.
     return terms
 
 
-class _ExactSum:
-    """math.fsum of float64 terms added a block at a time, bit for bit: the
-    exact sum, correctly rounded.
+def _block_sum(x: np.ndarray) -> int | None:
+    """The exact sum of at most _SUM_BLOCK_TERMS terms as a Python int in
+    units of 2^-1074, or None where math.fsum itself must run: for a term
+    not below 2^_EXACT_MAX_EXP in modulus (NaN, inf, or fsum's overflow).
 
-    Each term's mantissa times 2^26 splits into an integer part of at most
-    26 bits and a fraction of 27 bits; each part is summed per binary
-    exponent and lane with bincount, in reused work arrays of `size` terms.
-    Every bucket stays exact while at most 2^26 terms are added.  `value`
-    combines the buckets as Python ints and divides once by a power of two,
-    which Python rounds correctly.  It returns None where math.fsum itself
-    must run over the terms: for a term that is not below 2^_EXACT_MAX_EXP
-    in modulus (NaN, inf, or fsum's intermediate overflow), which lands
-    past the buckets or makes one NaN whatever the other terms.  An exact
-    total of 0 is fsum of one -0.0 when every term is -0.0, else of no
-    term, which is fsum's zero on any interpreter (+0.0 on CPython 3.11 to
-    3.13, even for all -0.0).
+    Each level rounds the remainder r to q on the grid 2^g, with g the
+    larger of -1074 and e - _LEVEL_BITS for max|r| < 2^e, and takes r - q,
+    both exactly.  So each q is at most 2^_LEVEL_BITS grid units, and
+    np.sum adds a block of them exactly in any order.
     """
-
-    def __init__(self, size: int):
-        self.high = np.zeros(_LANES * _EXP_BUCKETS)
-        self.low = np.zeros(_LANES * _EXP_BUCKETS)  # fractions, in units of 2^-27
-        self.negative = None  # every term so far has its sign bit set; None before any
-        self.huge = False  # a finite term at or past 2^_EXACT_MAX_EXP was added
-        self._work = np.empty((2, size)), np.empty(size, dtype=np.intp)
-        # a term's bincount index is _LANES * exponent + _lanes[its position]
-        self._lanes = np.arange(size) % _LANES + _LANES * _EXP_OFFSET
-
-    def add(self, x: np.ndarray) -> None:
-        """Add the terms of x, at most `size` of them."""
-        if not len(x) or self.huge:
-            return
-        if self.negative is not False:
-            self.negative = bool(np.signbit(x).all())
-        (m, h), e = self._work[0][:, :len(x)], self._work[1][:len(x)]
-        # inf - inf in the split makes NaN buckets, caught by value
-        with np.errstate(invalid="ignore"):
-            np.frexp(x, out=(m, e))
-            e *= _LANES
-            e += self._lanes[:len(x)]
-            m *= 2.0**26
-            np.trunc(m, out=h)
-            m -= h
-        high = np.bincount(e, weights=h, minlength=len(self.high))
-        # bincount grows past the buckets for a term's exponent past theirs
-        self.huge = len(high) > len(self.high)
-        if not self.huge:
-            self.high += high
-            self.low += np.bincount(e, weights=m, minlength=len(self.low))
-
-    def value(self) -> float | None:
-        with np.errstate(invalid="ignore"):  # inf - inf, as in add
-            # each exponent's lanes summed: integers below 2^53, exact in any order
-            high = self.high.reshape(-1, _LANES) @ np.ones(_LANES)
-            low = self.low.reshape(-1, _LANES) @ np.full(_LANES, 2.0**27)
-        used = np.flatnonzero(np.logical_or(high, low))
-        if self.huge or not np.isfinite(high[used] + low[used]).all():
+    r = np.array(x, dtype=np.float64)
+    q = np.empty_like(r)
+    total = 0
+    while True:
+        np.abs(r, out=q)
+        top = float(q.max())
+        if not top < 2.0**_EXACT_MAX_EXP:
             return None
-        total = sum(((int(h) << 27) + int(lo)) << i for h, lo, i
-                    in zip(high[used].tolist(), low[used].tolist(), used.tolist()))
-        if total == 0:
-            return math.fsum([-0.0] if self.negative else [])
-        # bucket i holds multiples of 2^(i - _EXP_OFFSET - 53)
-        return total / (1 << (_EXP_OFFSET + 53))
+        if top == 0.0:
+            return total
+        g = max(math.frexp(top)[1] - _LEVEL_BITS, -1074)
+        sigma = math.ldexp(1.5, g + 52)  # r + sigma rounds r to the grid 2^g
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
+        total += int(math.ldexp(float(q.sum()), -g)) << (g + 1074)
+
+
+def _fsum_float(total: int, negative: bool) -> float:
+    """math.fsum's float for an exact total in units of 2^-1074.  For 0 it is
+    fsum of one -0.0 when every term is -0.0 (`negative`), else of none:
+    fsum's own zero on any interpreter, with no fsum pass over the zeros."""
+    if total == 0:
+        return math.fsum([-0.0] if negative else [])
+    return total / (1 << 1074)  # rounded correctly by Python
 
 
 def exact_sum(x) -> float:
-    """math.fsum(x), bit for bit, for a 1-D float array: `_ExactSum` over
-    its blocks of _SUM_BLOCK_TERMS terms, and math.fsum itself for more
-    than 2^26 terms or where the kernel defers to it."""
+    """math.fsum(x), bit for bit, for a 1-D float array, summed by
+    `_block_sum` a block of _SUM_BLOCK_TERMS terms at a time."""
     x = np.asarray(x, dtype=np.float64)
-    if len(x) > 2**26:
-        return math.fsum(x)
-    total = _ExactSum(min(len(x), _SUM_BLOCK_TERMS))
+    total = 0
     for start in range(0, len(x), _SUM_BLOCK_TERMS):
-        total.add(x[start:start + _SUM_BLOCK_TERMS])
-    value = total.value()
-    return math.fsum(x) if value is None else value
+        block = _block_sum(x[start:start + _SUM_BLOCK_TERMS])
+        if block is None:
+            return math.fsum(x)
+        total += block
+    return _fsum_float(total, len(x) > 0 and bool(np.signbit(x).all()))
 
 
 def direct_sums(p: StripPoint, n: int, step: int = 1, shift: float = 1.0, window: int = 0,
                 prepare=None) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """The terms of `term_blocks` streamed through two `_ExactSum`s.
+    """The terms of `term_blocks` streamed through `_block_sum`.
 
     `prepare(lo, a, b)`, when given, first edits each block in place.
     Returns the sums of a and of b over the first n - window terms, each
@@ -272,19 +239,22 @@ def direct_sums(p: StripPoint, n: int, step: int = 1, shift: float = 1.0, window
                 prepare(lo, a, b)
             yield lo, min(max(head - lo, 0), len(a)), (a, b)
 
-    sums = [_ExactSum(min(head, _SUM_BLOCK_TERMS)) for _ in range(2)]
+    totals = [0, 0]  # None once a block defers to math.fsum
+    negative = [head > 0] * 2  # every head term so far has its sign bit set
     tails = np.empty((2, n - head))
     for lo, cut, ab in blocks():
-        for total, tail, x in zip(sums, tails, ab):
-            total.add(x[:cut])
+        for i, x in enumerate(ab):
+            if cut and totals[i] is not None:
+                block = _block_sum(x[:cut])
+                totals[i] = None if block is None else totals[i] + block
+                negative[i] = negative[i] and bool(np.signbit(x[:cut]).all())
             if cut < len(x):
-                tail[lo + cut - head:lo + len(x) - head] = x[cut:]
-    values = [total.value() for total in sums]
-    for i, value in enumerate(values):
-        # the terms are at most 1 in modulus, so only a NaN term defers to
-        # math.fsum, over the head terms built again
-        if value is None:
-            values[i] = math.fsum(t for _, cut, ab in blocks() for t in ab[i][:cut].tolist())
+                tails[i, lo + cut - head:lo + len(x) - head] = x[cut:]
+    # the terms are at most 1 in modulus, so only a NaN term defers to
+    # math.fsum, over the head terms built again
+    values = [math.fsum(t for _, cut, ab in blocks() for t in ab[i][:cut].tolist())
+              if total is None else _fsum_float(total, negative[i])
+              for i, total in enumerate(totals)]
     return values[0], values[1], tails[0], tails[1]
 
 

@@ -15,6 +15,27 @@ ETAQ_ROOT = str(Path(etaq.__file__).resolve().parent.parent)
 
 CLI_TIMEOUT_S = 120
 
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+
+needs_avx512 = pytest.mark.skipif(not CPU_FEATURES.get("X86_V4", False),
+                                  reason="the host has no AVX-512 dispatch to turn off")
+
+
+def run_without_avx512(script: str) -> None:
+    """Run ``python -c script`` with the tests directory as ``argv[1]``, in a
+    child whose numpy has its AVX-512 dispatch turned off, and assert that
+    it exits 0 and prints ``ok``.  The script checks that the dispatch is
+    off (``CPU_FEATURES["X86_V4"]`` is false)."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (ETAQ_ROOT, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
 
 @pytest.fixture(scope="session")
 def run_cli():

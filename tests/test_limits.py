@@ -407,8 +407,8 @@ class TestWriteJson:
 
 
 def test_limit_B_peak_memory_is_the_term_builders():
-    # the term builder's and the exact sums' work arrays for one block and
-    # the buckets, whatever the budget: never arrays as long as the terms
+    # the term builder's and the exact sums' work arrays for one block,
+    # whatever the budget: never arrays as long as the terms
     limit_B(FIRST_ZERO, 1000)
     for budget in (10**6, 4 * 10**6):
         tracemalloc.start()

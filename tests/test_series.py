@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import needs_avx512, run_without_avx512
 from etaq import series
 from etaq.series import (_BLOCK_TERMS, _SUM_BLOCK_TERMS, MAX_TERMS, AccelerationError,
                          PoleError, SingularDenominatorError, StripPoint,
@@ -155,17 +156,52 @@ def spread_terms(rng, n, exp_range=300):
     return rng.standard_normal(n) * np.exp2(rng.integers(-exp_range, exp_range, n))
 
 
+def random_exponent_sample(seed):
+    """100 arrays of spread terms, each followed by its mirror image nudged
+    by an ulp or two, whose sum is all cancellation."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        x = spread_terms(rng, int(rng.integers(1, 2000)))
+        yield x
+        y = np.concatenate([x, -x * (1.0 + 2.0**-52 * rng.integers(-2, 3, len(x)))])
+        rng.shuffle(y)
+        yield y
+
+
+# one block from 2^969 down to 5e-324, full mantissas: every level down to
+# the subnormal grid
+ALL_LEVELS = np.ldexp(np.nextafter(1.0, 0.0), np.arange(969, -1075, -1))
+# a full block of terms 1 - k 2^-40 with an odd sum of k, then its mirror
+# image but for the first term: a level one bit wider than _LEVEL_BITS would
+# sum 2^14 terms of about 2^40 grid units each, and round
+FULL_LEVEL = 1.0 - (2 * np.arange(B) + 1) * 2.0**-40
+FULL_LEVEL[0] = 1.0 - 2.0**-39
+
+DISPATCH_SCRIPT = """
+import math, sys
+sys.path.insert(0, sys.argv[1])
+from conftest import CPU_FEATURES
+from etaq.series import exact_sum
+from test_series import random_exponent_sample
+assert not CPU_FEATURES["X86_V4"]
+for seed in range(4):
+    for x in random_exponent_sample(seed):
+        assert exact_sum(x).hex() == math.fsum(x).hex(), seed
+print("ok")
+"""
+
+
 class TestExactSum:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_exponents_and_cancellation(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(100):
-            x = spread_terms(rng, int(rng.integers(1, 2000)))
+        for x in random_exponent_sample(seed):
             assert_fsum_bits(x)
-            # the mirror image, nudged by an ulp or two: the sum is all cancellation
-            y = np.concatenate([x, -x * (1.0 + 2.0**-52 * rng.integers(-2, 3, len(x)))])
-            rng.shuffle(y)
-            assert_fsum_bits(y)
+
+    @needs_avx512
+    def test_sums_do_not_depend_on_the_simd_dispatch(self):
+        """The kernel's numpy loops run on another SIMD level without
+        AVX-512; the sums stay math.fsum's, whatever order np.sum adds in."""
+        run_without_avx512(DISPATCH_SCRIPT)
 
     @pytest.mark.parametrize("scale", [2.0**-700, 2.0**-760, 2.0**-1000, 2.0**-1074])
     def test_near_subnormal(self, scale):
@@ -189,8 +225,13 @@ class TestExactSum:
         [math.inf, -math.inf], [math.inf, math.nan], [1e308, 1e308, -1e308],
         [1e308, 1e308], [2.0**969, 2.0**969], [2.0**971, -2.0**971, 1.0],
         [5e-324, 5e-324], [5e-324, -1e-323], [1.0, 1e100, 1.0, -1e100],
-        # huge terms that cancel in their bucket: fsum overflows all the same
+        # huge terms that cancel: fsum overflows all the same
         [1.7976931348623157e308] * 2 + [-1.7976931348623157e308] * 2,
+        # every term rounds up to 2^_LEVEL_BITS grid units: a level sum of 2^53
+        [np.nextafter(1.0, 0.0)] * B,
+        ALL_LEVELS, ALL_LEVELS * (-1.0) ** np.arange(len(ALL_LEVELS)),
+        np.concatenate([FULL_LEVEL, -FULL_LEVEL[1:]]),
+        *(spread_terms(np.random.default_rng(n), n) for n in (B - 1, B, B + 1)),
     ])
     def test_edge_cases(self, x):
         assert_fsum_bits(x)
@@ -300,8 +341,7 @@ class TestDirectSums:
     @pytest.mark.parametrize("direct_sum", TestTermAB.DIRECT_SUMS[1:],
                              ids=["eta_partial", "shifted_sums", "subseries_q"])
     def test_peak_memory_is_a_few_blocks(self, direct_sum):
-        # the block's term and work arrays and the buckets, never arrays as
-        # long as the terms
+        # the block's term and work arrays, never arrays as long as the terms
         direct_sum(1000)
         tracemalloc.start()
         try:

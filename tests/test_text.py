@@ -1,12 +1,8 @@
 """The CSV text writer against Python's own '%.17g' and str."""
 
 import io
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +13,7 @@ from etaq import _text
 from etaq.limits import SumSurface
 from etaq.series import StripPoint
 
-from conftest import CLI_TIMEOUT_S, ETAQ_ROOT
-
-try:
-    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
-
-AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"
+from conftest import needs_avx512, run_without_avx512
 
 
 def python_csv(*columns) -> str:
@@ -212,7 +201,8 @@ def test_surface_writer_memory_is_bounded(rows):
 DISPATCH_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
-from test_text import CPU_FEATURES, numpy_csv, python_csv, sample
+from conftest import CPU_FEATURES
+from test_text import numpy_csv, python_csv, sample
 assert not CPU_FEATURES["X86_V4"]
 for seed in range(3):
     v = sample(seed)
@@ -221,14 +211,7 @@ print("ok")
 """
 
 
-@pytest.mark.skipif(
-    not CPU_FEATURES.get("X86_V4", False),
-    reason="the host has no AVX-512 dispatch to turn off")
+@needs_avx512
 def test_text_does_not_depend_on_the_simd_dispatch():
     """log10 gives other last bits without AVX-512; the text stays the same."""
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_OFF)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (ETAQ_ROOT, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", DISPATCH_SCRIPT, str(Path(__file__).parent)],
-                          env=env, capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
+    run_without_avx512(DISPATCH_SCRIPT)
