@@ -15,14 +15,16 @@ the product is exact, and a tie goes to the even significand.  Python's
 - those whose product falls outside [10^16, 10^17 - 1);
 - those whose product lies within 2^-20 of a half-integer where
   10^(16 - e) is inexact, since they could be ties.
-``str`` writes the integers outside [0, 10^12).  Python's ``%`` also writes
-a block of fewer than FEW_VALUES values, one value at a time.
+Python's ``%`` also writes a block of fewer than FEW_VALUES values, one
+value at a time.
 
 Each row is one line of a uint64 matrix, and each value a fixed slot of
-8-byte words in it: a float takes 6 words, an integer 2 or 3.  Digits come
-from tables of 4-digit groups.  A float's digits are each followed by a NUL
-byte where a decimal point may go, and its zero digits are NUL: a mask keyed
-by (digits kept, point position) writes back the zeros kept and the point.
+8-byte words in it.  An integer column's slots take as many words as its
+longest text and separator need, and numpy's cast of int64 to a NUL-padded
+bytes dtype writes them.  A float takes 6 words.  Its digits come from
+tables of 4-digit groups, each digit followed by a NUL byte where a decimal
+point may go, and its zero digits are NUL: a mask keyed by (digits kept,
+point position) writes back the zeros kept and the point.
 Tables keyed by the exponent give the sign, the "0.000" prefix and the
 "e+XX" suffix.  The last byte of each slot holds the "," or newline that
 follows the value.  One ``bytes.translate`` then deletes every NUL.
@@ -113,10 +115,6 @@ def _tables() -> dict:
     sign_prefix[:, 1, 0] = ord("-")
     first = np.zeros((10, 8), np.uint8)
     first[:, 6] = np.arange(10)  # ORed onto the mask's "0"
-
-    # an integer's digits, 4 to a 32-bit group, and masks keyed by the digit
-    # count (1..12) that clear its leading zeros
-    lead = np.where(np.arange(12) >= 12 - np.arange(13)[:, None], 255, 0).astype(np.uint8)
     return {
         "spaced": _words(spaced).ravel(),
         "kept": kept,
@@ -125,10 +123,6 @@ def _tables() -> dict:
         "sign_prefix": _words(sign_prefix).ravel(),
         "suffix": _words(suffix).ravel(),
         "first": _words(first).ravel(),
-        "plain": (48 + digits).view(np.uint32).ravel(),
-        "lead": [np.ascontiguousarray(lead[:, 4 * j:4 * j + 4]).view(np.uint32).ravel()
-                 for j in range(3)],
-        "int_powers": 10 ** np.arange(1, 12, dtype=np.int64),
     }
 
 
@@ -154,8 +148,7 @@ def _pow10(k: int) -> tuple[float, float, float, float, float]:
 
 def _python_words(texts: list[str], words: int) -> np.ndarray:
     """Slots of `words` words holding the given texts."""
-    raw = bytearray(b"".join(t.encode().ljust(8 * words, b"\0") for t in texts))
-    return np.frombuffer(raw, np.uint64).reshape(len(texts), words)
+    return np.array(texts, dtype=f"S{8 * words}").view(np.uint64).reshape(len(texts), words)
 
 
 def _significands(v: np.ndarray):
@@ -219,30 +212,24 @@ def _float_slots(v: np.ndarray, out: np.ndarray, sep: np.ndarray) -> None:
         out[slow] = words
 
 
-def _int_width(v: np.ndarray) -> int:
-    """Slot words for the integers `v`: 2 hold up to 15 characters."""
-    return 2 if v.size == 0 or (v.min() > -10**14 and v.max() < 10**15) else 3
-
-
-def _int_slots(v: np.ndarray, out: np.ndarray, sep: np.uint64) -> None:
-    """Write str of each integer of `v`, then `sep`, into the zeroed slots
-    `out` of _int_width(v) words."""
-    t = _tables()
+def _int_slots(v: np.ndarray, sep: np.uint64) -> np.ndarray:
+    """The slots of str of each integer of `v`, then `sep`: as many words
+    as the longest text and its separator need."""
     v = v.astype(np.int64)
-    python = (v < 0) | (v >= 10**12)
-    rest = np.where(python, 0, v)
-    digits = 1 + np.searchsorted(t["int_powers"], rest, side="right")
-    out32 = out.view(np.uint32)
-    for j in range(2, 2 - (int(digits.max(initial=1)) + 3) // 4, -1):
-        q = rest // 10**4
-        out32[:, j] = t["plain"].take(rest - q * 10**4) & t["lead"][j].take(digits)
-        rest = q
+    longest = max(len(str(v.min(initial=0))), len(str(v.max(initial=0))))
+    words = (longest + 8) // 8
+    out = v.astype(f"S{8 * words}").view(np.uint64).reshape(len(v), words)
     out[:, -1] |= sep
-    if python.any():
-        slow = np.flatnonzero(python)
-        words = _python_words([str(x) for x in v[slow].tolist()], out.shape[1])
-        words[:, -1] |= sep
-        out[slow] = words
+    return out
+
+
+def _int_column(values: np.ndarray, index, sep: np.uint64) -> np.ndarray:
+    """The slots of a (values, index) integer column: each value is written
+    once, unless there are more values than rows."""
+    if index is not None and len(values) > len(index):
+        values, index = values[index], None
+    out = _int_slots(values, sep)
+    return out if index is None else out.take(index, axis=0)
 
 
 def csv_rows(columns) -> str:
@@ -261,15 +248,14 @@ def csv_rows(columns) -> str:
 
 def _rows(columns) -> np.ndarray:
     """The uint64 row matrix of csv_rows' (values, index) columns, NUL-padded."""
-    floats = [values.dtype.kind == "f" for values, _ in columns]
-    widths = [_FLOAT_WORDS if f else _int_width(values)
-              for (values, _), f in zip(columns, floats)]
-    starts = np.cumsum([0, *widths])
-    values, index = columns[0]
-    rows = np.zeros((len(values if index is None else index), starts[-1]), np.uint64)
     seps = np.full(len(columns), _COMMA)
     seps[-1] = _NEWLINE
-    for is_float, run in groupby(range(len(columns)), floats.__getitem__):
+    ints = [None if values.dtype.kind == "f" else _int_column(values, index, sep)
+            for (values, index), sep in zip(columns, seps)]
+    starts = np.cumsum([0, *(_FLOAT_WORDS if out is None else out.shape[1] for out in ints)])
+    values, index = columns[0]
+    rows = np.zeros((len(values if index is None else index), starts[-1]), np.uint64)
+    for is_float, run in groupby(range(len(columns)), lambda k: ints[k] is None):
         run = list(run)
         if is_float:  # one pass over a run of float columns, since each
             # numpy call costs as much as a few hundred values
@@ -279,14 +265,7 @@ def _rows(columns) -> np.ndarray:
                          seps[run, None])
             continue
         for k in run:
-            values, index = columns[k]
-            out = rows[:, starts[k]:starts[k + 1]]
-            if index is None or len(values) > len(index):
-                _int_slots(values if index is None else values[index], out, seps[k])
-            else:
-                distinct = np.zeros((len(values), widths[k]), np.uint64)
-                _int_slots(values, distinct, seps[k])
-                out[:] = distinct.take(index, axis=0)
+            rows[:, starts[k]:starts[k + 1]] = ints[k]
     return rows
 
 

@@ -48,6 +48,8 @@ SEARCH_CACHE_HELP = ("the search cache holds 16 bytes x sum over the prefix's q 
                      "per row of the window")
 CELLS_HELP = (f"len(--n) x len(--h) is at most {limits.MAX_CELLS} cells "
               "(16 bytes per cell)")
+REACH_HELP = ("at the default 1e-12 the eta evaluator reaches |y| of about 196; "
+              "past its reach the command exits 2")
 EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE
 
 
@@ -410,11 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
-    for name, evaluate in (("eta", eta_accel), ("zeta", zeta_from_eta)):
+    zeta_reach = f"{REACH_HELP}; zeta accepts an error up to tol x max(1, |zeta|)"
+    for name, evaluate, reach in (("eta", eta_accel, REACH_HELP),
+                                  ("zeta", zeta_from_eta, zeta_reach)):
         p = sub.add_parser(name, help=f"evaluate {name}(x+iy)")
         p.add_argument("x", type=float)
         p.add_argument("y", type=float)
-        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--tol", type=float, default=1e-12, help=reach)
         p.set_defaults(func=cmd_point, evaluate=evaluate)
 
     p = sub.add_parser("surface", help="C/S double-sum grid as CSV")
@@ -444,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     zsub = p.add_subparsers(dest="zeros_cmd", required=True)
     ps = zsub.add_parser("scan")
     ps.add_argument("--y-min", type=float, required=True)
-    ps.add_argument("--y-max", type=float, required=True)
+    ps.add_argument("--y-max", type=float, required=True,
+                    help="the grid is evaluated at tolerance 1e-12, which reaches y of about 196")
     ps.add_argument("--step", type=float, default=0.01)
     ps.add_argument("--threshold", type=float, default=0.05)
     ps.add_argument("--refine", action="store_true")

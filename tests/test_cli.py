@@ -222,6 +222,13 @@ class TestSurfaceCellCap:
         assert f"len(--n) x len(--h) is at most {limits.MAX_CELLS} cells" in text
 
 
+@pytest.mark.parametrize("argv", [["eta"], ["zeta"], ["zeros", "scan"]])
+def test_help_states_the_height_reach(argv, capsys):
+    with pytest.raises(SystemExit):
+        main([*argv, "--help"])
+    assert "about 196" in " ".join(capsys.readouterr().out.split())
+
+
 def test_search_help_states_the_cache_bytes(capsys):
     with pytest.raises(SystemExit):
         main(["search", "--help"])

@@ -108,10 +108,13 @@ def test_hypothesis_floats(values):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
-def test_hypothesis_integers(values):
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40), st.data())
+def test_hypothesis_integers(values, data):
     v = np.array(values, dtype=np.int64)
     assert numpy_csv(v) == python_csv(v)
+    index = np.array(data.draw(st.lists(st.integers(0, len(v) - 1), max_size=80)), dtype=np.intp)
+    want = python_csv(v[index])
+    assert numpy_csv((v, index)) == _text.csv_rows([(v, index)]) == want
 
 
 def test_mixed_columns_in_any_order():
@@ -132,6 +135,12 @@ def test_indexed_integer_columns():
     for write in (numpy_csv, lambda *columns: _text.csv_rows(columns)):
         assert write((values, index), floats) == want
         assert write((values, index[:2]), floats[:2]) == python_csv(values[index[:2]], floats[:2])
+    wide = np.array([10**15, -2**63, 2**63 - 1, 0])  # 3-word slots
+    flags = np.array([True, False])
+    columns = [(wide, index), floats, (flags, index % 2)]
+    want = python_csv(wide[index], floats, (index % 2 == 0).astype(np.int64))
+    for write in (numpy_csv, lambda *columns: _text.csv_rows(columns)):
+        assert write(*columns) == want
 
 
 def test_bools_write_as_digits():
@@ -196,6 +205,33 @@ def test_surface_writer_memory_is_bounded(rows):
         tracemalloc.stop()
     assert sink.chars > 30 * rows * len(h_axis)
     assert peak < WRITER_PEAK_BYTES
+
+
+def test_surface_writer_formats_each_n_and_h_once_per_block(monkeypatch):
+    """The surface passes n and h as (values, index) pairs, so a block
+    formats its own n values and the h axis, not an integer per cell."""
+    h_axis = tuple(range(1, 1201, 10))
+    rows = 1000
+    cs = np.zeros((rows, len(h_axis)))
+    surf = SumSurface(point=StripPoint(0.75, 3.0), ordering_id="shuffle", h_axis=h_axis,
+                      n_axis=tuple(range(1, 10 * rows, 10)), C=cs, S=cs)
+    blocks = []
+    csv_rows, int_slots = _text.csv_rows, _text._int_slots
+    monkeypatch.setattr(_text, "csv_rows", lambda columns: (blocks.append(0), csv_rows(columns))[1])
+
+    def counted(v, sep):
+        blocks[-1] += len(v)
+        return int_slots(v, sep)
+
+    monkeypatch.setattr(_text, "_int_slots", counted)
+    surf.write_csv(_Sink())
+    cells = rows * len(h_axis)
+    starts = range(0, cells, _text.BLOCK_ROWS)
+    assert len(blocks) == len(starts)
+    for start, formatted in zip(starts, blocks):
+        stop = min(start + _text.BLOCK_ROWS, cells)
+        n_values = (stop - 1) // len(h_axis) - start // len(h_axis) + 1
+        assert 0 < formatted <= n_values + len(h_axis)
 
 
 DISPATCH_SCRIPT = """
