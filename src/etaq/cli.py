@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__, _rng, limits, search, series, zeros
 from . import qset
 from .qset import QOrdering
-from .series import (AccelerationError, PoleError, SingularDenominatorError,
-                     StripPoint, eta_accel, geom_closed, zeta_from_eta)
+from .series import (AccelerationError, PoleError, StripPoint, eta_accel, geom_closed,
+                     zeta_from_eta)
 
 METHOD_IDS = (series.ACCEL_METHOD_ID, series.AVERAGED_METHOD_ID, f"rng:{_rng.ALGORITHM_ID}",
               f"tail:iterated-averaging-{series.TAIL_LEVELS}")
@@ -48,8 +48,10 @@ SEARCH_CACHE_HELP = ("the search cache holds 16 bytes x sum over the prefix's q 
                      "per row of the window")
 CELLS_HELP = (f"len(--n) x len(--h) is at most {limits.MAX_CELLS} cells "
               "(16 bytes per cell)")
+HEIGHT_HELP = (f"|y| at most {series.MAX_HEIGHT:.2f}, past which the eta evaluator "
+               "meets no tolerance")
 REACH_HELP = ("at the default 1e-12 the eta evaluator reaches |y| of about 196; "
-              "past its reach the command exits 2")
+              f"past its reach the command exits 2; {HEIGHT_HELP}")
 EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE
 
 
@@ -317,11 +319,11 @@ def cmd_gap(args) -> int:
     check_outputs(args.out)
     series.check_term_count(args.budget)
     series.check_tol(args.eta_tol, "etaTol")
+    point = StripPoint(args.x, args.y)
     ordering = parse_ordering(args.ordering, args.q_bound)
     # every ordering is a permutation of Q's arrays: count them unordered
     h_max = args.h_max if args.h_max is not None else len(qset.q_arrays(args.q_bound)[0])
-    report = limits.commutativity_gap(StripPoint(args.x, args.y), ordering,
-                                      h_max, args.budget, args.eta_tol)
+    report = limits.commutativity_gap(point, ordering, h_max, args.budget, args.eta_tol)
     if args.out:
         with open(args.out, "w") as fh:
             report.write_json(fh)
@@ -348,6 +350,8 @@ def cmd_zeros(args) -> int:
     check_outputs(args.out)
     if args.zeros_cmd == "scan":
         grid = (args.y_min, args.y_max, args.step, args.threshold)
+        zeros.scan_count(*grid)
+        StripPoint(zeros.CRITICAL_X, args.y_max)  # a grid past the ceiling fails here
         records = (zeros.scan_and_refine(*grid, tol=args.tol) if args.refine
                    else zeros.scan_zeros(*grid))
         manifest = RunManifest("zeros scan", {
@@ -423,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surface", help="C/S double-sum grid as CSV")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--y", type=float, required=True, help=HEIGHT_HELP)
     p.add_argument("--ordering", default="byvalue")
     p.add_argument("--n", required=True,
                    help=f"range start:stop[:step]; {TERMS_HELP}; {CELLS_HELP}")
@@ -434,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="iterated-limit report as JSON")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--y", type=float, required=True, help=HEIGHT_HELP)
     p.add_argument("--ordering", default="byvalue")
     p.add_argument("--h-max", type=int, default=None,
                    help="default: all elements below --q-bound")
@@ -449,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = zsub.add_parser("scan")
     ps.add_argument("--y-min", type=float, required=True)
     ps.add_argument("--y-max", type=float, required=True,
-                    help="the grid is evaluated at tolerance 1e-12, which reaches y of about 196")
+                    help="the grid is evaluated at tolerance 1e-12, which reaches y of "
+                    f"about 196; at most {series.MAX_HEIGHT:.2f}")
     ps.add_argument("--step", type=float, default=0.01)
     ps.add_argument("--threshold", type=float, default=0.05)
     ps.add_argument("--refine", action="store_true")
@@ -470,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", type=int, required=True)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--x", type=float, default=0.75)
-    p.add_argument("--y", type=float, default=3.0)
+    p.add_argument("--y", type=float, default=3.0, help=HEIGHT_HELP)
     p.add_argument("--n0", type=int, default=200)
     p.add_argument("--n1", type=int, default=400, help=f"{TERMS_HELP}; {SEARCH_CACHE_HELP}")
     p.add_argument("--h-max", type=int, default=16)
@@ -505,8 +510,7 @@ def main(argv=None) -> int:
     except PoleError as exc:
         print(f"error: pole at z=1 ({exc})", file=sys.stderr)
         return 2
-    except (AccelerationError, SingularDenominatorError, ValueError,
-            zeros.RefinementError, qset.EnumerationShortfallError, OSError) as exc:
+    except (AccelerationError, ValueError, zeros.RefinementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,7 +41,9 @@ _BLOCK_TERMS = 2**16  # the work block of eta_accel_many: about 1 MiB of complex
 # the block of the direct sums: its few work arrays stay in L2 (of 2^12 to
 # 2^16, 2^14 ran limit_B(1e6) fastest)
 _SUM_BLOCK_TERMS = 2**14
-_Y_SATURATED = 1e6  # past this |y|, n = _MAX_ACCEL_TERMS and no terms are summed
+# past this |y| the bound's exponent pi |y| / 2 - n ln(3 + sqrt(8)) is at
+# least 700 at every term count n <= _MAX_ACCEL_TERMS: no tolerance is met
+MAX_HEIGHT = 2.0 * (700.0 + _MAX_ACCEL_TERMS * _LOG_ACCEL_RATE) / math.pi
 
 # direct sums hold a few blocks whatever the count; surface and search hold
 # 16 bytes per term, in `term_arrays`' complex array
@@ -73,14 +75,15 @@ class AccelerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StripPoint:
-    """An evaluation point s = x + iy with x > 0."""
+    """An evaluation point s = x + iy with x > 0 and |y| <= MAX_HEIGHT."""
 
     x: float
     y: float
 
     def __post_init__(self):
-        if not (self.x > 0.0 and math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"need finite x > 0, y; got x={self.x}, y={self.y}")
+        if not (self.x > 0.0 and math.isfinite(self.x) and abs(self.y) <= MAX_HEIGHT):
+            raise ValueError(f"need finite x > 0 and |y| <= {MAX_HEIGHT:.2f}; "
+                             f"got x={self.x}, y={self.y}")
 
     @property
     def s(self) -> complex:
@@ -228,34 +231,25 @@ def direct_sums(p: StripPoint, n: int, step: int = 1, shift: float = 1.0, window
     Returns the sums of a and of b over the first n - window terms, each
     math.fsum's float bit for bit, and copies of the last `window` terms of
     a and of b (all n when window > n).  The work memory is a few blocks,
-    whatever n.
+    whatever n.  With |y| <= MAX_HEIGHT every term is at most 1 in modulus,
+    so `_block_sum` never defers to math.fsum (nor may `prepare` make it).
     """
     check_term_count(n)
     head = n - min(window, n)
-
-    def blocks():  # each prepared block, and how many of its terms are head terms
-        for lo, a, b in term_blocks(p, n, step, shift):
-            if prepare is not None:
-                prepare(lo, a, b)
-            yield lo, min(max(head - lo, 0), len(a)), (a, b)
-
-    totals = [0, 0]  # None once a block defers to math.fsum
+    totals = [0, 0]
     negative = [head > 0] * 2  # every head term so far has its sign bit set
     tails = np.empty((2, n - head))
-    for lo, cut, ab in blocks():
-        for i, x in enumerate(ab):
-            if cut and totals[i] is not None:
-                block = _block_sum(x[:cut])
-                totals[i] = None if block is None else totals[i] + block
+    for lo, a, b in term_blocks(p, n, step, shift):
+        if prepare is not None:
+            prepare(lo, a, b)
+        cut = min(max(head - lo, 0), len(a))  # how many of its terms are head terms
+        for i, x in enumerate((a, b)):
+            if cut:
+                totals[i] += _block_sum(x[:cut])
                 negative[i] = negative[i] and bool(np.signbit(x[:cut]).all())
             if cut < len(x):
                 tails[i, lo + cut - head:lo + len(x) - head] = x[cut:]
-    # the terms are at most 1 in modulus, so only a NaN term defers to
-    # math.fsum, over the head terms built again
-    values = [math.fsum(t for _, cut, ab in blocks() for t in ab[i][:cut].tolist())
-              if total is None else _fsum_float(total, negative[i])
-              for i, total in enumerate(totals)]
-    return values[0], values[1], tails[0], tails[1]
+    return (*map(_fsum_float, totals, negative), *tails)
 
 
 def _conjugate(lo: int, a: np.ndarray, b: np.ndarray) -> None:
@@ -316,7 +310,7 @@ def _accel_weights(n: int) -> _AccelWeights:
 
 def _accel_term_count(p: StripPoint, tol: float) -> int:
     need = math.log(10.0 / tol) + math.pi * abs(p.y) / 2.0
-    # need is inf for |y| near the float maximum: clamp before ceil
+    # need is inf where 10 / tol overflows (tol < 5.6e-308): clamp before ceil
     return min(_MAX_ACCEL_TERMS,
                max(24, math.ceil(min(need / _LOG_ACCEL_RATE, _MAX_ACCEL_TERMS)) + 8))
 
@@ -342,17 +336,12 @@ def eta_accel(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
     """
     check_tol(target_tol)
     n = _accel_term_count(p, target_tol)
+    w = _accel_weights(n)
+    terms = np.exp(-p.s * w.log_k)
+    value = complex(np.dot(w.c, terms)) / w.d
+    round_scale = float(np.dot(w.abs_c, np.abs(terms))) / w.d
     exponent = math.pi * abs(p.y) / 2.0 - n * _LOG_ACCEL_RATE
-    if exponent < 700.0:
-        w = _accel_weights(n)
-        terms = np.exp(-p.s * w.log_k)
-        value = complex(np.dot(w.c, terms)) / w.d
-        round_scale = float(np.dot(w.abs_c, np.abs(terms))) / w.d
-        err = 10.0 * math.exp(exponent) + n * _EPS * round_scale
-    else:
-        # the bound saturates to inf (math.exp would overflow, and so would
-        # the terms for |y| near the float maximum): no value is computed
-        value, err = complex(math.nan, math.nan), math.inf
+    err = 10.0 * math.exp(exponent) + n * _EPS * round_scale
     return _accel_result(p.x, p.y, n, value, err, target_tol)
 
 
@@ -365,30 +354,24 @@ def eta_accel_many(x: float, ys, target_tol: float = 1e-12) -> tuple[np.ndarray,
     memory beyond the outputs is bounded by the block.  The dot products
     are the stacked vector.vector form of matmul, which runs the same dot
     kernel as np.dot; a matrix-vector product or einsum would change the
-    last bits.  Raises AccelerationError with eta_accel's message and
-    result at the first y, in order, whose bound exceeds target_tol.
+    last bits.  Raises ValueError before any evaluation if some |y| exceeds
+    MAX_HEIGHT, and AccelerationError with eta_accel's message and result
+    at the first y, in order, whose bound exceeds target_tol.
     """
     ys = np.asarray(ys, dtype=np.float64)
-    if not (x > 0.0 and math.isfinite(x) and ys.ndim == 1 and np.isfinite(ys).all()):
-        raise ValueError(f"need finite x > 0 and a 1-D sequence of finite y; got x={x}")
+    if not (x > 0.0 and math.isfinite(x) and ys.ndim == 1
+            and (np.abs(ys) <= MAX_HEIGHT).all()):
+        raise ValueError(f"need finite x > 0 and a 1-D sequence of |y| <= "
+                         f"{MAX_HEIGHT:.2f}; got x={x}")
     check_tol(target_tol)
-    # _accel_term_count, vectorised; clamping |y| keeps pi*|y| finite
-    exponent = math.pi * np.minimum(np.abs(ys), _Y_SATURATED) / 2.0
-    n = np.ceil(np.minimum((math.log(10.0 / target_tol) + exponent) / _LOG_ACCEL_RATE,
-                           _MAX_ACCEL_TERMS)) + 8
+    # _accel_term_count, vectorised: np.ceil takes an inf need, which clip caps
+    exponent = math.pi * np.abs(ys) / 2.0
+    n = np.ceil((math.log(10.0 / target_tol) + exponent) / _LOG_ACCEL_RATE) + 8
     n = np.clip(n, 24, _MAX_ACCEL_TERMS).astype(np.int16)
     exponent -= n * _LOG_ACCEL_RATE
-    values = np.full(len(ys), complex(math.nan, math.nan))
-    errors = np.full(len(ys), math.inf)
-
-    def fail(i):
-        _accel_result(x, float(ys[i]), int(n[i]), complex(values[i]),
-                      float(errors[i]), target_tol)
-
-    # the first point past 700 fails with no terms; only points before it run
-    past = exponent >= 700.0
-    live = int(past.argmax()) if past.any() else len(ys)
-    cuts = [*np.flatnonzero(np.diff(n[:live], prepend=-1)).tolist(), live]
+    values = np.empty(len(ys), dtype=complex)
+    errors = np.empty(len(ys))
+    cuts = [*np.flatnonzero(np.diff(n, prepend=-1)).tolist(), len(ys)]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         m = int(n[lo])
         w = _accel_weights(m)
@@ -410,9 +393,9 @@ def eta_accel_many(x: float, ys, target_tol: float = 1e-12) -> tuple[np.ndarray,
             errors[b:e] = 10.0 * bound + m * _EPS * (scale / w.d)
             bad = np.flatnonzero(errors[b:e] > target_tol)
             if len(bad):
-                fail(b + int(bad[0]))
-    if live < len(ys):
-        fail(live)
+                i = b + int(bad[0])
+                _accel_result(x, float(ys[i]), m, complex(values[i]),
+                              float(errors[i]), target_tol)
     return values, errors
 
 
@@ -501,8 +484,8 @@ def gamma_partial(p: StripPoint, L: int) -> complex:
 def shifted_sums(p: StripPoint, shift: float, n: int) -> tuple[float, float]:
     """Truncated sums of (-1)^(k-1) k^(-x) cos(y ln(shift*k)) and the sin
     analogue over k = 1..n."""
-    if shift <= 0.0:
-        raise ValueError("shift must be > 0")
+    if not 0.0 < shift < math.inf:
+        raise ValueError(f"shift must be finite and > 0, got {shift}")
     return direct_sums(p, n, shift=shift)[:2]
 
 
@@ -510,8 +493,8 @@ def shifted_sums_oracle(p: StripPoint, shift: float,
                         target_tol: float = 1e-12) -> tuple[float, float]:
     """Closed-form limits of shifted_sums via angle addition:
     (Re, -Im) of shift^(-iy) * eta(s)."""
-    if shift <= 0.0:
-        raise ValueError("shift must be > 0")
+    if not 0.0 < shift < math.inf:
+        raise ValueError(f"shift must be finite and > 0, got {shift}")
     w = cmath.exp(-1j * p.y * math.log(shift)) * eta_accel(p, target_tol).value
     return w.real, -w.imag
 

@@ -4,7 +4,8 @@
 Zeros are located as minima of |eta| rather than sign changes of a rotated
 real function.  At the default tolerance 1e-12 the evaluator reaches height
 about 196: `zeros scan` fails at y = 196.41 (1.001e-12), and `etaq eta 0.5
-200` at 1.024e-12.
+200` at 1.024e-12.  Past `series.MAX_HEIGHT` (838.40) it meets no tolerance,
+and `refine_zero` and `etaq zeros scan` reject a window or grid reaching past it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _text
-from .series import StripPoint, check_tol, eta_accel, eta_accel_many
+from .series import MAX_HEIGHT, StripPoint, check_tol, eta_accel, eta_accel_many
 
 CRITICAL_X = 0.5
 DEDUP_SPACING = 1e-6
@@ -84,12 +85,8 @@ def load_zeros(path) -> list[ZeroRecord]:
             for y in ordinates]
 
 
-def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
-               threshold: float = 0.05) -> list[ZeroRecord]:
-    """Grid-scan |eta(1/2 + iy)|; candidates are interior local minima below
-    threshold.  Candidates are unrefined.  The grid is evaluated by
-    `eta_accel_many` in chunks of _SCAN_CHUNK points, which gives eta_abs's
-    bits at every point."""
+def scan_count(y_min: float, y_max: float, step: float, threshold: float) -> int:
+    """The number of grid points of `scan_zeros`, its arguments checked."""
     if not (math.isfinite(y_min) and math.isfinite(y_max)):
         raise ValueError(f"need finite yMin, yMax; got [{y_min}, {y_max}]")
     if not y_min >= 0.0:
@@ -100,13 +97,24 @@ def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
         raise ValueError(f"step must be finite and > 0, got {step}")
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    if y_min == y_max:
-        return []
     span = (y_max - y_min) / step  # inf when a tiny step overflows it
     count = math.floor(span) + 1 if math.isfinite(span) else span
     if count > MAX_SCAN_POINTS:
         raise ValueError(f"scan would need {count} grid points "
                          f"(cap {MAX_SCAN_POINTS}); raise step")
+    return count
+
+
+def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
+               threshold: float = 0.05) -> list[ZeroRecord]:
+    """Grid-scan |eta(1/2 + iy)|; candidates are interior local minima below
+    threshold.  Candidates are unrefined.  The grid is evaluated by
+    `eta_accel_many` in chunks of _SCAN_CHUNK points, which gives eta_abs's
+    bits at every point, so a grid past the evaluator's reach fails after
+    bounded work."""
+    count = scan_count(y_min, y_max, step, threshold)
+    if y_min == y_max:
+        return []
     chunks = []
     for lo in range(0, count, _SCAN_CHUNK):
         ys = y_min + np.arange(lo, min(lo + _SCAN_CHUNK, count)) * step
@@ -128,6 +136,9 @@ def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecor
         raise ValueError(f"y0 must be finite, got {y0}")
     if not (window > 0.0 and math.isfinite(window)):
         raise ValueError(f"window must be finite and > 0, got {window}")
+    if not abs(y0) + window <= MAX_HEIGHT:
+        raise ValueError(f"need |y0| + window <= {MAX_HEIGHT:.2f}, the eta evaluator's "
+                         f"ceiling; got y0={y0}, window={window}")
     check_tol(tol, "tol")
 
     def g(y: float) -> float:

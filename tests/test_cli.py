@@ -222,11 +222,15 @@ class TestSurfaceCellCap:
         assert f"len(--n) x len(--h) is at most {limits.MAX_CELLS} cells" in text
 
 
-@pytest.mark.parametrize("argv", [["eta"], ["zeta"], ["zeros", "scan"]])
+@pytest.mark.parametrize("argv", [["eta"], ["zeta"], ["zeros", "scan"],
+                                  ["surface"], ["gap"], ["search"]])
 def test_help_states_the_height_reach(argv, capsys):
     with pytest.raises(SystemExit):
         main([*argv, "--help"])
-    assert "about 196" in " ".join(capsys.readouterr().out.split())
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"at most {series.MAX_HEIGHT:.2f}" in text
+    if argv[0] in ("eta", "zeta", "zeros"):
+        assert "about 196" in text
 
 
 def test_search_help_states_the_cache_bytes(capsys):
@@ -300,8 +304,7 @@ class TestZerosCommand:
          "error: eta acceleration reaches 1.001e-12 > requested 1.000e-12 "
          "at s=(0.5,196.41) with 201 terms\n"),
         (["--y-min", "1e300", "--y-max", "2e300", "--step", "1e299"],
-         "error: eta acceleration reaches inf > requested 1.000e-12 "
-         "at s=(0.5,1e+300) with 350 terms\n"),
+         "error: need finite x > 0 and |y| <= 838.40; got x=0.5, y=2e+300\n"),
     ])
     def test_scan_unreachable_tolerance_exit_two(self, argv, err, capsys):
         with warnings.catch_warnings():
@@ -511,6 +514,24 @@ def test_every_public_name_resolves():
       "--n1", str(series.MAX_TERMS + 1), "--bound", "30000000",
       "--out-trace", "t.csv", "--out-best", "b.json"],
      f"{series.MAX_TERMS + 1} terms exceed the cap {series.MAX_TERMS}"),
+    # a height just past series.MAX_HEIGHT, or an x that is not > 0
+    (["eta", "0.5", "838.41"], "need finite x > 0 and |y| <= 838.40"),
+    (["zeta", "0.5", "-838.41"], "need finite x > 0 and |y| <= 838.40"),
+    (["surface", "--x", "0.5", "--y", "838.41", "--n", "1:10", "--h", "1:3",
+      "--bound", "30000000", "--out", "s.csv"], "need finite x > 0 and |y| <= 838.40"),
+    (["gap", "--x", "0", "--y", "0", "--q-bound", "30000000", "--budget", "10"],
+     "need finite x > 0 and |y| <= 838.40; got x=0.0, y=0.0"),
+    (["gap", "--x", "0.5", "--y", "1e300", "--q-bound", "30000000", "--budget", "10"],
+     "need finite x > 0 and |y| <= 838.40; got x=0.5, y=1e+300"),
+    (["search", "--seed", "1", "--prefix", "20", "--iters", "3", "--y", "838.41",
+      "--bound", "30000000", "--out-trace", "t.csv", "--out-best", "b.json"],
+     "need finite x > 0 and |y| <= 838.40"),
+    (["zeros", "scan", "--y-min", "0", "--y-max", "900"],
+     "need finite x > 0 and |y| <= 838.40; got x=0.5, y=900.0"),
+    (["zeros", "scan", "--y-min", "0", "--y-max", "900", "--refine"],
+     "need finite x > 0 and |y| <= 838.40; got x=0.5, y=900.0"),
+    (["zeros", "refine", "--y0", "838.4"], "need |y0| + window <= 838.40"),
+    (["zeros", "refine", "--y0", "-838.4"], "need |y0| + window <= 838.40"),
 ], ids=["refine-tol-nan", "refine-tol-inf", "refine-window-nan", "refine-window-inf",
         "eta-tol-nan", "zeta-tol-nan", "eta-tol-inf", "gap-eta-tol-nan", "gap-eta-tol-0",
         "search-eta-tol-0", "scan-y-max-inf", "scan-y-min-nan", "scan-step-nan",
@@ -518,7 +539,9 @@ def test_every_public_name_resolves():
         "search-t0-nan", "search-t0-negative", "gap-shuffle-prefix-negative",
         "gap-shuffle-seed-not-an-integer",
         "refine-y0-nan", "surface-cells", "search-h-max-over-prefix",
-        "search-n1-over-cap"])
+        "search-n1-over-cap", "eta-height", "zeta-height", "surface-height", "gap-x",
+        "gap-height", "search-height", "scan-height", "scan-refine-height",
+        "refine-height", "refine-negative-height"])
 def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, monkeypatch):
     work = []
     monkeypatch.chdir(tmp_path)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import needs_avx512, run_without_avx512
 from etaq import series
-from etaq.series import (_BLOCK_TERMS, _SUM_BLOCK_TERMS, MAX_TERMS, AccelerationError,
-                         PoleError, SingularDenominatorError, StripPoint,
+from etaq.series import (_BLOCK_TERMS, _SUM_BLOCK_TERMS, MAX_HEIGHT, MAX_TERMS,
+                         AccelerationError, PoleError, SingularDenominatorError, StripPoint,
                          bridge_denominator, direct_sums, eta_accel, eta_accel_many,
                          eta_averaged, exact_sum, eta_partial, euler_product_check,
                          gamma_partial, geom_closed, shifted_sums, shifted_sums_oracle,
@@ -60,6 +60,17 @@ def test_strip_point_flags():
         StripPoint(0.0, 1.0)
     with pytest.raises(ValueError):
         StripPoint(-0.5, 1.0)
+
+
+def test_strip_point_height_ceiling():
+    # the bound's exponent pi |y| / 2 - 350 ln(3 + sqrt(8)) reaches 700 here
+    assert MAX_HEIGHT == pytest.approx(838.40, abs=0.01)
+    assert StripPoint(0.5, MAX_HEIGHT).y == MAX_HEIGHT
+    assert StripPoint(0.5, -MAX_HEIGHT).y == -MAX_HEIGHT
+    for y in (math.nextafter(MAX_HEIGHT, math.inf), -math.nextafter(MAX_HEIGHT, math.inf),
+              math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="need finite x > 0 and [|]y[|] <= 838.40"):
+            StripPoint(0.5, y)
 
 
 class TestTermAB:
@@ -327,16 +338,17 @@ class TestDirectSums:
         # the cosine sum is not zero; the sine sum is fsum of one -0.0 or none
         assert [[x.hex() for x in c] for c in calls] == [[(-0.0).hex()] if negative else []]
 
-    def test_a_nan_term_sums_as_fsum(self):
-        # y ln k overflows from k = 7: cos and sin of inf are NaN
-        p = StripPoint(0.5, 1e308)
-        with np.errstate(over="ignore", invalid="ignore"):
-            a, b = ab(p, B + 3)
-            got = direct_sums(p, B + 3)
-        assert np.isnan(a).any()
-        for g, w in zip(got, (math.fsum(a), math.fsum(b))):
-            assert math.isnan(g) and math.isnan(w)
-            assert math.copysign(1.0, g) == math.copysign(1.0, w)
+    @pytest.mark.parametrize("y", [MAX_HEIGHT, -MAX_HEIGHT])
+    def test_at_the_height_ceiling_sums_as_fsum(self, y):
+        # the largest angles y ln k there are: every term is finite, and the
+        # sums are fsum's of the builder's terms, which are term_ab's
+        p = StripPoint(0.5, y)
+        got = direct_sums(p, 300)
+        for g, built, scalar in zip(got, ab(p, 300),
+                                    zip(*(term_ab(k, p) for k in range(1, 301)))):
+            assert np.isfinite(built).all()
+            assert g == math.fsum(built)
+            assert g == pytest.approx(math.fsum(scalar), abs=1e-13)
 
     @pytest.mark.parametrize("direct_sum", TestTermAB.DIRECT_SUMS[1:],
                              ids=["eta_partial", "shifted_sums", "subseries_q"])
@@ -468,14 +480,29 @@ class TestEtaAccelMany:
 
     @pytest.mark.parametrize("ys, tol", [
         ([100.0, 195.0, 196.41, 197.0], 1e-12),  # the scan's first failure
-        ([100.0, 197.0, 1e300], 1e-12),          # a failure before a point past 700
-        ([100.0, 1e300, 197.0], 1e-12),          # a point past 700 first
-        ([1.7e308, 1.0], 1e-12),                 # pi*|y| would overflow
         ([1.0, 50.0], 1e-14),
-        ([5.0, 900.0], 1e-3),
+        ([5.0, 500.0, 400.0], 1e-3),             # a loose tolerance past its reach
     ])
     def test_first_failure_in_order(self, ys, tol):
         assert_same_as_scalar(0.5, ys, tol)
+
+    def test_at_the_ceiling_the_bound_is_finite(self):
+        # the bound's exponent is 700 plus rounding there: math.exp gives
+        # about 1e304, and neither path overflows
+        ys = [MAX_HEIGHT, -MAX_HEIGHT]
+        values, errors = eta_accel_many(0.5, ys, 1.7e308)
+        for y, value, error in zip(ys, values.tolist(), errors.tolist()):
+            res = eta_accel(StripPoint(0.5, y), 1.7e308)
+            assert (res.value, res.error_estimate) == (value, error)
+            assert res.terms_used == 350
+            assert math.isfinite(error) and 1e304 < error < 1e306
+            assert cmath.isfinite(value)
+
+    def test_a_tolerance_too_small_for_10_over_tol_uses_the_cap(self):
+        # 10 / 1e-320 overflows to inf: the term count is capped, not an OverflowError
+        assert_same_as_scalar(0.5, [1.0], 1e-320)
+        with pytest.raises(AccelerationError, match="with 350 terms"):
+            eta_accel(StripPoint(0.5, 1.0), 1e-320)
 
     def test_empty(self):
         values, errors = eta_accel_many(0.5, [])
@@ -484,6 +511,10 @@ class TestEtaAccelMany:
     @pytest.mark.parametrize("x, ys, tol", [
         (0.0, [1.0], 1e-12), (math.nan, [1.0], 1e-12), (0.5, [math.inf], 1e-12),
         (0.5, [[1.0]], 1e-12), (0.5, [1.0], 0.0),
+        # past MAX_HEIGHT, rejected before the failure at 197 is evaluated
+        (0.5, [100.0, 197.0, 1e300], 1e-12), (0.5, [100.0, 1e300, 197.0], 1e-12),
+        (0.5, [1.7e308, 1.0], 1e-12), (0.5, [5.0, 900.0], 1e-3),
+        (0.5, [math.nextafter(MAX_HEIGHT, math.inf)], 1.7e308),
     ])
     def test_bad_input(self, x, ys, tol):
         with pytest.raises(ValueError):
@@ -592,6 +623,14 @@ class TestShiftedSums:
     def test_rejects_nonpositive_shift(self):
         with pytest.raises(ValueError):
             shifted_sums(StripPoint(0.5, 1.0), 0.0, 10)
+
+    @pytest.mark.parametrize("shift", [math.inf, math.nan])
+    def test_rejects_a_shift_that_is_not_finite(self, shift):
+        # ln shift would make every angle, and so every term, NaN
+        for f in (lambda: shifted_sums(StripPoint(0.5, 1.0), shift, 10),
+                  lambda: shifted_sums_oracle(StripPoint(0.5, 1.0), shift)):
+            with pytest.raises(ValueError, match="shift must be finite and > 0"):
+                f()
 
 
 class TestSubseries:
