@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: verify, eta, zeta, surface, gap, zeros (scan|refine|load),
-search.  Every file output gets a sidecar ``<out>.manifest.json`` recording
-the command, parameters, seeds, and numeric-method identifiers; data files
-themselves contain no timestamps, so identical manifests (minus timestamp)
-give byte-identical outputs.
+search.  `emit` writes every data file: to stdout, with no sidecar, when
+``gap`` or ``zeros`` has no ``--out``; else to the file and a sidecar
+``<out>.manifest.json`` recording the command, parameters, seeds, and
+numeric-method identifiers.  Data files contain no timestamps, so identical
+manifests (minus timestamp) give byte-identical outputs.
 
 Every output path is checked before any work, so that a path that cannot be
-written fails at once.
+written, or an empty one, fails at once; so does a ``gap --eta-tol`` that eta
+cannot reach at ``--y``, before Q is sieved.
 
 Exit codes: 0 success, 1 check failure, 2 usage, precondition or output error,
 141 (128 + SIGPIPE, as a shell reports for a command stopped by a closed pipe)
@@ -57,13 +59,14 @@ EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE
 
 def check_outputs(*paths: str | None, sidecar: bool = True) -> None:
     """Raise the OSError that opening each given path for writing would
-    raise, without creating it; with `sidecar`, check its manifest too."""
-    for path in filter(None, paths):
+    raise, without creating it; with `sidecar`, check its manifest too.
+    None is a path not given; the empty path fails as open would fail it."""
+    for path in (p for p in paths if p is not None):
         for target in (path, path + ".manifest.json") if sidecar else (path,):
             if os.path.isdir(target):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
             parent = os.path.dirname(target) or "."
-            if not os.path.isdir(parent):
+            if not (target and os.path.isdir(parent)):
                 raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), target)
             if not os.access(target if os.path.exists(target) else parent, os.W_OK):
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
@@ -108,24 +111,20 @@ def parse_ordering(spec: str, bound: int) -> QOrdering:
                      "(byvalue, byfactor, shuffle:SEED:PREFIX)")
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "toolVersion": __version__,
-            "numericMethods": list(METHOD_IDS),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-
-    def write_sidecar(self, out_path: str) -> None:
-        with open(out_path + ".manifest.json", "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+def emit(out: str | None, write, command: str, parameters: dict) -> None:
+    """Call `write(fh)` on stdout when `out` is None, with no sidecar; else on
+    the file `out`, then write its sidecar ``<out>.manifest.json``."""
+    if out is None:
+        write(sys.stdout)
+        return
+    with open(out, "w") as fh:
+        write(fh)
+    manifest = {"command": command, "parameters": parameters, "toolVersion": __version__,
+                "numericMethods": list(METHOD_IDS),
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+    with open(out + ".manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +273,7 @@ def cmd_verify(args) -> int:
         "allPassed": all(c.passed for c in checks),
         "elapsedSeconds": round(elapsed, 3),
     }
-    if args.json:
+    if args.json is not None:
         with open(args.json, "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
@@ -305,12 +304,10 @@ def cmd_surface(args) -> int:
     limits.check_cell_count(len(n_axis) * len(h_axis), f"--n {args.n} x --h {args.h}")
     ordering = parse_ordering(args.ordering, args.bound)
     surf = limits.c_s_surface(StripPoint(args.x, args.y), ordering, n_axis, h_axis)
-    with open(args.out, "w") as fh:
-        surf.write_csv(fh)
-    RunManifest("surface", {
+    emit(args.out, surf.write_csv, "surface", {
         "x": args.x, "y": args.y, "ordering": ordering.descriptor(),
         "n": args.n, "h": args.h, "bound": args.bound,
-    }).write_sidecar(args.out)
+    })
     print(f"wrote {len(n_axis) * len(h_axis)} rows to {args.out}")
     return 0
 
@@ -320,30 +317,18 @@ def cmd_gap(args) -> int:
     series.check_term_count(args.budget)
     series.check_tol(args.eta_tol, "etaTol")
     point = StripPoint(args.x, args.y)
+    # the report evaluates eta after the sieve: fail an unreachable tolerance first
+    eta_accel(point, args.eta_tol)
     ordering = parse_ordering(args.ordering, args.q_bound)
     # every ordering is a permutation of Q's arrays: count them unordered
     h_max = args.h_max if args.h_max is not None else len(qset.q_arrays(args.q_bound)[0])
     report = limits.commutativity_gap(point, ordering, h_max, args.budget, args.eta_tol)
-    if args.out:
-        with open(args.out, "w") as fh:
-            report.write_json(fh)
-        RunManifest("gap", {
-            "x": args.x, "y": args.y, "ordering": ordering.descriptor(),
-            "hMax": h_max, "budget": args.budget, "qBound": args.q_bound,
-            "etaTol": args.eta_tol,
-        }).write_sidecar(args.out)
-    else:
-        report.write_json(sys.stdout)
+    emit(args.out, report.write_json, "gap", {
+        "x": args.x, "y": args.y, "ordering": ordering.descriptor(),
+        "hMax": h_max, "budget": args.budget, "qBound": args.q_bound,
+        "etaTol": args.eta_tol,
+    })
     return 0
-
-
-def _emit_zero_records(records, out: str | None, manifest: RunManifest) -> None:
-    if out:
-        with open(out, "w") as fh:
-            zeros.write_csv(records, fh)
-        manifest.write_sidecar(out)
-    else:
-        zeros.write_csv(records, sys.stdout)
 
 
 def cmd_zeros(args) -> int:
@@ -354,21 +339,18 @@ def cmd_zeros(args) -> int:
         StripPoint(zeros.CRITICAL_X, args.y_max)  # a grid past the ceiling fails here
         records = (zeros.scan_and_refine(*grid, tol=args.tol) if args.refine
                    else zeros.scan_zeros(*grid))
-        manifest = RunManifest("zeros scan", {
+        parameters = {
             "yMin": args.y_min, "yMax": args.y_max, "step": args.step,
             "threshold": args.threshold, "refine": args.refine, "tol": args.tol,
-        })
-        _emit_zero_records(records, args.out, manifest)
+        }
     elif args.zeros_cmd == "refine":
-        rec = zeros.refine_zero(args.y0, args.window, args.tol)
-        manifest = RunManifest("zeros refine", {
-            "y0": args.y0, "window": args.window, "tol": args.tol,
-        })
-        _emit_zero_records([rec], args.out, manifest)
+        records = [zeros.refine_zero(args.y0, args.window, args.tol)]
+        parameters = {"y0": args.y0, "window": args.window, "tol": args.tol}
     else:
         records = zeros.load_zeros(args.path)
-        manifest = RunManifest("zeros load", {"path": args.path})
-        _emit_zero_records(records, args.out, manifest)
+        parameters = {"path": args.path}
+    emit(args.out, lambda fh: zeros.write_csv(records, fh), f"zeros {args.zeros_cmd}",
+         parameters)
     return 0
 
 
@@ -382,19 +364,14 @@ def cmd_search(args) -> int:
         objective=spec, neighborhood=args.neighborhood,
         initial_temperature=args.t0, decay=args.decay, bound_hint=args.bound)
     result = search.anneal(config)
-    with open(args.out_trace, "w") as fh:
-        result.trace_csv(fh)
-    with open(args.out_best, "w") as fh:
-        fh.write(result.best_json())
-        fh.write("\n")
-    manifest = RunManifest("search", {
+    parameters = {
         "seed": args.seed, "prefix": args.prefix, "iters": args.iters,
         "x": args.x, "y": args.y, "n0": args.n0, "n1": args.n1,
         "hMax": args.h_max, "neighborhood": args.neighborhood,
         "t0": args.t0, "decay": args.decay, "bound": args.bound,
-    })
-    manifest.write_sidecar(args.out_trace)
-    manifest.write_sidecar(args.out_best)
+    }
+    emit(args.out_trace, result.trace_csv, "search", parameters)
+    emit(args.out_best, lambda fh: fh.write(result.best_json() + "\n"), "search", parameters)
     print(f"best objective {result.best.objective:.6g} "
           f"(identity start, {args.iters} iterations)")
     return 0

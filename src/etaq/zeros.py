@@ -57,8 +57,8 @@ def eta_abs(y: float, tol: float = 1e-12) -> float:
 
 
 def load_zeros(path) -> list[ZeroRecord]:
-    """Read ordinates (one positive decimal per line, ascending, '#' comments)
-    and attach residuals.  Entries closer than 1e-6 are collapsed."""
+    """Read ordinates (one decimal in (0, MAX_HEIGHT] per line, ascending,
+    '#' comments) and attach residuals.  Entries closer than 1e-6 are collapsed."""
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
@@ -73,8 +73,8 @@ def load_zeros(path) -> list[ZeroRecord]:
             y = float(text)
         except ValueError:
             raise ZeroFileError(f"{path}:{lineno}: not a decimal ordinate: {text!r}")
-        if not (y > 0.0 and math.isfinite(y)):
-            raise ZeroFileError(f"{path}:{lineno}: ordinate must be positive, got {y}")
+        if not 0.0 < y <= MAX_HEIGHT:
+            raise ZeroFileError(f"{path}:{lineno}: ordinate {y} not in (0, {MAX_HEIGHT:.2f}]")
         if ordinates and y <= ordinates[-1]:
             raise ZeroFileError(f"{path}:{lineno}: ordinates must be strictly "
                                 f"ascending ({y} after {ordinates[-1]})")

@@ -137,10 +137,12 @@ class TestSurfaceCommand:
 
 
 class TestGapCommand:
-    def test_json_to_stdout(self, capsys):
+    def test_json_to_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         rc = main(["gap", "--x", "3", "--y", "0", "--q-bound", "1000",
                    "--budget", "10000"])
         assert rc == 0
+        assert list(tmp_path.iterdir()) == []  # no file, no sidecar
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["gap_cos"]) < 1e-6
         assert doc["orderingId"].startswith("by-value")
@@ -290,9 +292,11 @@ class TestZerosCommand:
         assert capsys.readouterr().out == buf.getvalue()
         assert len(buf.getvalue().splitlines()) == 3
 
-    def test_refine(self, capsys):
+    def test_refine(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         rc = main(["zeros", "refine", "--y0", "14.13"])
         assert rc == 0
+        assert list(tmp_path.iterdir()) == []  # no file, no sidecar
         assert "14.1347251" in capsys.readouterr().out
 
     def test_refine_no_zero_exit_two(self, capsys):
@@ -408,6 +412,17 @@ UNWRITABLE = {
                cli, "run_verify"),
     "surface-sidecar": (["surface", "--x", "0.5", "--y", "0", "--n", "1:5", "--h", "1:2",
                          "--out", "{sidecar}"], limits, "c_s_surface"),
+    "surface-empty": (["surface", "--x", "0.5", "--y", "0", "--n", "1:5", "--h", "1:2",
+                       "--out", "{empty}"], limits, "c_s_surface"),
+    "search-trace-empty": (["search", "--seed", "1", "--prefix", "4", "--iters", "1",
+                            "--h-max", "2", "--n0", "10", "--n1", "20", "--out-trace",
+                            "{empty}", "--out-best", "b.json"], cli.search, "anneal"),
+    "gap-empty": (["gap", "--x", "2", "--y", "0", "--budget", "10", "--q-bound", "100",
+                   "--out", "{empty}"], limits, "commutativity_gap"),
+    "zeros-refine-empty": (["zeros", "refine", "--y0", "14.13", "--out", "{empty}"],
+                           zeros, "refine_zero"),
+    "verify-empty": (["verify", "--k-max", "10", "--budget", "1000", "--json", "{empty}"],
+                     cli, "run_verify"),
 }
 
 
@@ -419,11 +434,48 @@ def test_unwritable_output_rejected_before_any_work(name, cli_error, tmp_path, m
     calls = []
     monkeypatch.setattr(module, work, lambda *a, **k: calls.append(a))
     paths = {"missing": str(tmp_path / "no-such-dir" / "out"), "directory": str(tmp_path),
-             "sidecar": "s.csv"}
+             "sidecar": "s.csv", "empty": ""}
     message = cli_error([arg.format(**paths) for arg in argv])
     assert message.startswith("[Errno ")
+    if name.endswith("-empty"):
+        assert message == "[Errno 2] No such file or directory: ''"
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv.manifest.json"]
+
+
+# each command that writes data files, the files it writes, and their
+# manifest's command name
+MANIFESTS = {
+    "surface": (["surface", "--x", "0.5", "--y", "0", "--n", "1:5", "--h", "1:2",
+                 "--bound", "100", "--out", "o.csv"], ["o.csv"], "surface"),
+    "gap": (["gap", "--x", "2", "--y", "0", "--budget", "10", "--q-bound", "100",
+             "--out", "o.json"], ["o.json"], "gap"),
+    "zeros-scan": (["zeros", "scan", "--y-min", "14", "--y-max", "14.3", "--out", "o.csv"],
+                   ["o.csv"], "zeros scan"),
+    "zeros-refine": (["zeros", "refine", "--y0", "14.13", "--out", "o.csv"], ["o.csv"],
+                     "zeros refine"),
+    "zeros-load": (["zeros", "load", "z.txt", "--out", "o.csv"], ["o.csv"], "zeros load"),
+    "search": (["search", "--seed", "1", "--prefix", "4", "--iters", "2", "--h-max", "2",
+                "--n0", "10", "--n1", "20", "--bound", "100", "--out-trace", "t.csv",
+                "--out-best", "b.json"], ["t.csv", "b.json"], "search"),
+}
+
+
+@pytest.mark.parametrize("name", MANIFESTS)
+def test_every_data_file_gets_its_manifest(name, tmp_path, monkeypatch, capsys):
+    argv, outs, command = MANIFESTS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z.txt").write_text("14.134725\n")
+    assert main(argv) == 0
+    for out in outs:
+        text = (tmp_path / f"{out}.manifest.json").read_text()
+        manifest = json.loads(text)
+        assert list(manifest) == ["command", "parameters", "toolVersion", "numericMethods",
+                                  "timestamp"]
+        assert manifest["command"] == command
+        assert text.endswith("}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["z.txt", *outs, *(f"{out}.manifest.json" for out in outs)])
 
 
 def test_closed_pipe_exits_quietly(tmp_path):
@@ -523,6 +575,9 @@ def test_every_public_name_resolves():
      "need finite x > 0 and |y| <= 838.40; got x=0.0, y=0.0"),
     (["gap", "--x", "0.5", "--y", "1e300", "--q-bound", "30000000", "--budget", "10"],
      "need finite x > 0 and |y| <= 838.40; got x=0.5, y=1e+300"),
+    # below the ceiling, past the eta evaluator's reach at the default 1e-12
+    (["gap", "--x", "0.5", "--y", "300", "--q-bound", "30000000", "--budget", "10"],
+     "eta acceleration reaches 1.780e-12"),
     (["search", "--seed", "1", "--prefix", "20", "--iters", "3", "--y", "838.41",
       "--bound", "30000000", "--out-trace", "t.csv", "--out-best", "b.json"],
      "need finite x > 0 and |y| <= 838.40"),
@@ -540,7 +595,7 @@ def test_every_public_name_resolves():
         "gap-shuffle-seed-not-an-integer",
         "refine-y0-nan", "surface-cells", "search-h-max-over-prefix",
         "search-n1-over-cap", "eta-height", "zeta-height", "surface-height", "gap-x",
-        "gap-height", "search-height", "scan-height", "scan-refine-height",
+        "gap-height", "gap-eta-reach", "search-height", "scan-height", "scan-refine-height",
         "refine-height", "refine-negative-height"])
 def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, monkeypatch):
     work = []

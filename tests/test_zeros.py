@@ -56,6 +56,17 @@ class TestLoadZeros:
         with pytest.raises(ZeroFileError):
             load_zeros(tmp_path / "nope.txt")
 
+    def test_ordinate_past_ceiling_reports_line_before_any_eta(self, tmp_path, monkeypatch):
+        f = tmp_path / "zeros.txt"
+        f.write_text("14.134725\n900.0\n")
+
+        def no_eta(*args):
+            raise AssertionError("eta evaluated before the file was checked")
+
+        monkeypatch.setattr(zeros, "eta_abs", no_eta)
+        with pytest.raises(ZeroFileError, match=r":2: ordinate 900\.0 not in \(0, 838\.40\]"):
+            load_zeros(f)
+
 
 class TestScan:
     def test_nothing_below_five(self):
