@@ -38,8 +38,6 @@ def check_cell_count(cells: int, what: str = "surface") -> None:
 
 @dataclass(frozen=True)
 class SumSurface:
-    point: StripPoint
-    ordering_id: str
     n_axis: tuple[int, ...]
     h_axis: tuple[int, ...]
     C: np.ndarray  # shape (len(n_axis), len(h_axis))
@@ -122,8 +120,7 @@ def c_s_surface(p: StripPoint, ordering: QOrdering, n_axis, h_axis) -> SumSurfac
     for h, total in enumerate(c_s_running(p, values, signs, n_axis), start=1):
         if h in column:
             cs[:, column[h]] = total
-    return SumSurface(point=p, ordering_id=ordering.descriptor(),
-                      n_axis=n_axis, h_axis=h_axis, C=cs.real, S=cs.imag)
+    return SumSurface(n_axis=n_axis, h_axis=h_axis, C=cs.real, S=cs.imag)
 
 
 def c_s_naive(p: StripPoint, ordering: QOrdering, n: int, h: int) -> tuple[float, float]:
@@ -321,7 +318,6 @@ class ContradictionReport:
     through independent paths.  Each residual is the larger of the cos and
     sin parts of lhs - rhs."""
 
-    point: StripPoint
     budget: int
     lhs: complex         # power-of-two sum, direct summation to convergence
     rhs_oracle: complex  # accelerated eta + closed-form B
@@ -350,7 +346,7 @@ def rh_contradiction_check(p: StripPoint, budget: int) -> ContradictionReport:
     """
     b_est = limit_B(p, budget)
     return ContradictionReport(
-        point=p, budget=budget,
+        budget=budget,
         lhs=se.gamma_partial(p, 200).conjugate(),
         rhs_oracle=se.eta_accel(p).value.conjugate() + b_est.oracle,
         rhs_direct=se.eta_averaged(p).value.conjugate() + b_est.direct)

@@ -1,8 +1,7 @@
 """Evaluation of the alternating Dirichlet series eta(s) = sum (-1)^(k-1) k^-s
 and the family of derived quantities used throughout: the cosine/sine term
-coefficients, the eta -> zeta bridge, shifted and odd-subseries variants, the
-power-of-two geometric sum and its closed form, and an Euler-product
-cross-check for Re(s) > 1.
+coefficients, the eta -> zeta bridge, shifted and odd-subseries variants, and
+the power-of-two geometric sum and its closed form.
 
 Numerics are binary64 throughout.  Direct sums take their terms from one
 block builder, `term_blocks`, and stream them block by block into one exact
@@ -10,8 +9,8 @@ summation kernel, `_block_sum`, so they hold a few blocks of work memory
 whatever the term count.  It sums each block exactly into a Python int by
 error-free extraction onto grids (Rump, Ogita and Oishi, "Accurate
 floating-point summation part I: faithful rounding", SIAM J. Sci. Comput.
-31(1), 2008), rounded once to math.fsum's float; math.fsum itself runs for
-non-finite or huge terms.  One iterated tail-averaging routine serves
+31(1), 2008), rounded once to math.fsum's float; a non-finite or huge term
+is rejected.  One iterated tail-averaging routine serves
 conditionally convergent tails; the accelerated evaluator uses
 Chebyshev-derived weights (Cohen, Rodriguez Villegas, Zagier style).
 """
@@ -25,8 +24,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-from .qset import sieve_primes
 
 LN2 = math.log(2.0)
 ACCEL_METHOD_ID = "eta:chebyshev-weights-v1"
@@ -173,10 +170,10 @@ def term_arrays(p: StripPoint, n: int, step: int = 1, shift: float = 1.0) -> np.
     return terms
 
 
-def _block_sum(x: np.ndarray) -> int | None:
+def _block_sum(x: np.ndarray) -> int:
     """The exact sum of at most _SUM_BLOCK_TERMS terms as a Python int in
-    units of 2^-1074, or None where math.fsum itself must run: for a term
-    not below 2^_EXACT_MAX_EXP in modulus (NaN, inf, or fsum's overflow).
+    units of 2^-1074.  Raises ValueError for a term not below
+    2^_EXACT_MAX_EXP in modulus (NaN, inf, or one that could overflow).
 
     Each level rounds the remainder r to q on the grid 2^g, with g the
     larger of -1074 and e - _LEVEL_BITS for max|r| < 2^e, and takes r - q,
@@ -190,7 +187,8 @@ def _block_sum(x: np.ndarray) -> int | None:
         np.abs(r, out=q)
         top = float(q.max())
         if not top < 2.0**_EXACT_MAX_EXP:
-            return None
+            raise ValueError(f"exact sum needs terms below 2^{_EXACT_MAX_EXP} in "
+                             f"modulus; the largest is {top!r}")
         if top == 0.0:
             return total
         g = max(math.frexp(top)[1] - _LEVEL_BITS, -1074)
@@ -210,19 +208,6 @@ def _fsum_float(total: int, negative: bool) -> float:
     return total / (1 << 1074)  # rounded correctly by Python
 
 
-def exact_sum(x) -> float:
-    """math.fsum(x), bit for bit, for a 1-D float array, summed by
-    `_block_sum` a block of _SUM_BLOCK_TERMS terms at a time."""
-    x = np.asarray(x, dtype=np.float64)
-    total = 0
-    for start in range(0, len(x), _SUM_BLOCK_TERMS):
-        block = _block_sum(x[start:start + _SUM_BLOCK_TERMS])
-        if block is None:
-            return math.fsum(x)
-        total += block
-    return _fsum_float(total, len(x) > 0 and bool(np.signbit(x).all()))
-
-
 def direct_sums(p: StripPoint, n: int, step: int = 1, shift: float = 1.0, window: int = 0,
                 prepare=None) -> tuple[float, float, np.ndarray, np.ndarray]:
     """The terms of `term_blocks` streamed through `_block_sum`.
@@ -231,8 +216,8 @@ def direct_sums(p: StripPoint, n: int, step: int = 1, shift: float = 1.0, window
     Returns the sums of a and of b over the first n - window terms, each
     math.fsum's float bit for bit, and copies of the last `window` terms of
     a and of b (all n when window > n).  The work memory is a few blocks,
-    whatever n.  With |y| <= MAX_HEIGHT every term is at most 1 in modulus,
-    so `_block_sum` never defers to math.fsum (nor may `prepare` make it).
+    whatever n.  With |y| <= MAX_HEIGHT every term is at most 1 in modulus;
+    `_block_sum` rejects a term that `prepare` makes NaN, inf or huge.
     """
     check_term_count(n)
     head = n - min(window, n)
@@ -272,11 +257,6 @@ def tail_averaged_sum(head: float, tail: np.ndarray,
         ps = 0.5 * (ps[1:] + ps[:-1])
         delta = abs(float(ps[-1] - prev))
     return float(ps[-1]), delta
-
-
-def eta_partial(p: StripPoint, n: int) -> complex:
-    """Exact-summed partial sum of the first n series terms."""
-    return complex(*direct_sums(p, n, prepare=_conjugate)[:2])
 
 
 class _AccelWeights(NamedTuple):
@@ -516,18 +496,3 @@ def subseries_q(p: StripPoint, q: int, method: str = "accelerated",
         return complex(*direct_sums(p, budget, step=q, prepare=_conjugate)[:2])
     raise ValueError(f"unknown method {method!r}")
 
-
-def euler_product_check(p: StripPoint, prime_limit: int) -> tuple[complex, complex]:
-    """Partial Euler products prod_(p <= limit) (1 - p^(-s)) over all primes
-    and over odd primes only.  The first approximates 1/zeta(s), the second
-    1/((1 - 2^(-s)) zeta(s)).  Requires x > 1."""
-    if p.x <= 1.0:
-        raise ValueError("Euler products need x > 1 (absolute convergence)")
-    all_primes = 1.0 + 0.0j
-    odd_primes = 1.0 + 0.0j
-    for pr in sieve_primes(prime_limit):
-        factor = 1.0 - cmath.exp(-p.s * math.log(pr))
-        all_primes *= factor
-        if pr != 2:
-            odd_primes *= factor
-    return all_primes, odd_primes

@@ -46,14 +46,13 @@ class RefinementError(RuntimeError):
 @dataclass(frozen=True)
 class ZeroRecord:
     ordinate: float
-    source: str           # "File" or "Scan"
     residual: float       # |eta(1/2 + i*ordinate)|
     refined: bool
 
 
-def eta_abs(y: float, tol: float = 1e-12) -> float:
-    """|eta(1/2 + iy)|."""
-    return abs(eta_accel(StripPoint(CRITICAL_X, y), tol).value)
+def eta_abs(y: float) -> float:
+    """|eta(1/2 + iy)| at eta_accel's default tolerance 1e-12."""
+    return abs(eta_accel(StripPoint(CRITICAL_X, y)).value)
 
 
 def load_zeros(path) -> list[ZeroRecord]:
@@ -81,7 +80,7 @@ def load_zeros(path) -> list[ZeroRecord]:
         if ordinates and y - ordinates[-1] < DEDUP_SPACING:
             continue
         ordinates.append(y)
-    return [ZeroRecord(ordinate=y, source="File", residual=eta_abs(y), refined=False)
+    return [ZeroRecord(ordinate=y, residual=eta_abs(y), refined=False)
             for y in ordinates]
 
 
@@ -124,8 +123,8 @@ def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
     mid = vals[1:-1]
     hits = np.flatnonzero((mid < threshold) & (mid <= vals[:-2]) & (mid <= vals[2:])) + 1
     # the same float as the grid's y_min + float(i) * step
-    return [ZeroRecord(ordinate=float(y_min + i * step), source="Scan",
-                       residual=float(vals[i]), refined=False) for i in hits.tolist()]
+    return [ZeroRecord(ordinate=float(y_min + i * step), residual=float(vals[i]),
+                       refined=False) for i in hits.tolist()]
 
 
 def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecord:
@@ -142,7 +141,7 @@ def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecor
     check_tol(tol, "tol")
 
     def g(y: float) -> float:
-        return eta_abs(y, tol=1e-12) ** 2
+        return eta_abs(y) ** 2
 
     lo, hi = y0 - window, y0 + window
     m1 = hi - _INV_PHI * (hi - lo)
@@ -158,14 +157,14 @@ def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecor
             m2 = lo + _INV_PHI * (hi - lo)
             g2 = g(m2)
     best_y = 0.5 * (lo + hi)
-    residual = eta_abs(best_y, tol=1e-12)
+    residual = eta_abs(best_y)
     if residual > tol:
         kind = ("no zero in window" if residual > max(1e-6, 10.0 * tol)
                 else "tolerance unreachable at binary64")
         raise RefinementError(
             f"{kind}: best |eta| = {residual:.3e} > tol {tol:.1e} "
             f"at y = {best_y:.9f}", best_y, residual)
-    return ZeroRecord(ordinate=best_y, source="Scan", residual=residual, refined=True)
+    return ZeroRecord(ordinate=best_y, residual=residual, refined=True)
 
 
 def scan_and_refine(y_min: float, y_max: float, step: float = 0.01,

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -514,6 +515,18 @@ class TestVerify:
         assert "FAIL] geom-algebra" in captured.out
         assert "FAILED: geom-algebra" in captured.err
 
+    def test_truncation_gate_follows_the_budget(self, capsys):
+        # the direct residual is about 3.4 N^(-1/2) at (0.5, 0): 0.107 at N = 1000
+        assert main(["verify", "--k-max", "10", "--budget", "1000"]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if "contradiction-identity-direct" in l)
+        assert line.startswith("[PASS]") and line.endswith("<= 1.0e+00? same identity, "
+                                                           "truncation paths at budget 1000 "
+                                                           "within tail estimate")
+        assert main(["verify", "--k-max", "10", "--budget", "1000",
+                     "--inject-fault", "contradiction-identity-direct"]) == 1
+        assert "FAILED: contradiction-identity-direct" in capsys.readouterr().err
+
     def test_f_check_counts_every_k_up_to_k_max(self, monkeypatch):
         f_closed = qset.f_closed
         monkeypatch.setattr(qset, "f_closed", lambda k: f_closed(k) - (k == 105))
@@ -525,6 +538,32 @@ class TestVerify:
 def test_every_public_name_resolves():
     import etaq
     assert all(getattr(etaq, name, None) is not None for name in etaq.__all__)
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """The names and attribute names that `tree` reads or writes."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_top_level_name_is_used():
+    """Each public top-level function and class of the package is used, by
+    name or attribute, in one of its modules outside its own definition, or
+    in perfbench.  `__init__.py`'s exports, imports and docstrings do not
+    count: the library keeps only what a command, a check or the benchmark
+    runs."""
+    defined, used = {}, set()
+    for path in sorted((Path(ETAQ_ROOT) / "etaq").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own is not None and not own.startswith("_"):
+                defined[own] = path.name
+            used |= _used_names(stmt) - {own}
+    for path in (Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"):
+        used |= _used_names(ast.parse(path.read_text()))
+    assert sorted(f"{defined[name]}: {name}" for name in defined.keys() - used) == []
 
 
 @pytest.mark.parametrize("argv, name", [

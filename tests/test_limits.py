@@ -167,8 +167,7 @@ class TestSurface:
         # C and S built apart, not as views of one complex matrix
         C = np.array([[-0.0, 0.1 + 0.2], [1.0 / 3.0, -5e-324], [math.nan, math.inf]])
         S = np.array([[0.0, -math.pi], [1e300, 2.0 / 3.0], [-math.inf, 5e-324]])
-        surf = SumSurface(point=StripPoint(0.5, 0.0), ordering_id="by-value(bound=100)",
-                          n_axis=(1, 7, 12), h_axis=(0, 3), C=C, S=S)
+        surf = SumSurface(n_axis=(1, 7, 12), h_axis=(0, 3), C=C, S=S)
         fh = io.StringIO()
         surf.write_csv(fh)
         want = self.per_cell_csv(surf)
@@ -177,8 +176,7 @@ class TestSurface:
         assert "12,0,nan,-inf\n12,3,inf,4.9406564584124654e-324\n" in want
 
     def test_csv_of_an_empty_h_axis_is_the_header(self):
-        surf = SumSurface(point=StripPoint(0.5, 0.0), ordering_id="by-value(bound=100)",
-                          n_axis=(1, 7), h_axis=(), C=np.zeros((2, 0)), S=np.zeros((2, 0)))
+        surf = SumSurface(n_axis=(1, 7), h_axis=(), C=np.zeros((2, 0)), S=np.zeros((2, 0)))
         fh = io.StringIO()
         surf.write_csv(fh)
         assert fh.getvalue() == self.per_cell_csv(surf) == "n,h,C,S\n"

@@ -15,9 +15,8 @@ from etaq import series
 from etaq.series import (_BLOCK_TERMS, _SUM_BLOCK_TERMS, MAX_HEIGHT, MAX_TERMS,
                          AccelerationError, PoleError, SingularDenominatorError, StripPoint,
                          bridge_denominator, direct_sums, eta_accel, eta_accel_many,
-                         eta_averaged, exact_sum, eta_partial, euler_product_check,
-                         gamma_partial, geom_closed, shifted_sums, shifted_sums_oracle,
-                         subseries_q, term_ab, term_arrays, zeta_from_eta)
+                         eta_averaged, gamma_partial, geom_closed, shifted_sums,
+                         shifted_sums_oracle, subseries_q, term_ab, term_arrays, zeta_from_eta)
 
 # evaluated with an independent high-precision calculator before building
 A3_B3_AT_NEAR_ZERO = (-0.56808634198281059, 0.10301087993956033)
@@ -52,6 +51,11 @@ def ab(*args, **kwargs) -> tuple[np.ndarray, np.ndarray]:
     """`term_arrays`' terms as the two real arrays a and b."""
     terms = term_arrays(*args, **kwargs)
     return terms.real, terms.imag
+
+
+def partial_eta(p: StripPoint, n: int) -> complex:
+    """The exact sum of the first n eta terms a_k - i b_k, by `direct_sums`."""
+    return complex(*direct_sums(p, n, prepare=series._conjugate)[:2])
 
 
 def test_strip_point_flags():
@@ -98,7 +102,7 @@ class TestTermAB:
 
     DIRECT_SUMS = [
         lambda n: term_arrays(FIRST_ZERO, n),
-        lambda n: eta_partial(FIRST_ZERO, n),
+        lambda n: partial_eta(FIRST_ZERO, n),
         lambda n: shifted_sums(FIRST_ZERO, 2.0, n),
         lambda n: subseries_q(FIRST_ZERO, 3, "direct", n),
     ]
@@ -148,19 +152,34 @@ class TestTermAB:
             assert g.tobytes() == w.tobytes()  # the signs of zero too
 
 
-def assert_fsum_bits(x):
-    """exact_sum(x) is math.fsum(x): the same float, sign of zero
-    included, or the same exception."""
+def summed(x) -> float:
+    """The 1-D float array x summed by `direct_sums`, through a `prepare`
+    that copies x into each block of cosine terms."""
     x = np.asarray(x, dtype=np.float64)
-    try:
-        want = math.fsum(x)
-    except (OverflowError, ValueError) as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            exact_sum(x)
+
+    def prepare(lo, a, b):
+        a[:] = x[lo:lo + len(a)]
+
+    return direct_sums(StripPoint(2.0, 0.0), len(x), prepare=prepare)[0]
+
+
+def range_error(largest: float) -> str:
+    """The kernel's message for a block whose largest modulus is `largest`."""
+    return f"exact sum needs terms below 2^970 in modulus; the largest is {largest!r}"
+
+
+def assert_fsum_bits(x):
+    """summed(x) is math.fsum(x): the same float, sign of zero included.
+    Past the kernel's range (a NaN, an infinity or a term not below 2^970
+    in modulus) it raises the one-line ValueError instead, even where
+    such terms cancel."""
+    x = np.asarray(x, dtype=np.float64)
+    largest = float(np.abs(x).max(initial=0.0))
+    if not largest < 2.0**970:
+        with pytest.raises(ValueError, match=re.escape(range_error(largest))):
+            summed(x)
         return
-    got = exact_sum(x)
-    assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
-    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert summed(x).hex() == math.fsum(x).hex()  # hex keeps the sign of zero
 
 
 def spread_terms(rng, n, exp_range=300):
@@ -192,12 +211,11 @@ DISPATCH_SCRIPT = """
 import math, sys
 sys.path.insert(0, sys.argv[1])
 from conftest import CPU_FEATURES
-from etaq.series import exact_sum
-from test_series import random_exponent_sample
+from test_series import random_exponent_sample, summed
 assert not CPU_FEATURES["X86_V4"]
 for seed in range(4):
     for x in random_exponent_sample(seed):
-        assert exact_sum(x).hex() == math.fsum(x).hex(), seed
+        assert summed(x).hex() == math.fsum(x).hex(), seed
 print("ok")
 """
 
@@ -252,6 +270,16 @@ class TestExactSum:
     def test_any_floats(self, x):
         assert_fsum_bits(x)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**970,
+                                     -1.7976931348623157e308])
+    def test_out_of_range_term_raises_one_value_error(self, bad):
+        # in the second block, after the first has been summed
+        x = np.ones(B + 5)
+        x[B + 3] = bad
+        with pytest.raises(ValueError) as exc:
+            summed(x)
+        assert str(exc.value) == range_error(abs(bad))
+
     def test_direct_sum_terms(self):
         a, b = ab(FIRST_ZERO, 10**5)
         for terms in (a, -b, a[:-64], term_arrays(StripPoint(0.75, 3.0), 1000, step=15).imag):
@@ -267,7 +295,7 @@ class TestExactSum:
         fsum = math.fsum
         monkeypatch.setattr(series.math, "fsum",
                             lambda terms: (lengths.append(len(terms)), fsum(terms))[1])
-        got = exact_sum(x)
+        got = summed(x)
         monkeypatch.undo()
         assert got.hex() == want.hex()
         assert lengths and max(lengths) <= 1
@@ -309,7 +337,7 @@ class TestDirectSums:
     @pytest.mark.parametrize("n", BLOCK_EDGES)
     def test_public_sums_at_block_edges(self, p, n):
         a, b = ab(p, n)
-        got = eta_partial(p, n)
+        got = partial_eta(p, n)
         assert (got.real.hex(), got.imag.hex()) == (fsum_bits(a), fsum_bits(-b))
         a, b = ab(p, n, shift=2.5)
         assert [x.hex() for x in shifted_sums(p, 2.5, n)] == [fsum_bits(a), fsum_bits(b)]
@@ -351,7 +379,7 @@ class TestDirectSums:
             assert g == pytest.approx(math.fsum(scalar), abs=1e-13)
 
     @pytest.mark.parametrize("direct_sum", TestTermAB.DIRECT_SUMS[1:],
-                             ids=["eta_partial", "shifted_sums", "subseries_q"])
+                             ids=["partial_eta", "shifted_sums", "subseries_q"])
     def test_peak_memory_is_a_few_blocks(self, direct_sum):
         # the block's term and work arrays, never arrays as long as the terms
         direct_sum(1000)
@@ -363,17 +391,15 @@ class TestDirectSums:
             tracemalloc.stop()
         assert peak <= 160 * _SUM_BLOCK_TERMS
 
-
-class TestEtaPartial:
-    def test_small_sums(self):
+    def test_small_partial_eta_sums(self):
         p = StripPoint(2.0, 0.0)
-        assert eta_partial(p, 1) == 1.0
-        assert eta_partial(p, 2) == 0.75
-        assert eta_partial(p, 0) == 0.0
+        assert partial_eta(p, 1) == 1.0
+        assert partial_eta(p, 2) == 0.75
+        assert partial_eta(p, 0) == 0.0
 
-    def test_shrinks_near_zero(self):
+    def test_partial_eta_sum_shrinks_near_zero(self):
         p = StripPoint(0.5, 14.1347251417)
-        assert abs(eta_partial(p, 10**6)) <= 1e-2
+        assert abs(partial_eta(p, 10**6)) <= 1e-2
 
 
 class TestEtaAccel:
@@ -548,6 +574,10 @@ class TestZetaBridge:
             true = abs(mp.mpc(res.value) - mp.zeta(mp.mpc(mp.mpf(x), mp.mpf(y))))
         assert float(true) <= res.error_estimate
 
+    def test_zeta_three_against_mpmath(self):
+        got = zeta_from_eta(StripPoint(3.0, 0.0)).value
+        assert abs(got - float(mp.zeta(3))) < 1e-12
+
     def test_bridge_identity(self):
         for p in (StripPoint(0.3, 2.0), StripPoint(0.5, 14.0),
                   StripPoint(2.0, 1.0)):
@@ -664,31 +694,6 @@ class TestSubseries:
     def test_even_q_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             subseries_q(StripPoint(0.5, 0.0), 4)
-
-
-class TestEulerProduct:
-    def test_inverse_zeta_three(self):
-        p = StripPoint(3.0, 0.0)
-        all_p, _ = euler_product_check(p, 100_000)
-        assert abs(all_p - 1.0 / zeta_from_eta(p).value) < 1e-9
-
-    def test_inverse_zeta_two(self):
-        all_p, _ = euler_product_check(StripPoint(2.0, 0.0), 100_000)
-        assert abs(all_p - 6.0 / math.pi**2) < 1e-4
-
-    def test_empty_product(self):
-        assert euler_product_check(StripPoint(2.0, 0.0), 1) == (1.0, 1.0)
-
-    def test_odd_product_relation(self):
-        # odd-prime product = full product / (1 - 2^-s)
-        p = StripPoint(2.5, 1.0)
-        all_p, odd_p = euler_product_check(p, 10_000)
-        factor = 1.0 - cmath.exp(-p.s * math.log(2.0))
-        assert abs(odd_p * factor - all_p) < 1e-12
-
-    def test_needs_absolute_convergence(self):
-        with pytest.raises(ValueError):
-            euler_product_check(StripPoint(1.0, 0.0), 100)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])

