@@ -8,8 +8,8 @@ numeric-method identifiers.  Data files contain no timestamps, so identical
 manifests (minus timestamp) give byte-identical outputs.
 
 Every output path is checked before any work, so that a path that cannot be
-written, or an empty one, fails at once; so does a ``gap --eta-tol`` that eta
-cannot reach at ``--y``, before Q is sieved.
+written, or an empty one, fails at once; ``gap`` and ``search`` evaluate eta
+before they sieve Q, so an ``--eta-tol`` it cannot reach fails before the sieve.
 
 Exit codes: 0 success, 1 check failure, 2 usage, precondition or output error,
 141 (128 + SIGPIPE, as a shell reports for a command stopped by a closed pipe)
@@ -314,18 +314,12 @@ def cmd_surface(args) -> int:
 
 def cmd_gap(args) -> int:
     check_outputs(args.out)
-    series.check_term_count(args.budget)
-    series.check_tol(args.eta_tol, "etaTol")
     point = StripPoint(args.x, args.y)
-    # the report evaluates eta after the sieve: fail an unreachable tolerance first
-    eta_accel(point, args.eta_tol)
     ordering = parse_ordering(args.ordering, args.q_bound)
-    # every ordering is a permutation of Q's arrays: count them unordered
-    h_max = args.h_max if args.h_max is not None else len(qset.q_arrays(args.q_bound)[0])
-    report = limits.commutativity_gap(point, ordering, h_max, args.budget, args.eta_tol)
+    report = limits.commutativity_gap(point, ordering, args.h_max, args.budget, args.eta_tol)
     emit(args.out, report.write_json, "gap", {
         "x": args.x, "y": args.y, "ordering": ordering.descriptor(),
-        "hMax": h_max, "budget": args.budget, "qBound": args.q_bound,
+        "hMax": len(report.A), "budget": args.budget, "qBound": args.q_bound,
         "etaTol": args.eta_tol,
     })
     return 0

@@ -138,16 +138,14 @@ def c_s_naive(p: StripPoint, ordering: QOrdering, n: int, h: int) -> tuple[float
     return math.fsum(c_terms), math.fsum(s_terms)
 
 
-def limit_A_series(p: StripPoint, values, signs, tol: float = 1e-12) -> np.ndarray:
+def limit_A_series(p: StripPoint, values, signs, eta: complex) -> np.ndarray:
     """Inner limits lim_n C(n,h) + i lim_n S(n,h) for h = 1..len(values),
     over an ordering's prefix given as its `values` and `signs`: one complex
     array A_cos + i A_sin.
 
-    Each equals the conjugate of eta(s) times the signed prefix sum of
-    q_i^(-s) (the odd subseries closed form), so the whole h-sequence costs
-    one eta evaluation.
+    Each equals the conjugate of `eta`, the value of eta(s), times the
+    signed prefix sum of q_i^(-s) (the odd subseries closed form).
     """
-    eta = se.eta_accel(p, tol).value
     # One expression: the terms are freed once summed, and numpy multiplies
     # a large temporary by eta in place, so this holds two arrays at most.
     return np.conj(np.cumsum(odd_terms(p, values, signs)) * eta)
@@ -168,14 +166,20 @@ class BEstimate:
     budget: int
 
 
-def limit_B(p: StripPoint, budget: int, tol: float = 1e-12) -> BEstimate:
+def b_oracle(p: StripPoint, eta: complex) -> complex:
+    """The closed form of B, conj(geom_closed(s) - eta) with `eta` the value
+    of eta(s): geom - eta = sum_(k not a power of two) -(-1)^(k-1) k^(-s)."""
+    return (se.geom_closed(p) - eta).conjugate()
+
+
+def limit_B(p: StripPoint, budget: int, eta: complex) -> BEstimate:
     """The n-then-h iterated limit sum f(k) (a_k + i b_k) = -sum_(k not in
     Gamma) (a_k + i b_k).
 
     Direct: truncation to `budget` terms with iterated tail averaging,
-    streamed through `series.direct_sums` in blocks.  Oracle: the conjugate
-    of `series.b_closed`.  Their difference is the disagreement, reported
-    by `commutativity_gap`, never hidden.
+    streamed through `series.direct_sums` in blocks.  Oracle: `b_oracle`
+    from `eta`, the value of eta(s).  Their difference is the disagreement,
+    reported by `commutativity_gap`, never hidden.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -183,7 +187,7 @@ def limit_B(p: StripPoint, budget: int, tol: float = 1e-12) -> BEstimate:
                                               prepare=_negated_outside_gamma)
     return BEstimate(complex(se.tail_averaged_sum(re, tail_re)[0],
                              se.tail_averaged_sum(im, tail_im)[0]),
-                     se.b_closed(p, tol).conjugate(), budget)
+                     b_oracle(p, eta), budget)
 
 
 def _negated_outside_gamma(lo: int, a: np.ndarray, b: np.ndarray) -> None:
@@ -209,8 +213,6 @@ class LimitReport:
     oracle_B: complex
     gap: complex
     a_converged: bool
-    a_convergence_tol: float
-    h_max: int
     budget: int
     eta_tol: float
     notes: tuple[str, ...] = field(default=())
@@ -231,8 +233,8 @@ class LimitReport:
             "gap_cos": self.gap.real,
             "gap_sin": self.gap.imag,
             "aConverged": self.a_converged,
-            "aConvergenceTol": self.a_convergence_tol,
-            "hMax": self.h_max,
+            "aConvergenceTol": A_SPREAD_TOL,
+            "hMax": len(self.A),
             "budget": self.budget,
             "etaTol": self.eta_tol,
             "notes": list(self.notes),
@@ -268,23 +270,28 @@ def _write_float_list(fh, values: np.ndarray) -> None:
     fh.write("\n  ]")
 
 
-def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
+def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int | None,
                       budget: int, eta_tol: float = 1e-12) -> LimitReport:
-    """Assemble both iterated limits and their gap.
+    """Both iterated limits over the ordering's first h_max elements (all of
+    them when h_max is None) and their gap.
 
-    The gap is taken against the closed-form oracle for the n-then-h limit
-    (the direct truncation, when budget >= 1, is carried alongside with its
-    disagreement noted); the h-then-n side is the final A value, flagged as
-    converged only when the last quarter of the A sequence varies by less
-    than A_SPREAD_TOL.
+    The inputs are checked and eta(s) evaluated once, for A and the B
+    oracle, before Q is sieved.  The gap is taken against the closed-form
+    oracle for the n-then-h limit (the direct truncation, when budget >= 1,
+    is carried alongside with its disagreement noted); the h-then-n side is
+    the final A value, flagged as converged only when the last quarter of
+    the A sequence varies by less than A_SPREAD_TOL.
     """
-    if h_max < 0:
+    se.check_term_count(budget)
+    se.check_tol(eta_tol, "etaTol")
+    if h_max is not None and h_max < 0:
         raise ValueError("hMax must be >= 0")
-    a = limit_A_series(p, *ordering.arrays(h_max), eta_tol)
+    eta = se.eta_accel(p, eta_tol).value
+    a = limit_A_series(p, *ordering.arrays(h_max), eta)
     a.setflags(write=False)
     notes = []
-    if h_max > 0:
-        tail = max(1, h_max // 4)
+    if len(a):
+        tail = max(1, len(a) // 4)
         spread = max(np.ptp(a.real[-tail:]), np.ptp(a.imag[-tail:]))
         converged = bool(spread < A_SPREAD_TOL)
         if not converged:
@@ -295,19 +302,18 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int,
         converged = False
         notes.append("empty A array (hMax = 0); gap is the bare B oracle")
     if budget >= 1:
-        b_est = limit_B(p, budget, eta_tol)
+        b_est = limit_B(p, budget, eta)
         direct, oracle = b_est.direct, b_est.oracle
         d = direct - oracle
         notes.append(f"direct B vs oracle disagreement: "
                      f"cos {abs(d.real):.3e}, sin {abs(d.imag):.3e}")
     else:
-        direct, oracle = None, se.b_closed(p, eta_tol).conjugate()
+        direct, oracle = None, b_oracle(p, eta)
         notes.append("budget = 0: direct B estimate skipped")
     return LimitReport(
         point=p, ordering_id=ordering.descriptor(), A=a, B=direct,
-        oracle_B=oracle, gap=oracle - (complex(a[-1]) if h_max else 0j),
-        a_converged=converged, a_convergence_tol=A_SPREAD_TOL,
-        h_max=h_max, budget=budget, eta_tol=eta_tol,
+        oracle_B=oracle, gap=oracle - (complex(a[-1]) if len(a) else 0j),
+        a_converged=converged, budget=budget, eta_tol=eta_tol,
         notes=tuple(notes))
 
 
@@ -318,7 +324,6 @@ class ContradictionReport:
     through independent paths.  Each residual is the larger of the cos and
     sin parts of lhs - rhs."""
 
-    budget: int
     lhs: complex         # power-of-two sum, direct summation to convergence
     rhs_oracle: complex  # accelerated eta + closed-form B
     rhs_direct: complex  # tail-averaged eta + truncated B
@@ -340,13 +345,13 @@ def rh_contradiction_check(p: StripPoint, budget: int) -> ContradictionReport:
 
     Left side: the power-of-two subseries summed directly (geometric, so
     200 terms reach machine precision).  Right side, oracle path:
-    accelerated eta plus the closed-form B; direct path: tail-averaged raw
-    eta plus the truncated, tail-averaged B sum.  `limit_B` rejects a
-    budget below 1.
+    accelerated eta plus the closed-form B from that same eta; direct path:
+    tail-averaged raw eta plus the truncated, tail-averaged B sum.
+    `limit_B` rejects a budget below 1.
     """
-    b_est = limit_B(p, budget)
+    eta = se.eta_accel(p).value
+    b_est = limit_B(p, budget, eta)
     return ContradictionReport(
-        budget=budget,
         lhs=se.gamma_partial(p, 200).conjugate(),
-        rhs_oracle=se.eta_accel(p).value.conjugate() + b_est.oracle,
+        rhs_oracle=eta.conjugate() + b_est.oracle,
         rhs_direct=se.eta_averaged(p).value.conjugate() + b_est.direct)

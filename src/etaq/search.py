@@ -39,6 +39,10 @@ class ObjectiveSpec:
         check_term_count(n1)
         check_tol(self.eta_tol, "etaTol")
 
+    def etas(self) -> list[complex]:
+        """eta at each point; none when h_max is 0, as the objective is 0."""
+        return [eta_accel(p, self.eta_tol).value for p in self.points] if self.h_max else []
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -91,16 +95,17 @@ class ObjectiveCache:
     """The order-free part of `objective_gap` for one set of prefix values,
     built once, plus the accepted ordering's state to replay from.
 
-    Per spec point it holds eta, each value's A term sgn(q) q^(-s), and
-    each value's strided prefix sums P_q(m) for m in [n0 // q, n1 // q]
-    (`limits.strided_partials`): 16 bytes x sum_q (n1 // q - n0 // q + 1)
-    per point, on top of the term array while it is built.  It also holds
+    Per spec point it holds eta (from `ObjectiveSpec.etas`), each value's A
+    term sgn(q) q^(-s), and each value's strided prefix sums P_q(m) for m in
+    [n0 // q, n1 // q] (`limits.strided_partials`): 16 bytes x
+    sum_q (n1 // q - n0 // q + 1) per point, on top of the term array while
+    it is built.  It also holds
     the accepted ordering's first h_max values, each point's worst-so-far
     after each of those positions, and its objective.  `accept` makes the
     last evaluated ordering the accepted one.
     """
 
-    def __init__(self, spec: ObjectiveSpec, values, signs):
+    def __init__(self, spec: ObjectiveSpec, values, signs, etas):
         n0, n1 = spec.n_window
         self.index = {q: i for i, q in enumerate(values.tolist())}
         self.ops = [np.add if s > 0 else np.subtract for s in signs.tolist()]
@@ -109,8 +114,7 @@ class ObjectiveCache:
         self.offsets = [(q, n0 - q * (n0 // q)) for q in values.tolist()]
         self.width = n1 - n0 + 1
         self.points = []
-        for p in spec.points if spec.h_max else ():
-            eta = eta_accel(p, spec.eta_tol).value
+        for p, eta in zip(spec.points, etas):
             slices = [partial[n0 // q:].copy() for partial, q in
                       zip(limits.strided_partials(p, values, n1), values.tolist())]
             self.points.append((eta, limits.odd_terms(p, values, signs), slices))
@@ -180,7 +184,7 @@ def objective_gap(elements, spec: ObjectiveSpec, *, signs=None, cache=None) -> f
         return 0.0
     values = elements[:spec.h_max]
     if cache is None:
-        cache = ObjectiveCache(spec, values, signs[:spec.h_max])
+        cache = ObjectiveCache(spec, values, signs[:spec.h_max], spec.etas())
     return cache.evaluate(values)
 
 
@@ -225,8 +229,9 @@ def anneal(config: SearchConfig) -> SearchResult:
     `objective_gap` with one `ObjectiveCache`, built for this call, which is
     told of each accepted state.  Fully deterministic given the seed.
     """
+    etas = config.objective.etas()  # before the sieve: an unreachable eta_tol fails first
     values, signs = QOrdering.by_value(config.bound_hint).arrays(config.prefix_length)
-    cache = ObjectiveCache(config.objective, values, signs)
+    cache = ObjectiveCache(config.objective, values, signs, etas)
     rng = SplitMix64(config.seed)
     current = np.arange(config.prefix_length)
     current_obj = objective_gap(values, config.objective, signs=signs, cache=cache)

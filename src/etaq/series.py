@@ -441,13 +441,6 @@ def geom_closed(p: StripPoint) -> complex:
     return (tx - 2.0 * w) / (tx - w)
 
 
-def b_closed(p: StripPoint, tol: float = 1e-12) -> complex:
-    """geom_closed(s) - eta(s): the closed form w of the n-then-h iterated
-    limit sum_(k not a power of two) -(-1)^(k-1) k^(-s), so that
-    B_cos + i B_sin = conj(w)."""
-    return geom_closed(p) - eta_accel(p, tol).value
-
-
 def gamma_partial(p: StripPoint, L: int) -> complex:
     """sum_(l=0..L) of the eta terms at k = 2^l: 1 - sum_(l=1..L) 2^(-l s)."""
     if L < 0:
@@ -469,13 +462,12 @@ def shifted_sums(p: StripPoint, shift: float, n: int) -> tuple[float, float]:
     return direct_sums(p, n, shift=shift)[:2]
 
 
-def shifted_sums_oracle(p: StripPoint, shift: float,
-                        target_tol: float = 1e-12) -> tuple[float, float]:
+def shifted_sums_oracle(p: StripPoint, shift: float) -> tuple[float, float]:
     """Closed-form limits of shifted_sums via angle addition:
     (Re, -Im) of shift^(-iy) * eta(s)."""
     if not 0.0 < shift < math.inf:
         raise ValueError(f"shift must be finite and > 0, got {shift}")
-    w = cmath.exp(-1j * p.y * math.log(shift)) * eta_accel(p, target_tol).value
+    w = cmath.exp(-1j * p.y * math.log(shift)) * eta_accel(p).value
     return w.real, -w.imag
 
 

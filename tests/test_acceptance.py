@@ -120,7 +120,7 @@ def test_c6_at_a_zero_lemma_suite(first_zero):
     worst = 0.0
     for ordering in (QOrdering.by_value(10_000),
                      QOrdering.seeded_shuffle(7, 64, 10_000)):
-        a = limit_A_series(p, *ordering.arrays(64))
+        a = limit_A_series(p, *ordering.arrays(64), eta)
         worst = max(worst, np.max(np.abs(a.real)), np.max(np.abs(a.imag)))
     assert worst <= 1e-8
     report(6, f"|eta| = {abs(eta):.1e} at the zero; subseries and inner-limit "

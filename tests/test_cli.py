@@ -170,6 +170,21 @@ class TestGapCommand:
         assert len(calls) == 1
         assert json.loads(capsys.readouterr().out)["hMax"] == 403
 
+    @pytest.mark.parametrize("budget", ["0", "1000"])
+    def test_eta_evaluated_once(self, budget, monkeypatch, capsys):
+        calls = []
+        evaluate = series.eta_accel
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        for module in (series, cli):
+            monkeypatch.setattr(module, "eta_accel", counted)
+        assert main(["gap", "--x", "0.75", "--y", "3", "--q-bound", "100",
+                     "--budget", budget]) == 0
+        assert len(calls) == 1
+
     def test_q_bound_past_cap_exit_two(self, capsys):
         rc = main(["gap", "--x", "2", "--y", "0", "--q-bound", str(MAX_ENUM_BOUND + 1)])
         assert rc == 2
@@ -617,6 +632,9 @@ def test_every_public_top_level_name_is_used():
     # below the ceiling, past the eta evaluator's reach at the default 1e-12
     (["gap", "--x", "0.5", "--y", "300", "--q-bound", "30000000", "--budget", "10"],
      "eta acceleration reaches 1.780e-12"),
+    (["search", "--seed", "1", "--prefix", "20", "--iters", "3", "--x", "0.5", "--y", "300",
+      "--bound", "30000000", "--out-trace", "t.csv", "--out-best", "b.json"],
+     "eta acceleration reaches 1.780e-12"),
     (["search", "--seed", "1", "--prefix", "20", "--iters", "3", "--y", "838.41",
       "--bound", "30000000", "--out-trace", "t.csv", "--out-best", "b.json"],
      "need finite x > 0 and |y| <= 838.40"),
@@ -634,8 +652,8 @@ def test_every_public_top_level_name_is_used():
         "gap-shuffle-seed-not-an-integer",
         "refine-y0-nan", "surface-cells", "search-h-max-over-prefix",
         "search-n1-over-cap", "eta-height", "zeta-height", "surface-height", "gap-x",
-        "gap-height", "gap-eta-reach", "search-height", "scan-height", "scan-refine-height",
-        "refine-height", "refine-negative-height"])
+        "gap-height", "gap-eta-reach", "search-eta-reach", "search-height", "scan-height",
+        "scan-refine-height", "refine-height", "refine-negative-height"])
 def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, monkeypatch):
     work = []
     monkeypatch.chdir(tmp_path)

@@ -3,18 +3,20 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from etaq.limits import (SumSurface, c_s_naive, c_s_running, c_s_surface,
+from etaq import qset, series
+from etaq.limits import (A_SPREAD_TOL, SumSurface, c_s_naive, c_s_running, c_s_surface,
                          commutativity_gap, limit_A_series, limit_B,
                          rh_contradiction_check)
 from etaq.qset import OddSquarefree, QOrdering
-from etaq.series import (_SUM_BLOCK_TERMS, StripPoint, eta_accel, geom_closed,
-                          term_arrays)
+from etaq.series import (_SUM_BLOCK_TERMS, MAX_TERMS, AccelerationError, StripPoint,
+                          eta_accel, geom_closed, term_arrays)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -191,26 +193,29 @@ class TestSurface:
 
 class TestLimitA:
     def test_empty_sum(self):
-        a = limit_A_series(StripPoint(2.0, 0.0), *QOrdering.by_value(100).arrays(0))
+        p = StripPoint(2.0, 0.0)
+        a = limit_A_series(p, *QOrdering.by_value(100).arrays(0), eta_accel(p).value)
         assert a.shape == (0,)
 
     def test_first_element_at_two(self):
-        a = limit_A_series(StripPoint(2.0, 0.0), *QOrdering.by_value(100).arrays(1))[-1]
+        p = StripPoint(2.0, 0.0)
+        a = limit_A_series(p, *QOrdering.by_value(100).arrays(1), eta_accel(p).value)[-1]
         assert a.real == pytest.approx(-math.pi**2 / 108.0, abs=1e-12)
         assert a.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_depends_on_prefix_set_not_sequence(self):
         # same first-20 set, different order: A at h=20 must coincide
         p = StripPoint(0.75, 3.0)
-        a1 = limit_A_series(p, *QOrdering.by_value(1000).arrays(20))[-1]
-        a2 = limit_A_series(p, *QOrdering.seeded_shuffle(11, 20, 1000).arrays(20))[-1]
+        eta = eta_accel(p).value
+        a1 = limit_A_series(p, *QOrdering.by_value(1000).arrays(20), eta)[-1]
+        a2 = limit_A_series(p, *QOrdering.seeded_shuffle(11, 20, 1000).arrays(20), eta)[-1]
         assert a1.real == pytest.approx(a2.real, abs=1e-12)
         assert a1.imag == pytest.approx(a2.imag, abs=1e-12)
 
     @pytest.mark.parametrize("p", list(SHUFFLE_A))
     def test_series_matches_two_real_sum_goldens(self, p):
         ordering = QOrdering.seeded_shuffle(*SHUFFLE_ORDERING)
-        a = limit_A_series(p, *ordering.arrays(12))
+        a = limit_A_series(p, *ordering.arrays(12), eta_accel(p).value)
         assert a.dtype == complex
         assert [(h, a[h - 1].real, a[h - 1].imag) for h, _, _ in SHUFFLE_A[p]] == SHUFFLE_A[p]
 
@@ -225,13 +230,18 @@ class TestLimitA:
             total += sign * cmath.exp(-p.s * math.log(q))
             ref_cos.append((total * eta).real)
             ref_sin.append(-(total * eta).imag)
-        a = limit_A_series(p, *ordering.arrays(h_max))
+        a = limit_A_series(p, *ordering.arrays(h_max), eta)
         for got, ref in zip((a.real, a.imag), (ref_cos, ref_sin)):
             ref = np.array(ref)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 B = _SUM_BLOCK_TERMS
+
+
+def limit_B_at(p: StripPoint, budget: int):
+    """limit_B with eta(s) at the default tolerance."""
+    return limit_B(p, budget, eta_accel(p).value)
 
 
 def whole_array_direct_B(p: StripPoint, budget: int) -> complex:
@@ -257,29 +267,29 @@ def whole_array_direct_B(p: StripPoint, budget: int) -> complex:
 
 class TestLimitB:
     def test_oracle_at_half(self):
-        est = limit_B(StripPoint(0.5, 0.0), 10**6)
+        est = limit_B_at(StripPoint(0.5, 0.0), 10**6)
         eta_half = eta_accel(StripPoint(0.5, 0.0)).value.real
         assert est.oracle.real == pytest.approx(-math.sqrt(2.0) - eta_half, abs=1e-12)
         assert est.oracle.real == pytest.approx(-2.0191122, abs=1e-6)
         assert abs((est.direct - est.oracle).real) <= 5e-3
 
     def test_direct_vs_oracle_generic(self):
-        est = limit_B(StripPoint(0.75, 3.0), 10**6)
+        est = limit_B_at(StripPoint(0.75, 3.0), 10**6)
         d = est.direct - est.oracle
         assert abs(d.real) <= 5e-3
         assert abs(d.imag) <= 5e-3
 
     def test_absolute_region_tight(self):
-        est = limit_B(StripPoint(3.0, 0.0), 10**5)
+        est = limit_B_at(StripPoint(3.0, 0.0), 10**5)
         assert abs((est.direct - est.oracle).real) <= 1e-9
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            limit_B(StripPoint(0.5, 0.0), 0)
+            limit_B_at(StripPoint(0.5, 0.0), 0)
 
     @pytest.mark.parametrize("p", list(LIMIT_B_1E5))
     def test_matches_golden(self, p):
-        est = limit_B(p, 10**5)
+        est = limit_B_at(p, 10**5)
         assert (est.direct.real, est.direct.imag,
                 est.oracle.real, est.oracle.imag) == LIMIT_B_1E5[p]
 
@@ -291,7 +301,7 @@ class TestLimitB:
         B - 1, B, B + 1, 3 * B + 17, 4 * B + 1,
     ])
     def test_direct_matches_whole_array_sums(self, p, budget):
-        est = limit_B(p, budget)
+        est = limit_B_at(p, budget)
         want = whole_array_direct_B(p, budget)
         assert (est.direct.real.hex(), est.direct.imag.hex()) == (want.real.hex(),
                                                                   want.imag.hex())
@@ -299,7 +309,7 @@ class TestLimitB:
     def test_gap_without_direct_sum_uses_the_same_oracle(self):
         ordering = QOrdering.by_value(500)
         skipped = commutativity_gap(FIRST_ZERO, ordering, 20, budget=0)
-        est = limit_B(FIRST_ZERO, 1000)
+        est = limit_B_at(FIRST_ZERO, 1000)
         assert skipped.oracle_B == est.oracle
 
 
@@ -347,6 +357,39 @@ class TestCommutativityGap:
         assert len(doc["A_cos"]) == 20
         assert doc["gap_cos"] == rep.gap.real
 
+    def test_all_of_q_when_h_max_is_none(self):
+        ordering = QOrdering.by_factor_count(1000)
+        full = commutativity_gap(StripPoint(0.75, 3.0), ordering, None, budget=100)
+        explicit = commutativity_gap(StripPoint(0.75, 3.0), ordering,
+                                     len(ordering.arrays()[0]), budget=100)
+        assert len(full.A) == 403
+        assert write_json_text(full) == write_json_text(explicit)
+
+    @pytest.mark.parametrize("budget", [0, 1000])
+    def test_eta_evaluated_once(self, budget, monkeypatch):
+        calls = []
+        evaluate = series.eta_accel
+        monkeypatch.setattr(series, "eta_accel",
+                            lambda p, tol: (calls.append(tol), evaluate(p, tol))[1])
+        commutativity_gap(StripPoint(0.75, 3.0), QOrdering.by_value(500), 20, budget,
+                          eta_tol=1e-11)
+        assert calls == [1e-11]
+
+    @pytest.mark.parametrize("p, h_max, budget, eta_tol, message", [
+        (StripPoint(2.0, 0.0), None, MAX_TERMS + 1, 1e-12,
+         f"{MAX_TERMS + 1} terms exceed the cap {MAX_TERMS}"),
+        (StripPoint(2.0, 0.0), None, 10, math.nan, "etaTol must be finite and > 0, got nan"),
+        (StripPoint(0.5, 300.0), None, 10, 1e-12, "eta acceleration reaches 1.780e-12"),
+        (StripPoint(2.0, 0.0), -1, 10, 1e-12, "hMax must be >= 0"),
+    ], ids=["budget-over-cap", "eta-tol-nan", "eta-reach", "h-max-negative"])
+    def test_bad_input_rejected_before_the_sieve(self, p, h_max, budget, eta_tol, message,
+                                                 monkeypatch):
+        sieved = []
+        monkeypatch.setattr(qset, "odd_factor_counts", lambda *a: sieved.append(a))
+        with pytest.raises((ValueError, AccelerationError), match=re.escape(message)):
+            commutativity_gap(p, QOrdering.by_value(30_000_000), h_max, budget, eta_tol)
+        assert sieved == []
+
 
 def json_dump_text(rep) -> str:
     """The report as one dict with A as two lists, through json.dump."""
@@ -363,8 +406,8 @@ def json_dump_text(rep) -> str:
         "gap_cos": rep.gap.real,
         "gap_sin": rep.gap.imag,
         "aConverged": rep.a_converged,
-        "aConvergenceTol": rep.a_convergence_tol,
-        "hMax": rep.h_max,
+        "aConvergenceTol": A_SPREAD_TOL,
+        "hMax": len(rep.A),
         "budget": rep.budget,
         "etaTol": rep.eta_tol,
         "notes": list(rep.notes),
@@ -382,7 +425,7 @@ class TestWriteJson:
     def test_many_chunks(self):
         ordering = QOrdering.by_value(100_000)
         rep = commutativity_gap(FIRST_ZERO, ordering, len(ordering.arrays()[0]), budget=10)
-        assert rep.h_max > 2 * 2**14
+        assert len(rep.A) > 2 * 2**14
         assert write_json_text(rep) == json_dump_text(rep)
 
     def test_non_finite_A(self):
@@ -407,11 +450,12 @@ class TestWriteJson:
 def test_limit_B_peak_memory_is_the_term_builders():
     # the term builder's and the exact sums' work arrays for one block,
     # whatever the budget: never arrays as long as the terms
-    limit_B(FIRST_ZERO, 1000)
+    eta = eta_accel(FIRST_ZERO).value
+    limit_B(FIRST_ZERO, 1000, eta)
     for budget in (10**6, 4 * 10**6):
         tracemalloc.start()
         try:
-            limit_B(FIRST_ZERO, budget)
+            limit_B(FIRST_ZERO, budget, eta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,10 +469,11 @@ def test_limit_A_series_peak_memory_is_two_complex_arrays():
     values = np.arange(3, 2 * n + 3, 2)
     signs = np.ones(n, dtype=np.int8)
     p = StripPoint(2.0, 0.0)
-    limit_A_series(p, values[:10], signs[:10])
+    eta = eta_accel(p).value
+    limit_A_series(p, values[:10], signs[:10], eta)
     tracemalloc.start()
     try:
-        limit_A_series(p, values, signs)
+        limit_A_series(p, values, signs, eta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -443,7 +488,7 @@ def test_gap_builds_no_element_views(monkeypatch):
     ordering = QOrdering.by_value(10_000)
     rep = commutativity_gap(StripPoint(2.0, 0.0), ordering,
                             len(ordering.arrays()[0]), budget=1000)
-    assert rep.h_max == 4055
+    assert len(rep.A) == 4055
     assert built == []
     QOrdering.by_value(6).sequence()  # the counter does see element views
     assert built == [3, 5]
@@ -460,7 +505,15 @@ class TestContradictionCheck:
         assert rep.residual_direct <= 1e-2
         assert rep.lhs.real == pytest.approx(-math.sqrt(2.0), abs=1e-12)
 
+    def test_eta_evaluated_once_per_point(self, monkeypatch):
+        calls = []
+        evaluate = series.eta_accel
+        monkeypatch.setattr(series, "eta_accel",
+                            lambda *a: (calls.append(a), evaluate(*a))[1])
+        for p in (StripPoint(2.0, 0.0), StripPoint(0.75, 3.0)):
+            rh_contradiction_check(p, 1000)
+        assert calls == [(StripPoint(2.0, 0.0),), (StripPoint(0.75, 3.0),)]
+
     def test_report_dict(self):
         rep = rh_contradiction_check(StripPoint(0.75, 3.0), 10**4)
-        assert rep.budget == 10**4
         assert rep.residual_oracle <= 1e-10

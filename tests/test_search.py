@@ -8,7 +8,7 @@ from etaq.limits import c_s_running, limit_A_series
 from etaq.qset import OddSquarefree, QOrdering
 from etaq.search import (ObjectiveSpec, OrderingCandidate, SearchConfig,
                         anneal, objective_gap)
-from etaq.series import _SUM_BLOCK_TERMS, StripPoint, subseries_q, term_ab
+from etaq.series import _SUM_BLOCK_TERMS, StripPoint, eta_accel, subseries_q, term_ab
 
 
 def small_spec(h_max=8, n_window=(50, 120), point=StripPoint(0.75, 3.0)):
@@ -112,7 +112,7 @@ def k_major_objective(values, signs, spec):
     n0, n1 = spec.n_window
     total = 0.0
     for p in spec.points:
-        a = limit_A_series(p, values, signs, spec.eta_tol)
+        a = limit_A_series(p, values, signs, eta_accel(p, spec.eta_tol).value)
         a_cos, a_sin = a.real, a.imag
         c_row = [0.0] * spec.h_max
         s_row = [0.0] * spec.h_max
@@ -277,7 +277,7 @@ def running_objective(values, signs, spec):
     rows = np.arange(spec.n_window[0], spec.n_window[1] + 1)
     total = 0.0
     for p in spec.points:
-        a = limit_A_series(p, values, signs, spec.eta_tol)
+        a = limit_A_series(p, values, signs, eta_accel(p, spec.eta_tol).value)
         worst = 0.0
         for a_h, cs in zip(a.tolist(), c_s_running(p, values, signs, rows)):
             d = cs - a_h
@@ -297,7 +297,7 @@ class TestObjectiveCache:
     def test_replayed_objective_equals_from_scratch(self, spec, prefix):
         rng = np.random.default_rng(prefix * 100 + spec.h_max)
         values, signs = QOrdering.by_value(1000).arrays(prefix)
-        cache = search.ObjectiveCache(spec, values, signs)
+        cache = search.ObjectiveCache(spec, values, signs, spec.etas())
         current = np.arange(prefix)
         first = objective_gap(values, spec, signs=signs, cache=cache)
         assert first == objective_gap(values, spec, signs=signs)
@@ -323,7 +323,7 @@ class TestObjectiveCache:
     def test_unchanged_prefix_is_not_replayed(self, monkeypatch):
         spec = small_spec(h_max=4)
         values, signs = QOrdering.by_value(1000).arrays(10)
-        cache = search.ObjectiveCache(spec, values, signs)
+        cache = search.ObjectiveCache(spec, values, signs, spec.etas())
         first = objective_gap(values, spec, signs=signs, cache=cache)
         cache.accept()
         monkeypatch.setattr(search.ObjectiveCache, "column", None)
@@ -335,6 +335,16 @@ class TestObjectiveCache:
         cfg = SearchConfig(seed=1, prefix_length=6, iterations=5,
                            objective=small_spec(h_max=0), bound_hint=1000)
         assert [e.objective for e in anneal(cfg).trace] == [0.0] * 5
+
+    def test_anneal_evaluates_eta_once_per_point(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(search, "eta_accel",
+                            lambda p, tol: (calls.append(p), eta_accel(p, tol))[1])
+        cfg = SearchConfig(seed=3, prefix_length=12, iterations=10, bound_hint=1000,
+                           objective=ObjectiveSpec(points=TWO_POINTS, n_window=(100, 300),
+                                                   h_max=8))
+        anneal(cfg)
+        assert calls == list(TWO_POINTS)
 
     def test_anneal_peak_memory_is_the_cache_and_the_term_build(self):
         # The cache holds 16 bytes per entry of each value's slice of strided
