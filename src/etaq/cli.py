@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: verify, eta, zeta, surface, gap, zeros (scan|refine|load),
-search.  `emit` writes every data file: to stdout, with no sidecar, when
-``gap`` or ``zeros`` has no ``--out``; else to the file and a sidecar
-``<out>.manifest.json`` recording the command, parameters, seeds, and
-numeric-method identifiers.  Data files contain no timestamps, so identical
-manifests (minus timestamp) give byte-identical outputs.
+search.  Each command checks its output paths, calls the library, which
+checks its own inputs, and hands each data file to `emit`: to stdout, with
+no sidecar, when ``gap`` or ``zeros`` has no ``--out``; else to the file and
+a sidecar ``<out>.manifest.json`` recording the command, every flag but the
+output paths (``ordering`` as its descriptor, ``gap``'s ``hMax`` as the
+count used), and the numeric-method identifiers.  Data files contain no
+timestamps, so identical manifests (minus timestamp) give byte-identical
+outputs.
 
 Every output path is checked before any work, so that a path that cannot be
 written, or an empty one, fails at once; ``gap`` and ``search`` evaluate eta
@@ -23,6 +26,7 @@ import errno
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -55,6 +59,8 @@ HEIGHT_HELP = (f"|y| at most {series.MAX_HEIGHT:.2f}, past which the eta evaluat
 REACH_HELP = ("at the default 1e-12 the eta evaluator reaches |y| of about 196; "
               f"past its reach the command exits 2; {HEIGHT_HELP}")
 EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE
+SUBCOMMANDS = ("cmd", "zeros_cmd")  # the dests that name the command
+NOT_PARAMETERS = (*SUBCOMMANDS, "func", "out", "out_trace", "out_best")
 
 
 def check_outputs(*paths: str | None, sidecar: bool = True) -> None:
@@ -111,15 +117,21 @@ def parse_ordering(spec: str, bound: int) -> QOrdering:
                      "(byvalue, byfactor, shuffle:SEED:PREFIX)")
 
 
-def emit(out: str | None, write, command: str, parameters: dict) -> None:
+def emit(args, out: str | None, write, **fixed) -> None:
     """Call `write(fh)` on stdout when `out` is None, with no sidecar; else on
-    the file `out`, then write its sidecar ``<out>.manifest.json``."""
+    the file `out`, then write its sidecar ``<out>.manifest.json``.  Its
+    parameters are every flag of `args` but the subcommands, ``func`` and the
+    output paths, camelCased in parser order; `fixed` replaces a value."""
     if out is None:
         write(sys.stdout)
         return
     with open(out, "w") as fh:
         write(fh)
-    manifest = {"command": command, "parameters": parameters, "toolVersion": __version__,
+    flags = vars(args)
+    parameters = {re.sub("_(.)", lambda m: m[1].upper(), dest): value
+                  for dest, value in flags.items() if dest not in NOT_PARAMETERS}
+    manifest = {"command": " ".join(flags[d] for d in SUBCOMMANDS if d in flags),
+                "parameters": {**parameters, **fixed}, "toolVersion": __version__,
                 "numericMethods": list(METHOD_IDS),
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
     with open(out + ".manifest.json", "w") as fh:
@@ -262,11 +274,11 @@ def cmd_verify(args) -> int:
         raise ValueError("budget must be >= 1")
     if args.k_max < 1:
         raise ValueError(f"--k-max {args.k_max} must be >= 1")
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = run_verify(args.k_max, args.budget, args.inject_fault)
     for c in checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     summary = {
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                    for c in checks],
@@ -304,10 +316,7 @@ def cmd_surface(args) -> int:
     limits.check_cell_count(len(n_axis) * len(h_axis), f"--n {args.n} x --h {args.h}")
     ordering = parse_ordering(args.ordering, args.bound)
     surf = limits.c_s_surface(StripPoint(args.x, args.y), ordering, n_axis, h_axis)
-    emit(args.out, surf.write_csv, "surface", {
-        "x": args.x, "y": args.y, "ordering": ordering.descriptor(),
-        "n": args.n, "h": args.h, "bound": args.bound,
-    })
+    emit(args, args.out, surf.write_csv, ordering=ordering.descriptor())
     print(f"wrote {len(n_axis) * len(h_axis)} rows to {args.out}")
     return 0
 
@@ -317,11 +326,8 @@ def cmd_gap(args) -> int:
     point = StripPoint(args.x, args.y)
     ordering = parse_ordering(args.ordering, args.q_bound)
     report = limits.commutativity_gap(point, ordering, args.h_max, args.budget, args.eta_tol)
-    emit(args.out, report.write_json, "gap", {
-        "x": args.x, "y": args.y, "ordering": ordering.descriptor(),
-        "hMax": len(report.A), "budget": args.budget, "qBound": args.q_bound,
-        "etaTol": args.eta_tol,
-    })
+    emit(args, args.out, report.write_json, ordering=ordering.descriptor(),
+         hMax=len(report.A))
     return 0
 
 
@@ -329,22 +335,13 @@ def cmd_zeros(args) -> int:
     check_outputs(args.out)
     if args.zeros_cmd == "scan":
         grid = (args.y_min, args.y_max, args.step, args.threshold)
-        zeros.scan_count(*grid)
-        StripPoint(zeros.CRITICAL_X, args.y_max)  # a grid past the ceiling fails here
         records = (zeros.scan_and_refine(*grid, tol=args.tol) if args.refine
                    else zeros.scan_zeros(*grid))
-        parameters = {
-            "yMin": args.y_min, "yMax": args.y_max, "step": args.step,
-            "threshold": args.threshold, "refine": args.refine, "tol": args.tol,
-        }
     elif args.zeros_cmd == "refine":
         records = [zeros.refine_zero(args.y0, args.window, args.tol)]
-        parameters = {"y0": args.y0, "window": args.window, "tol": args.tol}
     else:
         records = zeros.load_zeros(args.path)
-        parameters = {"path": args.path}
-    emit(args.out, lambda fh: zeros.write_csv(records, fh), f"zeros {args.zeros_cmd}",
-         parameters)
+    emit(args, args.out, lambda fh: zeros.write_csv(records, fh))
     return 0
 
 
@@ -358,14 +355,8 @@ def cmd_search(args) -> int:
         objective=spec, neighborhood=args.neighborhood,
         initial_temperature=args.t0, decay=args.decay, bound_hint=args.bound)
     result = search.anneal(config)
-    parameters = {
-        "seed": args.seed, "prefix": args.prefix, "iters": args.iters,
-        "x": args.x, "y": args.y, "n0": args.n0, "n1": args.n1,
-        "hMax": args.h_max, "neighborhood": args.neighborhood,
-        "t0": args.t0, "decay": args.decay, "bound": args.bound,
-    }
-    emit(args.out_trace, result.trace_csv, "search", parameters)
-    emit(args.out_best, lambda fh: fh.write(result.best_json() + "\n"), "search", parameters)
+    emit(args, args.out_trace, result.trace_csv)
+    emit(args, args.out_best, lambda fh: fh.write(result.best_json() + "\n"))
     print(f"best objective {result.best.objective:.6g} "
           f"(identity start, {args.iters} iterations)")
     return 0

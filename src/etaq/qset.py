@@ -202,8 +202,8 @@ class QOrdering:
         if self.strategy == "seeded-shuffle":
             if self.prefix_length > len(values):
                 raise EnumerationShortfallError(
-                    f"shuffle prefix {self.prefix_length} exceeds the "
-                    f"{len(values)} elements enumerable below {self.bound_hint}")
+                    f"shuffle prefix {self.prefix_length} exceeds the {len(values)} "
+                    f"elements of Q: raise the Q bound above {self.bound_hint}")
             head = list(range(self.prefix_length))
             SplitMix64(self.seed).shuffle(head)
             order = np.arange(len(values))
@@ -221,7 +221,7 @@ class QOrdering:
         if h is not None and h > len(values):
             raise EnumerationShortfallError(
                 f"ordering {self.descriptor()} yields only {len(values)} elements, "
-                f"{h} requested (raise bound_hint)")
+                f"{h} requested: raise the Q bound above {self.bound_hint}")
         return values[:h], signs[:h]
 
     def sequence(self) -> list[OddSquarefree]:

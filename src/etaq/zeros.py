@@ -4,8 +4,9 @@
 Zeros are located as minima of |eta| rather than sign changes of a rotated
 real function.  At the default tolerance 1e-12 the evaluator reaches height
 about 196: `zeros scan` fails at y = 196.41 (1.001e-12), and `etaq eta 0.5
-200` at 1.024e-12.  Past `series.MAX_HEIGHT` (838.40) it meets no tolerance,
-and `refine_zero` and `etaq zeros scan` reject a window or grid reaching past it.
+200` at 1.024e-12.  Past `series.MAX_HEIGHT` (838.40) it meets no tolerance:
+`refine_zero` rejects a window reaching past it, and `scan_count`, which
+`scan_zeros` calls first, a grid, both before any evaluation.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def load_zeros(path) -> list[ZeroRecord]:
 
 
 def scan_count(y_min: float, y_max: float, step: float, threshold: float) -> int:
-    """The number of grid points of `scan_zeros`, its arguments checked."""
+    """The number of grid points of `scan_zeros`, its arguments checked; a
+    grid past MAX_HEIGHT fails last, with StripPoint's message."""
     if not (math.isfinite(y_min) and math.isfinite(y_max)):
         raise ValueError(f"need finite yMin, yMax; got [{y_min}, {y_max}]")
     if not y_min >= 0.0:
@@ -101,6 +103,7 @@ def scan_count(y_min: float, y_max: float, step: float, threshold: float) -> int
     if count > MAX_SCAN_POINTS:
         raise ValueError(f"scan would need {count} grid points "
                          f"(cap {MAX_SCAN_POINTS}); raise step")
+    StripPoint(CRITICAL_X, y_max)
     return count
 
 
@@ -170,7 +173,8 @@ def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecor
 def scan_and_refine(y_min: float, y_max: float, step: float = 0.01,
                     threshold: float = 0.05, tol: float = 1e-9) -> list[ZeroRecord]:
     """Scan then refine each candidate in a window of two steps either side;
-    ordinates come back ascending."""
+    ordinates come back ascending.  The grid is checked before `tol`."""
+    scan_count(y_min, y_max, step, threshold)
     check_tol(tol, "tol")
     return [refine_zero(rec.ordinate, window=2.0 * step, tol=tol)
             for rec in scan_zeros(y_min, y_max, step, threshold)]

@@ -1,7 +1,9 @@
+import argparse
 import ast
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -489,9 +491,55 @@ def test_every_data_file_gets_its_manifest(name, tmp_path, monkeypatch, capsys):
         assert list(manifest) == ["command", "parameters", "toolVersion", "numericMethods",
                                   "timestamp"]
         assert manifest["command"] == command
+        assert list(manifest["parameters"]) == flag_names(command)
         assert text.endswith("}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["z.txt", *outs, *(f"{out}.manifest.json" for out in outs)])
+
+
+def flag_names(command: str) -> list[str]:
+    """The camelCased dests of `command`'s parser, in order, but its help and
+    its output paths."""
+    parser = cli.build_parser()
+    for word in command.split():
+        sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    return [re.sub(r"_([a-z])", lambda m: m.group(1).upper(), a.dest)
+            for a in parser._actions
+            if a.dest not in ("help", "out", "out_trace", "out_best")]
+
+
+def test_search_manifest_records_eta_tol(tmp_path, monkeypatch, capsys):
+    """Two search runs whose traces differ have different manifests."""
+    monkeypatch.chdir(tmp_path)
+    tols = ("1e-12", "1e-6")
+    for tol in tols:
+        assert main(["search", "--seed", "1", "--prefix", "8", "--iters", "5", "--h-max",
+                     "4", "--eta-tol", tol, "--out-trace", f"t{tol}.csv",
+                     "--out-best", f"b{tol}.json"]) == 0
+    traces = [(tmp_path / f"t{tol}.csv").read_text() for tol in tols]
+    manifests = [json.loads((tmp_path / f"t{tol}.csv.manifest.json").read_text())
+                 for tol in tols]
+    assert traces[0] != traces[1]
+    assert [m["parameters"]["etaTol"] for m in manifests] == [1e-12, 1e-6]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gap", "--x", "2", "--y", "0", "--q-bound", "100", "--h-max", "50", "--budget", "0"],
+     "ordering by-value(bound=100) yields only 40 elements, 50 requested: "
+     "raise the Q bound above 100"),
+    (["search", "--seed", "1", "--prefix", "50", "--iters", "1", "--h-max", "2",
+      "--bound", "100", "--out-trace", "t.csv", "--out-best", "b.json"],
+     "ordering by-value(bound=100) yields only 40 elements, 50 requested: "
+     "raise the Q bound above 100"),
+    (["surface", "--x", "0.5", "--y", "0", "--n", "1:5", "--h", "1:2", "--bound", "100",
+      "--ordering", "shuffle:1:50", "--out", "s.csv"],
+     "shuffle prefix 50 exceeds the 40 elements of Q: raise the Q bound above 100"),
+], ids=["gap", "search", "surface-shuffle"])
+def test_q_shortfall_names_the_q_bound(argv, message, cli_error, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_error(argv) == message
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_closed_pipe_exits_quietly(tmp_path):

@@ -106,17 +106,29 @@ class TestScan:
         assert [(r.ordinate, r.residual) for r in records] == SCAN_0_30
 
     def test_past_reach_fails_after_bounded_work(self):
-        # 2,999,901 grid points; the bound passes 1e-12 at the 19,642nd
+        # 3,210,001 grid points below the ceiling, 26 MB of |eta| in all;
+        # the bound passes 1e-12 at the 2,032nd
         tracemalloc.start()
         try:
             with pytest.raises(AccelerationError) as exc:
-                scan_zeros(0.0, 29999.0, 0.01)
+                scan_zeros(196.0, 838.0, 0.0002)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert str(exc.value) == ("eta acceleration reaches 1.001e-12 > requested "
-                                  "1.000e-12 at s=(0.5,196.41) with 201 terms")
+                                  "1.000e-12 at s=(0.5,196.4062) with 201 terms")
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("scan", [scan_zeros, scan_and_refine])
+    def test_grid_past_the_ceiling_rejected_before_any_eta(self, scan, monkeypatch):
+        calls = []
+        monkeypatch.setattr(zeros, "eta_accel_many", lambda *a: calls.append(a))
+        monkeypatch.setattr(zeros, "eta_accel", lambda *a: calls.append(a))
+        with pytest.raises(ValueError) as exc:
+            scan(0.0, 900.0, 0.01)
+        assert str(exc.value) == ("need finite x > 0 and |y| <= 838.40; "
+                                  "got x=0.5, y=900.0")
+        assert calls == []
 
     def test_residuals_are_eta_abs(self):
         for rec in scan_zeros(0.0, 60.0, 0.02):
