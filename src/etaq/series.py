@@ -17,10 +17,11 @@ Chebyshev-derived weights (Cohen, Rodriguez Villegas, Zagier style).
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +35,7 @@ _ACCEL_RATE = 3.0 + math.sqrt(8.0)
 _LOG_ACCEL_RATE = math.log(_ACCEL_RATE)
 _MAX_ACCEL_TERMS = 350
 _EPS = 2.0 ** -52
-_BLOCK_TERMS = 2**16  # the work block of eta_accel_many: about 1 MiB of complex terms
+_ANCHOR_SPACING = 64  # grid points per anchor row of `eta_grid`, rows of its table
 # the block of the direct sums: its few work arrays stay in L2 (of 2^12 to
 # 2^16, 2^14 ran limit_B(1e6) fastest)
 _SUM_BLOCK_TERMS = 2**14
@@ -288,22 +289,22 @@ def _accel_weights(n: int) -> _AccelWeights:
     return _AccelWeights(*arrays, d)
 
 
-def _accel_term_count(p: StripPoint, tol: float) -> int:
-    need = math.log(10.0 / tol) + math.pi * abs(p.y) / 2.0
+def _accel_term_count(y: float, tol: float) -> int:
+    need = math.log(10.0 / tol) + math.pi * abs(y) / 2.0
     # need is inf where 10 / tol overflows (tol < 5.6e-308): clamp before ceil
     return min(_MAX_ACCEL_TERMS,
                max(24, math.ceil(min(need / _LOG_ACCEL_RATE, _MAX_ACCEL_TERMS)) + 8))
 
 
-def _accel_result(x: float, y: float, n: int, value: complex, err: float,
-                  target_tol: float) -> SeriesResult:
-    result = SeriesResult(value=value, method="ChebyshevAccelerated",
-                          terms_used=n, error_estimate=err)
-    if err > target_tol:
-        raise AccelerationError(
-            f"eta acceleration reaches {err:.3e} > requested {target_tol:.3e} "
-            f"at s=({x},{y}) with {n} terms", result)
-    return result
+def _accel_error(y: float, n: int, scale: float) -> float:
+    """The bound 10 exp(pi |y| / 2) rate^(-n) plus the floor n eps scale."""
+    return 10.0 * math.exp(math.pi * abs(y) / 2.0 - n * _LOG_ACCEL_RATE) + n * _EPS * scale
+
+
+def _grid_scale(x: float, m: int) -> float:
+    """`eta_grid`'s scale for m terms: (m + 1) / m times sum |c_k| k^-x / d."""
+    w = _accel_weights(m)
+    return float(np.dot(w.abs_c, np.exp(-x * w.log_k))) / w.d * (m + 1) / m
 
 
 def eta_accel(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
@@ -315,68 +316,72 @@ def eta_accel(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
     exceeds target_tol.
     """
     check_tol(target_tol)
-    n = _accel_term_count(p, target_tol)
+    n = _accel_term_count(p.y, target_tol)
     w = _accel_weights(n)
     terms = np.exp(-p.s * w.log_k)
     value = complex(np.dot(w.c, terms)) / w.d
-    round_scale = float(np.dot(w.abs_c, np.abs(terms))) / w.d
-    exponent = math.pi * abs(p.y) / 2.0 - n * _LOG_ACCEL_RATE
-    err = 10.0 * math.exp(exponent) + n * _EPS * round_scale
-    return _accel_result(p.x, p.y, n, value, err, target_tol)
+    err = _accel_error(p.y, n, float(np.dot(w.abs_c, np.abs(terms))) / w.d)
+    result = SeriesResult(value=value, method="ChebyshevAccelerated",
+                          terms_used=n, error_estimate=err)
+    if err > target_tol:
+        raise AccelerationError(
+            f"eta acceleration reaches {err:.3e} > requested {target_tol:.3e} "
+            f"at s=({p.x},{p.y}) with {n} terms", result)
+    return result
 
 
-def eta_accel_many(x: float, ys, target_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """`eta_accel` at s = x + iy for every y in the 1-D sequence ys, bit for
-    bit: returns the values and the error estimates as arrays.
+def eta_grid(x: float, y_min: float, step: float, count: int, chunk: int,
+             target_tol: float = 1e-12):
+    """eta(x + iy) at y_j = y_min + j step for j < count, yielded as complex
+    arrays of `chunk` points, the last shorter.  Raises ValueError first
+    unless y_min >= 0, step > 0 and StripPoint takes x and the last y_j;
+    AccelerationError is eta_accel's, at the first y where it fails.
 
-    Points with equal term count n share the weights, so each run of equal
-    n is evaluated in blocks of about _BLOCK_TERMS terms, and the work
-    memory beyond the outputs is bounded by the block.  The dot products
-    are the stacked vector.vector form of matmul, which runs the same dot
-    kernel as np.dot; a matrix-vector product or einsum would change the
-    last bits.  Raises ValueError before any evaluation if some |y| exceeds
-    MAX_HEIGHT, and AccelerationError with eta_accel's message and result
-    at the first y, in order, whose bound exceeds target_tol.
+    With j = b + r, k^-(x + i y_j) = k^-(x + i y_b) e^(-i r step ln k): each
+    run of points with equal term count m is one product V T^T of anchor
+    rows V[b, k] = c_k k^-(x + i y_b) / d, one every _ANCHOR_SPACING points
+    (by exp, as eta_accel's terms), and the grid's table T[r, k] =
+    e^(-i r step ln k).  The work memory is bounded by the chunk.
+
+    The floor.  With u = eps / 2 and S = sum |c_k| k^-x / d, the product's
+    m terms and their sum err by at most (m - 1 + sqrt(5)) u S (sqrt(5) u
+    bounds a complex product: Brent, Percival and Zimmermann, Math. Comp.
+    76, 2007), each term's exp by 3u as in eta_accel, and c_k / d, its
+    product with the anchor and the table's entry by 4u more: (m + 9) u S,
+    within eta_accel's m eps S for every m >= 24.  Neither floor counts the
+    ulp by which each angle y ln k is rounded (here y_b + r step also
+    misses y_j by one rounding); tests check both against mpmath.
+    eta_accel's S takes |k^-s| as rounded, within (m + 4) u of k^-x; so the
+    grid claims (m + 1) eps S (`_grid_scale`), never below eta_accel's, and
+    the points of a run where that exceeds target_tol, an up-set, go to
+    eta_accel, which keeps its reach and its message.
     """
-    ys = np.asarray(ys, dtype=np.float64)
-    if not (x > 0.0 and math.isfinite(x) and ys.ndim == 1
-            and (np.abs(ys) <= MAX_HEIGHT).all()):
-        raise ValueError(f"need finite x > 0 and a 1-D sequence of |y| <= "
-                         f"{MAX_HEIGHT:.2f}; got x={x}")
     check_tol(target_tol)
-    # _accel_term_count, vectorised: np.ceil takes an inf need, which clip caps
-    exponent = math.pi * np.abs(ys) / 2.0
-    n = np.ceil((math.log(10.0 / target_tol) + exponent) / _LOG_ACCEL_RATE) + 8
-    n = np.clip(n, 24, _MAX_ACCEL_TERMS).astype(np.int16)
-    exponent -= n * _LOG_ACCEL_RATE
-    values = np.empty(len(ys), dtype=complex)
-    errors = np.empty(len(ys))
-    cuts = [*np.flatnonzero(np.diff(n, prepend=-1)).tolist(), len(ys)]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        m = int(n[lo])
-        w = _accel_weights(m)
-        rows = _BLOCK_TERMS // m
-        for b in range(lo, hi, rows):
-            e = min(b + rows, hi)
-            s = np.empty(e - b, dtype=complex)
-            s.real = x
-            s.imag = ys[b:e]
-            terms = -s[:, None] * w.log_k
-            np.exp(terms, out=terms)
-            # complex / float in Python divides the two parts separately
-            dots = np.matmul(terms[:, None, :], w.c[:, None])[:, 0, 0]
-            values.real[b:e] = dots.real / w.d
-            values.imag[b:e] = dots.imag / w.d
-            scale = np.matmul(np.abs(terms)[:, None, :], w.abs_c[:, None])[:, 0, 0]
-            # math.exp, as in eta_accel: np.exp can differ in the last bit
-            bound = np.fromiter(map(math.exp, exponent[b:e].tolist()), float, e - b)
-            errors[b:e] = 10.0 * bound + m * _EPS * (scale / w.d)
-            bad = np.flatnonzero(errors[b:e] > target_tol)
-            if len(bad):
-                i = b + int(bad[0])
-                _accel_result(x, float(ys[i]), m, complex(values[i]),
-                              float(errors[i]), target_tol)
-    return values, errors
+    if not (y_min >= 0.0 and step > 0.0):
+        raise ValueError(f"need y_min >= 0 and step > 0; got {y_min}, {step}")
+    top = StripPoint(x, y_min + (count - 1) * step)  # the same float as the grid's
+    term_count = partial(_accel_term_count, tol=target_tol)
+    log_k = _accel_weights(term_count(top.y)).log_k
+    table = np.exp(np.multiply.outer(np.arange(_ANCHOR_SPACING) * step, log_k) * -1j)
+    for lo in range(0, count, chunk):
+        ys = y_min + np.arange(lo, min(lo + chunk, count)) * step
+        values = np.empty(len(ys), dtype=complex)
+        start = 0
+        while start < len(ys):
+            m = term_count(ys[start])
+            end = bisect.bisect_right(ys, m, start, key=term_count)
+            scale = _grid_scale(x, m)
+            cut = bisect.bisect_right(ys, target_tol, start, end,
+                                      key=lambda y: _accel_error(y, m, scale))
+            w = _accel_weights(m)
+            anchors = np.multiply.outer(-(x + 1j * ys[start:cut:_ANCHOR_SPACING]), w.log_k)
+            np.exp(anchors, out=anchors)
+            anchors *= w.c / w.d
+            values[start:cut] = (anchors @ table[:, :m].T).ravel()[:cut - start]
+            for i in range(cut, end):
+                values[i] = eta_accel(StripPoint(x, float(ys[i])), target_tol).value
+            start = end
+        yield values
 
 
 def eta_averaged(p: StripPoint) -> SeriesResult:

@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import _text
-from .series import MAX_HEIGHT, StripPoint, check_tol, eta_accel, eta_accel_many
+from .series import MAX_HEIGHT, StripPoint, check_tol, eta_accel, eta_grid
 
 CRITICAL_X = 0.5
 DEDUP_SPACING = 1e-6
 MAX_SCAN_POINTS = 10_000_000
-# grid points per eta_accel_many call: a scan that fails part way has done
+# grid points per chunk of eta_grid: a scan that fails part way has done
 # bounded work, and only |eta| (8 bytes per point) is kept for all points
 _SCAN_CHUNK = 2**16
 
@@ -110,24 +110,19 @@ def scan_count(y_min: float, y_max: float, step: float, threshold: float) -> int
 def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
                threshold: float = 0.05) -> list[ZeroRecord]:
     """Grid-scan |eta(1/2 + iy)|; candidates are interior local minima below
-    threshold.  Candidates are unrefined.  The grid is evaluated by
-    `eta_accel_many` in chunks of _SCAN_CHUNK points, which gives eta_abs's
-    bits at every point, so a grid past the evaluator's reach fails after
-    bounded work."""
+    threshold.  Candidates are unrefined, with eta_abs as their residual.
+    The grid is evaluated by `eta_grid` in chunks of _SCAN_CHUNK points, so
+    a grid past the evaluator's reach fails after bounded work."""
     count = scan_count(y_min, y_max, step, threshold)
     if y_min == y_max:
         return []
-    chunks = []
-    for lo in range(0, count, _SCAN_CHUNK):
-        ys = y_min + np.arange(lo, min(lo + _SCAN_CHUNK, count)) * step
-        values, _ = eta_accel_many(CRITICAL_X, ys)
-        chunks.append(np.hypot(values.real, values.imag))  # abs(complex) bit for bit
-    vals = np.concatenate(chunks)
+    vals = np.concatenate([np.abs(v) for v in eta_grid(CRITICAL_X, y_min, step, count,
+                                                        _SCAN_CHUNK)])
     mid = vals[1:-1]
     hits = np.flatnonzero((mid < threshold) & (mid <= vals[:-2]) & (mid <= vals[2:])) + 1
     # the same float as the grid's y_min + float(i) * step
-    return [ZeroRecord(ordinate=float(y_min + i * step), residual=float(vals[i]),
-                       refined=False) for i in hits.tolist()]
+    return [ZeroRecord(ordinate=y, residual=eta_abs(y), refined=False)
+            for y in (y_min + hits * step).tolist()]
 
 
 def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecord:

@@ -707,7 +707,7 @@ def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, mon
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(qset, "odd_factor_counts", lambda *a: work.append(a))
     monkeypatch.setattr(zeros, "eta_accel", lambda *a: work.append(a))
-    monkeypatch.setattr(zeros, "eta_accel_many", lambda *a: work.append(a))
+    monkeypatch.setattr(zeros, "eta_grid", lambda *a: work.append(a))
     assert name in cli_error(argv)
     assert work == []
     assert list(tmp_path.iterdir()) == []

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import needs_avx512, run_without_avx512
 from etaq import series
-from etaq.series import (_BLOCK_TERMS, _SUM_BLOCK_TERMS, MAX_HEIGHT, MAX_TERMS,
+from etaq.series import (_SUM_BLOCK_TERMS, MAX_HEIGHT, MAX_TERMS,
                          AccelerationError, PoleError, SingularDenominatorError, StripPoint,
-                         bridge_denominator, direct_sums, eta_accel, eta_accel_many,
+                         bridge_denominator, direct_sums, eta_accel, eta_grid,
                          eta_averaged, gamma_partial, geom_closed, shifted_sums,
                          shifted_sums_oracle, subseries_q, term_ab, term_arrays, zeta_from_eta)
 
@@ -242,11 +242,12 @@ class TestExactSum:
 
     def test_across_block_boundaries(self):
         rng = np.random.default_rng(3)
-        x = spread_terms(rng, 2 * _BLOCK_TERMS + 5, 60)
-        # the blocks cancel each other but for a few low-order terms
-        x[_BLOCK_TERMS:2 * _BLOCK_TERMS] = -x[:_BLOCK_TERMS]
+        half = 4 * B
+        x = spread_terms(rng, 2 * half + 5, 60)
+        # the halves cancel each other but for a few low-order terms
+        x[half:2 * half] = -x[:half]
         assert_fsum_bits(x)
-        assert_fsum_bits(x[:_BLOCK_TERMS + 1])
+        assert_fsum_bits(x[:half + 1])
 
     @pytest.mark.parametrize("x", [
         [], [0.0], [0.0] * 1000, [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0],
@@ -471,80 +472,104 @@ def scalar_eta(x, ys, tol=1e-12):
     return values, errors, None
 
 
-def assert_same_as_scalar(x, ys, tol=1e-12):
-    values, errors, exc = scalar_eta(x, ys, tol)
-    if exc is None:
-        got_values, got_errors = eta_accel_many(x, ys, tol)
-        assert got_values.tolist() == values
-        assert got_errors.tolist() == errors
-        return
-    with pytest.raises(AccelerationError) as got:
-        eta_accel_many(x, ys, tol)
-    assert str(got.value) == str(exc)
-    want, res = exc.result, got.value.result
-    assert (res.terms_used, res.error_estimate, res.method) == (
-        want.terms_used, want.error_estimate, want.method)
-    assert repr(res.value) == repr(want.value)  # nan-safe
-    if values:  # the points before the failure
-        got_values, got_errors = eta_accel_many(x, ys[:len(values)], tol)
-        assert got_values.tolist() == values
-        assert got_errors.tolist() == errors
+def grid_values(x, y_min, step, count, tol=1e-12, chunk=2**16) -> np.ndarray:
+    """eta_grid's chunks joined into one array."""
+    return np.concatenate([np.empty(0, dtype=complex),
+                           *eta_grid(x, y_min, step, count, chunk, tol)])
 
 
-class TestEtaAccelMany:
-    def test_bit_identical_on_benchmark_grid(self):
-        # the grid of `zeros scan --y-max 190 --step 0.004`
-        assert_same_as_scalar(0.5, 0.0 + np.arange(47501) * 0.004)
+def grid_claim(x, y, tol=1e-12) -> float:
+    """The error that eta_grid claims at y, from the helpers it calls."""
+    m = series._accel_term_count(y, tol)
+    return series._accel_error(y, m, series._grid_scale(x, m))
 
-    @pytest.mark.parametrize("x", [0.25, 0.75, 2.0])
-    def test_bit_identical_off_the_line(self, x):
-        assert_same_as_scalar(x, 0.0 + np.arange(4751) * 0.04)
 
-    def test_bit_identical_unsorted(self):
-        rng = random.Random(7)
-        assert_same_as_scalar(0.5, [rng.uniform(-190.0, 190.0) for _ in range(3000)])
+class TestEtaGrid:
+    """The scan's evaluator.  Its values differ from eta_accel's in the last
+    bits; tests/test_zeros.py checks that the scan's candidates do not.  It
+    runs only on the line x = 1/2, so off-line grids are not tested."""
 
-    @pytest.mark.parametrize("ys, tol", [
-        ([100.0, 195.0, 196.41, 197.0], 1e-12),  # the scan's first failure
-        ([1.0, 50.0], 1e-14),
-        ([5.0, 500.0, 400.0], 1e-3),             # a loose tolerance past its reach
+    @pytest.mark.parametrize("y_min, step, count, tol", [
+        (190.0, 0.01, 2001, 1e-12),    # the scan's first failure, at 196.41
+        (0.0, 0.5, 100, 1e-14),
+        (300.0, 1.0, 400, 1e-3),       # a loose tolerance past its reach
+        # eta_accel's floor passes 9.95e-13 with 200 terms, the grid's does
+        # not: that run goes to eta_accel, and 201 terms fail there
+        (194.0, 0.001, 3000, 9.95e-13),
     ])
-    def test_first_failure_in_order(self, ys, tol):
-        assert_same_as_scalar(0.5, ys, tol)
+    def test_first_failure_is_eta_accels(self, y_min, step, count, tol):
+        ys = y_min + np.arange(count) * step
+        values, errors, exc = scalar_eta(0.5, ys, tol)
+        with pytest.raises(AccelerationError) as got:
+            grid_values(0.5, y_min, step, count, tol, chunk=997)
+        assert str(got.value) == str(exc)
+        want, res = exc.result, got.value.result
+        assert (res.value, res.terms_used, res.error_estimate, res.method) == (
+            want.value, want.terms_used, want.error_estimate, want.method)
+        got_values = grid_values(0.5, y_min, step, len(values), tol, chunk=997)
+        for y, value, want_value, error in zip(ys.tolist(), got_values.tolist(), values, errors):
+            claim = grid_claim(0.5, y, tol)
+            if claim > tol:  # routed to eta_accel
+                assert value == want_value
+            else:
+                assert abs(value - want_value) <= claim + error
+
+    def test_error_estimate_is_honest(self):
+        # 20 random points of each grid, up to the reach at 1e-12 (196.4062)
+        rng = random.Random(24)
+        with mp.workdps(30):
+            for y_min, step in ((0.0, 0.004), (0.5, 0.01), (150.0, 0.0007)):
+                count = math.floor((196.4 - y_min) / step) + 1
+                values = grid_values(0.5, y_min, step, count)
+                for j in [count - 1, *rng.sample(range(count - 1), 19)]:
+                    y = float(y_min + j * step)
+                    true = abs(mp.altzeta(mp.mpc(0.5, y)) - mp.mpc(values[j]))
+                    assert true <= grid_claim(0.5, y), (y_min, step, j)
 
     def test_at_the_ceiling_the_bound_is_finite(self):
+        step = 0.01
+        count = 64
+        values = grid_values(0.5, MAX_HEIGHT - (count - 1) * step, step, count, 1.7e308)
+        assert np.isfinite(values).all()
+        res = eta_accel(StripPoint(0.5, MAX_HEIGHT), 1.7e308)
+        assert res.terms_used == 350
+        assert abs(values[-1] - res.value) <= 1e-12
         # the bound's exponent is 700 plus rounding there: math.exp gives
-        # about 1e304, and neither path overflows
-        ys = [MAX_HEIGHT, -MAX_HEIGHT]
-        values, errors = eta_accel_many(0.5, ys, 1.7e308)
-        for y, value, error in zip(ys, values.tolist(), errors.tolist()):
-            res = eta_accel(StripPoint(0.5, y), 1.7e308)
-            assert (res.value, res.error_estimate) == (value, error)
-            assert res.terms_used == 350
-            assert math.isfinite(error) and 1e304 < error < 1e306
-            assert cmath.isfinite(value)
+        # about 1e304, and the claim does not overflow
+        assert 1e304 < grid_claim(0.5, MAX_HEIGHT, 1.7e308) < 1e306
 
     def test_a_tolerance_too_small_for_10_over_tol_uses_the_cap(self):
         # 10 / 1e-320 overflows to inf: the term count is capped, not an OverflowError
-        assert_same_as_scalar(0.5, [1.0], 1e-320)
-        with pytest.raises(AccelerationError, match="with 350 terms"):
+        with pytest.raises(AccelerationError) as got:
+            grid_values(0.5, 1.0, 0.01, 1, 1e-320)
+        with pytest.raises(AccelerationError, match="with 350 terms") as want:
             eta_accel(StripPoint(0.5, 1.0), 1e-320)
+        assert str(got.value) == str(want.value)
 
     def test_empty(self):
-        values, errors = eta_accel_many(0.5, [])
-        assert values.shape == errors.shape == (0,)
+        assert list(eta_grid(0.5, 0.0, 0.01, 0, 16)) == []
 
-    @pytest.mark.parametrize("x, ys, tol", [
-        (0.0, [1.0], 1e-12), (math.nan, [1.0], 1e-12), (0.5, [math.inf], 1e-12),
-        (0.5, [[1.0]], 1e-12), (0.5, [1.0], 0.0),
-        # past MAX_HEIGHT, rejected before the failure at 197 is evaluated
-        (0.5, [100.0, 197.0, 1e300], 1e-12), (0.5, [100.0, 1e300, 197.0], 1e-12),
-        (0.5, [1.7e308, 1.0], 1e-12), (0.5, [5.0, 900.0], 1e-3),
-        (0.5, [math.nextafter(MAX_HEIGHT, math.inf)], 1.7e308),
+    def test_chunks(self):
+        # each chunk starts its own anchors, so only the last bits may move
+        chunks = list(eta_grid(0.5, 0.0, 0.01, 1000, 300))
+        assert [len(c) for c in chunks] == [300, 300, 300, 100]
+        whole = grid_values(0.5, 0.0, 0.01, 1000)
+        assert np.abs(np.concatenate(chunks) - whole).max() <= 1e-13
+
+    @pytest.mark.parametrize("x, y_min, step, count, tol", [
+        (0.0, 1.0, 0.01, 1, 1e-12), (math.nan, 1.0, 0.01, 1, 1e-12),
+        (0.5, -1.0, 0.01, 1, 1e-12), (0.5, math.nan, 0.01, 1, 1e-12),
+        (0.5, math.inf, 0.01, 1, 1e-12), (0.5, 1.0, 0.0, 1, 1e-12),
+        (0.5, 1.0, -0.01, 1, 1e-12), (0.5, 1.0, math.nan, 1, 1e-12),
+        (0.5, 1.0, math.inf, 2, 1e-12), (0.5, 1.0, 0.01, 1, 0.0),
+        # past MAX_HEIGHT, rejected before the failure at 196.41 is evaluated
+        (0.5, 0.0, 0.01, 90000, 1e-12), (0.5, 100.0, 1e300, 2, 1e-12),
+        (0.5, math.nextafter(MAX_HEIGHT, math.inf), 0.01, 1, 1.7e308),
     ])
-    def test_bad_input(self, x, ys, tol):
+    def test_bad_input(self, x, y_min, step, count, tol, monkeypatch):
+        monkeypatch.setattr(series, "eta_accel", lambda *a: pytest.fail("eta evaluated"))
         with pytest.raises(ValueError):
-            eta_accel_many(x, ys, tol)
+            next(eta_grid(x, y_min, step, count, 2**16, tol))
 
 
 class TestZetaBridge:
@@ -698,8 +723,8 @@ class TestSubseries:
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("evaluate", [lambda tol: eta_accel(StripPoint(0.5, 1.0), tol),
-                                      lambda tol: eta_accel_many(0.5, [1.0], tol)],
-                         ids=["eta_accel", "eta_accel_many"])
+                                      lambda tol: next(eta_grid(0.5, 1.0, 0.01, 1, 1, tol))],
+                         ids=["eta_accel", "eta_grid"])
 def test_tolerance_must_be_finite_and_positive(evaluate, tol):
     with pytest.raises(ValueError, match="targetTol must be finite and > 0"):
         evaluate(tol)

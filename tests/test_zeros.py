@@ -1,19 +1,34 @@
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from etaq import zeros
-from etaq.series import (_BLOCK_TERMS, AccelerationError, StripPoint, zeta_from_eta,
-                         bridge_denominator)
-from etaq.zeros import (RefinementError, ZeroFileError, eta_abs, load_zeros,
+from conftest import CLI_TIMEOUT_S, ETAQ_ROOT
+from etaq import series, zeros
+from etaq.series import AccelerationError, StripPoint, zeta_from_eta, bridge_denominator
+from etaq.zeros import (RefinementError, ZeroFileError, ZeroRecord, eta_abs, load_zeros,
                         refine_zero, scan_zeros, scan_and_refine, write_csv)
 
 FIRST_THREE = (14.134725141734694, 21.022039638771554, 25.010857580145689)
 # Recorded from scan_zeros(0, 30, 0.01) when it called eta_abs point by point.
 SCAN_0_30 = [(14.13, 0.008895200295998055), (21.02, 0.004744729021936494),
              (25.01, 0.00198196922037166)]
+
+
+
+
+def pointwise_scan(y_min, y_max, step, threshold=0.05):
+    """scan_zeros with eta_abs at every grid point: the reference for its records."""
+    count = math.floor((y_max - y_min) / step) + 1
+    vals = np.array([eta_abs(y) for y in (y_min + np.arange(count) * step).tolist()])
+    return [ZeroRecord(ordinate=float(y_min + i * step), residual=float(vals[i]), refined=False)
+            for i in range(1, count - 1)
+            if vals[i] < threshold and vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]]
 
 
 class TestLoadZeros:
@@ -122,7 +137,7 @@ class TestScan:
     @pytest.mark.parametrize("scan", [scan_zeros, scan_and_refine])
     def test_grid_past_the_ceiling_rejected_before_any_eta(self, scan, monkeypatch):
         calls = []
-        monkeypatch.setattr(zeros, "eta_accel_many", lambda *a: calls.append(a))
+        monkeypatch.setattr(zeros, "eta_grid", lambda *a: calls.append(a))
         monkeypatch.setattr(zeros, "eta_accel", lambda *a: calls.append(a))
         with pytest.raises(ValueError) as exc:
             scan(0.0, 900.0, 0.01)
@@ -134,9 +149,28 @@ class TestScan:
         for rec in scan_zeros(0.0, 60.0, 0.02):
             assert rec.residual == eta_abs(rec.ordinate)
 
+    @pytest.mark.parametrize("y_max, step", [(196.0, 0.01), (196.0, 0.001), (190.0, 0.004)],
+                             ids=["step-0.01", "step-0.001", "benchmark-grid"])
+    def test_records_match_a_pointwise_scan(self, y_max, step):
+        assert scan_zeros(0.0, y_max, step) == pointwise_scan(0.0, y_max, step)
+
+    def test_records_do_not_depend_on_blas_threads(self):
+        # the grid's products run in BLAS, which may split them over threads
+        script = ("from etaq.zeros import scan_zeros; "
+                  "print(repr([scan_zeros(0.0, 190.0, 0.004), scan_zeros(0.0, 196.0, 0.01)]))")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (ETAQ_ROOT, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=CLI_TIMEOUT_S)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == repr([scan_zeros(0.0, 190.0, 0.004),
+                                    scan_zeros(0.0, 196.0, 0.01)]) + "\n"
+
     def test_memory_per_point_is_flat(self):
-        # peak(N) = slope * N + intercept: the blocks and chunks go in the
-        # intercept, the per-point |eta| (and its chunks while joined) in the slope
+        # peak(N) = slope * N + intercept: one chunk's arrays (its heights,
+        # values, products and |eta|, 48 bytes a point), its anchor rows and
+        # the rotation table go in the intercept, the per-point |eta| (and
+        # its chunks while joined) in the slope
         scan_zeros(0.0, 1.0)
         peaks = {}
         for step in (2e-4, 5e-5):
@@ -150,7 +184,11 @@ class TestScan:
         (n1, p1), (n2, p2) = sorted(peaks.items())
         slope = (p2 - p1) / (n2 - n1)
         assert slope <= 96
-        assert p1 - slope * n1 <= 64 * _BLOCK_TERMS
+        terms = series._accel_term_count(10.0, 1e-12)
+        spacing = series._ANCHOR_SPACING
+        anchors = (zeros._SCAN_CHUNK // spacing + 1) * terms * 16
+        table = spacing * terms * 16
+        assert p1 - slope * n1 <= 48 * zeros._SCAN_CHUNK + anchors + table
 
 
 class TestRefine:
