@@ -1,6 +1,8 @@
-"""CSV text of float64 and integer columns, a block of rows at a time.
+"""CSV text of float64 and integer columns, a block of rows at a time, and
+the float lists of the gap JSON, a block of values at a time.
 
-A float's text is exactly ``'%.17g' % v`` and an integer's is ``str(v)``.
+A CSV float's text is exactly ``'%.17g' % v``, an integer's ``str(v)``, and
+a JSON list value's ``repr(v)``, or json's NaN, Infinity and -Infinity.
 
 The 17-digit significand of |v| is |v| * 10^(16 - e) rounded half to even,
 taken from a double-double product (Dekker's TwoProduct, "A floating-point
@@ -8,15 +10,21 @@ technique for extending the available precision", Numer. Math. 18, 1971)
 with 10^(16 - e) as an exact (hi, lo) pair.  The decimal exponent
 e = floor(log10|v|) is only an estimate: a product outside [10^16, 10^17)
 shows that it was wrong.  Where 10^(16 - e) is exact (0 <= 16 - e <= 22)
-the product is exact, and a tie goes to the even significand.  Python's
-``%`` writes the values this cannot decide:
+the product is exact, and a tie goes to the even significand.  repr's
+shortest digits are the product's nearest 15-digit rounding, else its
+nearest 16-digit one, whichever first lies within half the binary spacing
+of v, else the 17-digit significand (Steele and White, and Gay, "Correctly
+rounded binary-decimal and decimal-binary conversions", 1990; `_shortest`).
+Python writes the values this cannot decide:
 - non-finite ones, and magnitudes outside [_MIN_ABS, _MAX_ABS], which
   covers the subnormal and the huge ones;
 - those whose product falls outside [10^16, 10^17 - 1);
 - those whose product lies within 2^-20 of a half-integer where
-  10^(16 - e) is inexact, since they could be ties.
-Python's ``%`` also writes a block of fewer than FEW_VALUES values, one
-value at a time.
+  10^(16 - e) is inexact, since they could be ties;
+- for repr, those with e >= 16, exact powers of two, distances within 2^-20
+  of the half spacing or of a 16-digit tie, and roundings to 10^17.
+Python also writes a CSV block of fewer than FEW_VALUES values, one value
+at a time.
 
 Each row is one line of a uint64 matrix, and each value a fixed slot of
 8-byte words in it.  An integer column's slots take as many words as its
@@ -24,10 +32,12 @@ longest text and separator need, and numpy's cast of int64 to a NUL-padded
 bytes dtype writes them.  A float takes 6 words.  Its digits come from
 tables of 4-digit groups, each digit followed by a NUL byte where a decimal
 point may go, and its zero digits are NUL: a mask keyed by (digits kept,
-point position) writes back the zeros kept and the point.
-Tables keyed by the exponent give the sign, the "0.000" prefix and the
-"e+XX" suffix.  The last byte of each slot holds the "," or newline that
-follows the value.  One ``bytes.translate`` then deletes every NUL.
+point position) writes back the zeros kept and the point; a second key
+table gives repr's ".0" in fixed notation.  Tables keyed by the exponent
+give the sign, the "0.000" prefix and the "e+XX" suffix.  The last byte of
+each CSV slot holds the "," or newline that follows the value; a JSON
+value's slot has a seventh word, its separator.  A JSON block of zeros only
+is a lookup by sign.  One ``bytes.translate`` then deletes every NUL.
 """
 
 from __future__ import annotations
@@ -48,11 +58,15 @@ _E_MIN = -300      # the exponent tables cover every e of a value in range
 _E_SPAN = 600
 _HALF_BAND = 2.0**-20  # this close to 1/2, an inexact product goes to Python
 _SPLIT = 134217729.0   # 2^27 + 1, Veltkamp's splitting constant
-# below this many values in a block, Python's % and str take less time than
-# the numpy calls and the first build of the tables
+# below this many values in a CSV block, Python's % and str take less time
+# than the numpy calls and the first build of the tables
 FEW_VALUES = 2048
 # the last word of a slot, with the separator after its value
 _COMMA, _NEWLINE = np.frombuffer(b"\0" * 7 + b"," + b"\0" * 7 + b"\n", np.uint64)
+# what follows each value of a json list, and the slot word that holds it
+_JSON_SEP = ",\n    "
+_JSON_SEP_WORD = np.frombuffer(_JSON_SEP.encode() + b"\0\0", np.uint64)[0]
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _words(byte_rows: np.ndarray) -> np.ndarray:
@@ -88,13 +102,17 @@ def _tables() -> dict:
 
     # (exponent, digits kept) -> mask key: the point follows digit e in
     # fixed notation (0 <= e <= 16), digit 0 in scientific, and sits in the
-    # "0.000" prefix for -4 <= e < 0; it is left out where no digit follows
+    # "0.000" prefix for -4 <= e < 0; it is left out where no digit follows.
+    # repr keeps one digit after the point in fixed notation, where its
+    # exponent is below 16.
     e = np.arange(_E_MIN, _E_MIN + _E_SPAN, dtype=np.int16)[:, None]
     kept_digits = np.arange(18, dtype=np.int16)
     fixed = (e >= 0) & (e <= 16)
-    keep = np.where(fixed, np.maximum(kept_digits, e + 1), kept_digits)
-    point = np.where(fixed, e, np.where((e >= -4) & (e < 0), -1, 0))
-    point = np.where(keep > point + 1, point, -1)
+
+    def key(keep):
+        point = np.where(fixed, e, np.where((e >= -4) & (e < 0), -1, 0))
+        point = np.where(keep > point + 1, point, -1)
+        return (keep * 17 + point + 1).ravel()
 
     # "e+XX" or "e-XXX" where scientific, and "-" then "0." and up to 3
     # zeros for -4 <= e < 0
@@ -113,13 +131,18 @@ def _tables() -> dict:
     for x in range(-4, 0):
         sign_prefix[x - _E_MIN, :, 1:2 - x] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
     sign_prefix[:, 1, 0] = ord("-")
-    first = np.zeros((10, 8), np.uint8)
-    first[:, 6] = np.arange(10)  # ORed onto the mask's "0"
+    # ORed onto the mask's "0"; row 10 serves a rounding to 10^17, which
+    # Python writes
+    first = np.zeros((11, 8), np.uint8)
+    first[:, 6] = np.arange(11)
     return {
         "spaced": _words(spaced).ravel(),
         "kept": kept,
         "fill": [np.ascontiguousarray(fill[:, j]) for j in range(5)],
-        "key": (keep * 17 + point + 1).ravel(),
+        "key": key(np.where(fixed, np.maximum(kept_digits, e + 1), kept_digits)),
+        "repr_key": key(np.where(fixed & (e < 16), np.maximum(kept_digits, e + 2), kept_digits)),
+        "json_zero": np.array(["0.0" + _JSON_SEP, "-0.0" + _JSON_SEP],
+                              "S16").view(np.uint64).reshape(2, 2),
         "sign_prefix": _words(sign_prefix).ravel(),
         "suffix": _words(suffix).ravel(),
         "first": _words(first).ravel(),
@@ -151,9 +174,13 @@ def _python_words(texts: list[str], words: int) -> np.ndarray:
     return np.array(texts, dtype=f"S{8 * words}").view(np.uint64).reshape(len(texts), words)
 
 
-def _significands(v: np.ndarray):
-    """(sig, e, decided): |v| = sig * 10^(e - 16) rounded half to even, with
-    sig a 17-digit int64 (0 for a zero), and whether that is sure."""
+def _product(v: np.ndarray):
+    """(whole, half, e, a, hi, decided): |v| * 10^(16 - e) = whole + 1/2 +
+    half, with whole an int64 (0 for a zero) and -1/2 <= half < 1/2, to
+    within 2^-40, and exactly where 10^(16 - e) is exact; `a` is |v| where
+    it is in range (1.0 elsewhere) and `hi` the double nearest 10^(16 - e).
+    `decided` is where e is right and the rounding of whole + 1/2 + half to
+    an integer is sure."""
     with np.errstate(all="ignore"):
         a = np.abs(v)
         zero = a == 0.0
@@ -171,23 +198,82 @@ def _significands(v: np.ndarray):
         rest = (((a1 * h1 - p) + a1 * h2) + a2 * h1) + a2 * h2 + a * lo
         floor = np.floor(rest)
         half = rest - floor - 0.5
-        sig = p.astype(np.int64) + floor.astype(np.int64)
+        whole = p.astype(np.int64) + floor.astype(np.int64)
         # the product must lie in [10^16, 10^17 - 1) before rounding, which
         # may reach 10^16
-        decided = (fast & ((sig - 10**16).view(np.uint64) < 9 * 10**16 - 1)
-                   & (np.abs(half) >= band)) | zero
-        # half to even: near 0, half is a multiple of 2^-54, so an odd sig
-        # rounds up where half >= 0 and an even one where half > 0
-        sig += half > (sig & 1) * -(2.0**-60)
-    sig[zero] = 0
+        sure = (fast & ((whole - 10**16).view(np.uint64) < 9 * 10**16 - 1)
+                & (np.abs(half) >= band))
+    whole *= sure  # 0 for a zero, and in the tables' range where Python writes
+    return whole, half, e, a, hi, sure | zero
+
+
+def _round_half_even(whole: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """whole + 1/2 + half rounded to an integer, half to even, in place.
+    Near 0, half is a multiple of 2^-54, so an odd `whole` rounds up where
+    half >= 0 and an even one where half > 0."""
+    whole += half > (whole & 1) * -(2.0**-60)
+    return whole
+
+
+def _significands(v: np.ndarray):
+    """(sig, e, decided): |v| = sig * 10^(e - 16) rounded half to even, with
+    sig a 17-digit int64 (0 for a zero), and whether that is sure."""
+    whole, half, e, _, _, decided = _product(v)
+    return _round_half_even(whole, half), e, decided
+
+
+def _shortest(v: np.ndarray):
+    """(sig, e, decided): repr's digits of v as a 17-digit int64 sig, padded
+    with zeros (0 for a zero), and whether that is sure.
+
+    Let P = |v| * 10^(16 - e) and H half the binary spacing of v, scaled the
+    same way: a decimal within H of P reads back as v.  Since 2H < 2^-52 *
+    10^17 < 100, at most one multiple of 100 lies that close, so repr has at
+    most 15 digits exactly when P's nearest multiple of 100 does; otherwise
+    at most 16 when its nearest multiple of 10 does, the nearest being the
+    closest to v of those; otherwise repr is P rounded to 17 digits.  Python
+    decides a value with e >= 16, where repr writes an exponent; an exact
+    power of two, whose interval below is half as wide; a distance within
+    2^-20 of H or a 16-digit tie; and a rounding that carries to 10^17."""
+    whole, half, e, a, hi, decided = _product(v)
+    with np.errstate(all="ignore"):
+        h = np.spacing(a * 0.5) * hi  # H, exact but for hi's rounding
+        r = whole % 100
+        y = r + (half + 0.5)  # P mod 100
+        c15 = np.round(y, -2)
+        c16 = np.round(y, -1)
+        d15 = np.abs(y - c15)
+        d16 = np.abs(y - c16)
+        in15 = d15 < h
+        in16 = d16 < h
+        sure = ((np.abs(d15 - h) >= _HALF_BAND) & (np.abs(d16 - h) >= _HALF_BAND)
+                & (d16 <= 5.0 - _HALF_BAND))
+    short = np.where(in15, c15, c16).astype(np.int64)
+    short += whole - r
+    sig = np.where(in15 | in16, short, _round_half_even(whole, half))
+    power_of_two = (v.view(np.uint64) << np.uint64(12) == 0) & (sig != 0)
+    decided &= sure & ~power_of_two & (e < 16) & (sig < 10**17)
     return sig, e, decided
 
 
-def _float_slots(v: np.ndarray, out: np.ndarray, sep: np.ndarray) -> None:
-    """Write '%.17g' of each value of `v`, then `sep` (broadcast against
-    `v`), into the 6-word slots `out` of shape v.shape + (6,)."""
+def _json_float(x: float) -> str:
+    """json's text of a float: repr, or NaN, Infinity and -Infinity."""
+    text = repr(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+# a float text: its digits, its mask keys and Python's text of one value
+_G17 = (_significands, "key", "%.17g".__mod__)
+_REPR = (_shortest, "repr_key", _json_float)
+
+
+def _float_slots(v: np.ndarray, out: np.ndarray, sep, text=_G17) -> None:
+    """Write the `text` ('%.17g' by default) of each value of `v`, then
+    `sep` (broadcast against `v`), into the 6-word slots `out` of shape
+    v.shape + (6,)."""
     t = _tables()
-    sig, e, decided = _significands(v)
+    digits, key_table, python_text = text
+    sig, e, decided = digits(v)
     top = sig // 10**8
     low = (sig - top * 10**8).astype(np.int32)
     top = top.astype(np.int32)
@@ -198,7 +284,7 @@ def _float_slots(v: np.ndarray, out: np.ndarray, sep: np.ndarray) -> None:
     kept = [table.take(g) for table, g in zip(t["kept"], groups)]
     kept = np.maximum(np.maximum(kept[0], kept[1]), np.maximum(kept[2], kept[3]))
     ei = e - _E_MIN
-    key = t["key"].take(ei * 18 + kept).astype(np.intp)
+    key = t[key_table].take(ei * 18 + kept).astype(np.intp)
     fill = t["fill"]
     out[..., 0] = (t["sign_prefix"].take(2 * ei + np.signbit(v)) | t["first"].take(first)
                    | fill[0].take(key))
@@ -207,7 +293,7 @@ def _float_slots(v: np.ndarray, out: np.ndarray, sep: np.ndarray) -> None:
     out[..., 5] = t["suffix"].take(ei) | sep
     if not decided.all():
         slow = np.nonzero(~decided)
-        words = _python_words(["%.17g" % x for x in v[slow].tolist()], _FLOAT_WORDS)
+        words = _python_words([python_text(x) for x in v[slow].tolist()], _FLOAT_WORDS)
         words[:, -1] |= np.broadcast_to(sep, v.shape)[slow]
         out[slow] = words
 
@@ -267,6 +353,32 @@ def _rows(columns) -> np.ndarray:
         for k in run:
             rows[:, starts[k]:starts[k + 1]] = ints[k]
     return rows
+
+
+def write_json_list(fh, values: np.ndarray) -> None:
+    """Write `values` as json.dump(indent=2) writes a list of floats that is
+    a top-level dict's value: each value's repr, or json's name for a
+    non-finite one, BLOCK_ROWS values at a time."""
+    if not len(values):
+        fh.write("[]")
+        return
+    fh.write("[\n    ")
+    for start in range(0, len(values), BLOCK_ROWS):
+        text = _json_block(values[start:start + BLOCK_ROWS])
+        fh.write(text if start + BLOCK_ROWS < len(values) else text[:-len(_JSON_SEP)])
+    fh.write("\n  ]")
+
+
+def _json_block(v: np.ndarray) -> str:
+    """The json text of each value of `v`, each followed by _JSON_SEP."""
+    t = _tables()
+    if (v == 0.0).all():  # as every A_sin at y = 0
+        slots = t["json_zero"].take(np.signbit(v), axis=0)
+    else:
+        slots = np.empty((len(v), _FLOAT_WORDS + 1), np.uint64)
+        _float_slots(v, slots[:, :_FLOAT_WORDS], np.uint64(0), _REPR)
+        slots[:, _FLOAT_WORDS] = _JSON_SEP_WORD
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_csv(fh, header: str, rows: int, columns) -> None:

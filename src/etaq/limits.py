@@ -220,7 +220,9 @@ class LimitReport:
     def write_json(self, fh) -> None:
         """The report as the bytes of json.dump(..., indent=2) plus a newline,
         with A split into the lists A_cos and A_sin.  The scalar fields go
-        through json; the A arrays are streamed in chunks of float text."""
+        through json; `_text.write_json_list` writes each A list a block of
+        values at a time, as the bytes of repr (README, "CSV and JSON
+        text")."""
         head = json.dumps({
             "point": {"x": self.point.x, "y": self.point.y},
             "orderingId": self.ordering_id,
@@ -242,32 +244,8 @@ class LimitReport:
         fh.write(head[:-2])  # drop the closing "\n}"
         for key, values in (("A_cos", self.A.real), ("A_sin", self.A.imag)):
             fh.write(f',\n  "{key}": ')
-            _write_float_list(fh, values)
+            _text.write_json_list(fh, values)
         fh.write(",\n" + tail[2:] + "\n")  # drop the opening "{\n"
-
-
-_JSON_CHUNK = 2**14
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _write_float_list(fh, values: np.ndarray) -> None:
-    """`values` as json.dump(indent=2) writes a list of floats that is a
-    top-level dict's value: float.__repr__ per element, with json's names
-    for the non-finite ones, written in chunks of _JSON_CHUNK."""
-    if not len(values):
-        fh.write("[]")
-        return
-    sep = ",\n    "
-    fh.write("[\n    ")
-    for start in range(0, len(values), _JSON_CHUNK):
-        chunk = values[start:start + _JSON_CHUNK]
-        text = map(float.__repr__, chunk.tolist())
-        if not np.isfinite(chunk).all():
-            text = (_JSON_NONFINITE.get(t, t) for t in text)
-        if start:
-            fh.write(sep)
-        fh.write(sep.join(text))
-    fh.write("\n  ]")
 
 
 def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int | None,

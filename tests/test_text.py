@@ -1,6 +1,8 @@
-"""The CSV text writer against Python's own '%.17g' and str."""
+"""The CSV text writer against Python's own '%.17g' and str, and the JSON
+list writer against json's own text of a list of floats."""
 
 import io
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etaq import _text
-from etaq.limits import SumSurface
+from etaq.limits import SumSurface, commutativity_gap
+from etaq.qset import QOrdering
+from etaq.series import StripPoint
 
 from conftest import needs_avx512, run_without_avx512
 
@@ -29,6 +33,19 @@ def numpy_csv(*columns) -> str:
         return _text.csv_rows(columns)
     finally:
         _text.FEW_VALUES = few
+
+
+def python_json(values) -> str:
+    """The text json.dump(indent=2) gives a list of floats that is a
+    top-level dict's value."""
+    return json.dumps({"A": values.tolist()}, indent=2)[len('{\n  "A": '):-len("\n}")]
+
+
+def json_text(values) -> str:
+    """write_json_list's text of the values."""
+    fh = io.StringIO()
+    _text.write_json_list(fh, values)
+    return fh.getvalue()
 
 
 def tie_sample() -> np.ndarray:
@@ -53,7 +70,9 @@ def sample(seed: int = 0) -> np.ndarray:
     subnormals = rng.integers(1, 2**52, 1_000, dtype=np.uint64).view(np.float64)
     specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
                          2.2250738585072014e-308, 1.7976931348623157e308, 1e-290, 1e290,
-                         0.1, 0.5, 1.0, 9.999999999999999e15, 1e16, 1e17, 123456789.0])
+                         0.1, 0.5, 1.0, 3.0, 9.999999999999999e15, 1e16, 1e17, 123456789.0,
+                         1e15, 9.999999999999998e15, 1e-4, 9.999999999999999e-05, 1e-05,
+                         8 + 2**-16, 5 * 2**-23])  # ties at 16 digits
     ordinary = rng.standard_normal(20_000) * 10.0 ** rng.integers(-30, 30, 20_000)
     ties = tie_sample()
     return np.concatenate([bits.view(np.float64), near, -near, subnormals, -subnormals,
@@ -65,11 +84,17 @@ def test_float_text_is_percent_17g():
     assert numpy_csv(v) == python_csv(v)
 
 
+def test_json_float_text_is_repr():
+    v = sample()
+    assert json_text(v) == python_json(v)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_float_text_over_more_bit_patterns(seed):
     v = np.random.default_rng(seed).integers(
         0, 2**64 - 1, 50_000, dtype=np.uint64, endpoint=True).view(np.float64)
     assert numpy_csv(v) == python_csv(v)
+    assert json_text(v) == python_json(v)
 
 
 def test_exact_ties_round_to_the_even_significand():
@@ -97,6 +122,34 @@ def test_both_the_vector_and_the_python_path_run(monkeypatch):
     ordinary = np.random.default_rng(4).standard_normal(10_000)
     assert numpy_csv(ordinary) == python_csv(ordinary)
     assert len(texts) <= 1
+    texts.clear()
+    decided = _text._shortest(v)[2]
+    assert json_text(v) == python_json(v)
+    assert len(texts) == np.count_nonzero(~decided)
+    assert 0 < len(texts) < 0.6 * len(v)  # with every e >= 16 of the bit patterns
+    assert {"NaN", "Infinity", "-Infinity", "5e-324", "1e+16", "1.0", "0.5"} <= set(texts)
+    texts.clear()
+    assert json_text(ordinary) == python_json(ordinary)
+    assert len(texts) <= 1
+
+
+@pytest.mark.parametrize("estimate", [lambda x: np.nextafter(x, -np.inf),
+                                      lambda x: x - 0.5, lambda x: x + 0.5],
+                         ids=["a-step-low", "half-a-decade-low", "half-a-decade-high"])
+def test_a_wrong_exponent_estimate_changes_no_text(estimate, monkeypatch):
+    """log10's last bit depends on the SIMD dispatch, and the exponent is
+    only an estimate.  A step low puts the values at powers of ten a decade
+    low, where a product of 10^17 or a rounding that carries to it goes to
+    Python; half a decade off does so for about half of all values, whose
+    product then falls outside [10^16, 10^17).  The text stays the same.  A
+    zero's exponent is log10(1.0) = 0, exact at every dispatch, so zeros are
+    left out."""
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: estimate(log10(a)))
+    v = sample()
+    v = v[v != 0.0]
+    assert numpy_csv(v) == python_csv(v)
+    assert json_text(v) == python_json(v)
 
 
 @settings(max_examples=300, deadline=None)
@@ -104,6 +157,7 @@ def test_both_the_vector_and_the_python_path_run(monkeypatch):
 def test_hypothesis_floats(values):
     v = np.array(values, dtype=float)
     assert numpy_csv(v) == python_csv(v)
+    assert json_text(v) == python_json(v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,6 +224,39 @@ def test_blocks_join_to_the_whole(monkeypatch):
     assert fh.getvalue() == "n,v\n" + python_csv(n, v)
 
 
+@pytest.mark.parametrize("length", [0, 1, _text.BLOCK_ROWS - 1, _text.BLOCK_ROWS,
+                                    _text.BLOCK_ROWS + 1, 4 * _text.BLOCK_ROWS - 1])
+def test_json_blocks_join_to_the_whole(length):
+    """Blocks of +0.0, of -0.0, of both and of other values, cut anywhere:
+    an odd length is taken from the end."""
+    rng = np.random.default_rng(length)
+    block = _text.BLOCK_ROWS
+    v = np.concatenate([np.zeros(block), -np.zeros(block),
+                        np.where(rng.random(block) < 0.5, 0.0, -0.0),
+                        rng.standard_normal(block)])
+    v = v[len(v) - length:] if length % 2 else v[:length]
+    assert json_text(v) == python_json(v)
+
+
+@pytest.mark.parametrize("p, bound", [(StripPoint(2.0, 0.0), 300_000),
+                                      (StripPoint(0.5, 14.134725141734693), 10_000)])
+def test_benchmark_reports_take_the_vector_path(p, bound, monkeypatch):
+    """The gap reports of the benchmark's largest job and at its zeros: all
+    their nonzero values go through the numpy slots, and next to none to
+    Python; the zeros of A_sin at y = 0 take the lookup by sign."""
+    rep = commutativity_gap(p, QOrdering.by_value(bound), None, 0)
+    texts, vector = [], []
+    python_words, float_slots = _text._python_words, _text._float_slots
+    monkeypatch.setattr(_text, "_python_words",
+                        lambda t, words: (texts.extend(t), python_words(t, words))[1])
+    monkeypatch.setattr(_text, "_float_slots",
+                        lambda v, *args: (vector.append(len(v)), float_slots(v, *args))[1])
+    for values in (rep.A.real, rep.A.imag):
+        assert json_text(values) == python_json(values)
+    assert sum(vector) == np.count_nonzero(rep.A.real) + np.count_nonzero(rep.A.imag)
+    assert len(texts) <= 4
+
+
 class _Sink:
     """A file that keeps only the count of characters written to it."""
 
@@ -206,6 +293,28 @@ def test_surface_writer_memory_is_bounded(rows):
     assert peak < WRITER_PEAK_BYTES
 
 
+# work memory of the JSON list writer: a few blocks of BLOCK_ROWS values, at
+# about 0.25 kB a value, whatever the list's length
+JSON_WRITER_PEAK_BYTES = 2**20
+
+
+@pytest.mark.parametrize("length", [40_000, 120_000])
+def test_json_writer_memory_is_bounded(length):
+    """The writer's peak traced memory stays under one bound as the list
+    grows, at the benchmark's largest list and at a third of it."""
+    v = np.random.default_rng(length).standard_normal(length)
+    _text.write_json_list(_Sink(), v)  # tables and exponent pairs, built once
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        _text.write_json_list(sink, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 20 * length
+    assert peak < JSON_WRITER_PEAK_BYTES
+
+
 def test_surface_writer_formats_each_n_and_h_once_per_block(monkeypatch):
     """The surface passes n and h as (values, index) pairs, so a block
     formats its own n values and the h axis, not an integer per cell."""
@@ -236,16 +345,18 @@ DISPATCH_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from conftest import CPU_FEATURES
-from test_text import numpy_csv, python_csv, sample
+from test_text import json_text, numpy_csv, python_csv, python_json, sample
 assert not CPU_FEATURES["X86_V4"]
 for seed in range(3):
     v = sample(seed)
     assert numpy_csv(v) == python_csv(v), seed
+    assert json_text(v) == python_json(v), seed
 print("ok")
 """
 
 
 @needs_avx512
 def test_text_does_not_depend_on_the_simd_dispatch():
-    """log10 gives other last bits without AVX-512; the text stays the same."""
+    """log10 gives other last bits without AVX-512; the CSV and JSON text
+    stays the same."""
     run_without_avx512(DISPATCH_SCRIPT)
