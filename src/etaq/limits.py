@@ -264,6 +264,10 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int | None,
     se.check_tol(eta_tol, "etaTol")
     if h_max is not None and h_max < 0:
         raise ValueError("hMax must be >= 0")
+    geom_err = se.geom_error(p)
+    if not geom_err <= eta_tol:
+        raise ValueError(f"the B oracle's closed form errs by up to {geom_err:.3e} > etaTol "
+                         f"{eta_tol:.3e} at s=({p.x},{p.y}), near its pole s = 0")
     eta = se.eta_accel(p, eta_tol).value
     a = limit_A_series(p, *ordering.arrays(h_max), eta)
     a.setflags(write=False)

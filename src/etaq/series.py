@@ -330,6 +330,17 @@ def eta_accel(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
     return result
 
 
+def eta_rows(x: float, ys: np.ndarray, m: int) -> np.ndarray:
+    """The rows c_k k^-(x + i y) / d, k = 1 .. m, one per y in ys, with
+    eta_accel's weights for m terms: each row's sum is the accelerated eta
+    at x + iy.  The terms are eta_accel's, by exp."""
+    w = _accel_weights(m)
+    rows = np.multiply.outer(-(x + 1j * ys), w.log_k)
+    np.exp(rows, out=rows)
+    rows *= w.c / w.d
+    return rows
+
+
 def eta_grid(x: float, y_min: float, step: float, count: int, chunk: int,
              target_tol: float = 1e-12):
     """eta(x + iy) at y_j = y_min + j step for j < count, yielded as complex
@@ -339,8 +350,8 @@ def eta_grid(x: float, y_min: float, step: float, count: int, chunk: int,
 
     With j = b + r, k^-(x + i y_j) = k^-(x + i y_b) e^(-i r step ln k): each
     run of points with equal term count m is one product V T^T of anchor
-    rows V[b, k] = c_k k^-(x + i y_b) / d, one every _ANCHOR_SPACING points
-    (by exp, as eta_accel's terms), and the grid's table T[r, k] =
+    rows V[b, k] = c_k k^-(x + i y_b) / d (`eta_rows`), one every
+    _ANCHOR_SPACING points, and the grid's table T[r, k] =
     e^(-i r step ln k).  The work memory is bounded by the chunk.
 
     The floor.  With u = eps / 2 and S = sum |c_k| k^-x / d, the product's
@@ -373,10 +384,7 @@ def eta_grid(x: float, y_min: float, step: float, count: int, chunk: int,
             scale = _grid_scale(x, m)
             cut = bisect.bisect_right(ys, target_tol, start, end,
                                       key=lambda y: _accel_error(y, m, scale))
-            w = _accel_weights(m)
-            anchors = np.multiply.outer(-(x + 1j * ys[start:cut:_ANCHOR_SPACING]), w.log_k)
-            np.exp(anchors, out=anchors)
-            anchors *= w.c / w.d
+            anchors = eta_rows(x, ys[start:cut:_ANCHOR_SPACING], m)
             values[start:cut] = (anchors @ table[:, :m].T).ravel()[:cut - start]
             for i in range(cut, end):
                 values[i] = eta_accel(StripPoint(x, float(ys[i])), target_tol).value
@@ -440,10 +448,29 @@ def zeta_from_eta(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
 def geom_closed(p: StripPoint) -> complex:
     """(2^x - 2 e^(-iy ln 2)) / (2^x - e^(-iy ln 2)), the closed form of the
     full power-of-two series; equals (1 - 2^(1-s))/(1 - 2^(-s)).  Nonzero
-    throughout 0 < x < 1."""
+    throughout 0 < x < 1.  Where 2^x overflows (x >= 1024) it takes the
+    latter form, 1 within |2^-s| < 2^-1023.  Near its pole s = 0 the
+    subtraction cancels; `geom_error` bounds what that costs."""
     w = cmath.exp(-1j * p.y * LN2)
-    tx = 2.0 ** p.x
+    try:
+        tx = 2.0 ** p.x
+    except OverflowError:
+        u = cmath.exp(-p.s * LN2)
+        return (1.0 - 2.0 * u) / (1.0 - u)
     return (tx - 2.0 * w) / (tx - w)
+
+
+def geom_error(p: StripPoint) -> float:
+    """A bound on |geom_closed(p) - geom| / max(1, |geom|): the rounding of
+    2^x, of the angle y ln 2 and of e^(-iy ln 2), with the subtraction's
+    cancellation, (5 + 3 |y| ln 2) eps / |1 - 2^-s|.  |1 - 2^-s| is taken
+    without cancellation, as the modulus of -expm1(-x ln 2) + e^(-x ln 2)
+    (2 sin^2(y ln 2 / 2) + i sin(y ln 2)); inf where it is 0."""
+    r = math.exp(-p.x * LN2)
+    angle = p.y * LN2
+    one_minus_u = abs(complex(-math.expm1(-p.x * LN2) + 2.0 * r * math.sin(angle / 2.0) ** 2,
+                              r * math.sin(angle)))
+    return (5.0 + 3.0 * abs(angle)) * _EPS / one_minus_u if one_minus_u else math.inf
 
 
 def gamma_partial(p: StripPoint, L: int) -> complex:

@@ -1,11 +1,12 @@
 """Critical-line zero ordinates: file ingestion, grid scanning on
-|eta(1/2 + iy)|, and golden-section refinement.
+|eta(1/2 + iy)|, and refinement (secant, golden-section fallback).
 
-Zeros are located as minima of |eta| rather than sign changes of a rotated
-real function.  At the default tolerance 1e-12 the evaluator reaches height
+The scan takes candidates at minima of |eta|, and refinement takes them as
+roots of the complex eta(1/2 + iy) at real y, with no rotation to a real
+function.  At the default tolerance 1e-12 the evaluator reaches height
 about 196: `zeros scan` fails at y = 196.41 (1.001e-12), and `etaq eta 0.5
 200` at 1.024e-12.  Past `series.MAX_HEIGHT` (838.40) it meets no tolerance:
-`refine_zero` rejects a window reaching past it, and `scan_count`, which
+`refine_zeros` rejects a window reaching past it, and `scan_count`, which
 `scan_zeros` calls first, a grid, both before any evaluation.
 """
 
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _text
-from .series import MAX_HEIGHT, StripPoint, check_tol, eta_accel, eta_grid
+from .series import (MAX_HEIGHT, StripPoint, _accel_term_count, check_tol, eta_accel,
+                     eta_grid, eta_rows)
 
 CRITICAL_X = 0.5
 DEDUP_SPACING = 1e-6
@@ -27,6 +29,7 @@ MAX_SCAN_POINTS = 10_000_000
 # bounded work, and only |eta| (8 bytes per point) is kept for all points
 _SCAN_CHUNK = 2**16
 
+_SECANT_STEPS = 20  # a candidate not converged after this many falls back to golden section
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -107,12 +110,8 @@ def scan_count(y_min: float, y_max: float, step: float, threshold: float) -> int
     return count
 
 
-def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
-               threshold: float = 0.05) -> list[ZeroRecord]:
-    """Grid-scan |eta(1/2 + iy)|; candidates are interior local minima below
-    threshold.  Candidates are unrefined, with eta_abs as their residual.
-    The grid is evaluated by `eta_grid` in chunks of _SCAN_CHUNK points, so
-    a grid past the evaluator's reach fails after bounded work."""
+def _scan_hits(y_min: float, y_max: float, step: float, threshold: float) -> list[float]:
+    """The ordinates of `scan_zeros`' candidates, with no residuals."""
     count = scan_count(y_min, y_max, step, threshold)
     if y_min == y_max:
         return []
@@ -121,14 +120,20 @@ def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
     mid = vals[1:-1]
     hits = np.flatnonzero((mid < threshold) & (mid <= vals[:-2]) & (mid <= vals[2:])) + 1
     # the same float as the grid's y_min + float(i) * step
+    return (y_min + hits * step).tolist()
+
+
+def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
+               threshold: float = 0.05) -> list[ZeroRecord]:
+    """Grid-scan |eta(1/2 + iy)|; candidates are interior local minima below
+    threshold.  Candidates are unrefined, with eta_abs as their residual.
+    The grid is evaluated by `eta_grid` in chunks of _SCAN_CHUNK points, so
+    a grid past the evaluator's reach fails after bounded work."""
     return [ZeroRecord(ordinate=y, residual=eta_abs(y), refined=False)
-            for y in (y_min + hits * step).tolist()]
+            for y in _scan_hits(y_min, y_max, step, threshold)]
 
 
-def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecord:
-    """Golden-section minimization of |eta(1/2 + iy)|^2 on [y0-window,
-    y0+window].  Fails (best achieved attached) if the residual floor in the
-    window stays above tol."""
+def _check_window(y0: float, window: float) -> None:
     if not math.isfinite(y0):
         raise ValueError(f"y0 must be finite, got {y0}")
     if not (window > 0.0 and math.isfinite(window)):
@@ -136,7 +141,46 @@ def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecor
     if not abs(y0) + window <= MAX_HEIGHT:
         raise ValueError(f"need |y0| + window <= {MAX_HEIGHT:.2f}, the eta evaluator's "
                          f"ceiling; got y0={y0}, window={window}")
-    check_tol(tol, "tol")
+
+
+def _eta_rows_summed(ys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """eta(1/2 + iy) at each y from its own term count, as row sums of
+    `eta_rows`, one call per run of equal count.  A row sum, unlike a BLAS
+    product, has the same bits whatever the other rows."""
+    cuts = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(ys)]
+    return np.concatenate([eta_rows(CRITICAL_X, ys[lo:hi], int(counts[lo])).sum(axis=1)
+                           for lo, hi in zip(cuts, cuts[1:])])
+
+
+def _secant(y0: np.ndarray, window: float) -> np.ndarray:
+    """Secant steps y2 = y1 - Re[eta(y1) (y1 - y0) / (eta(y1) - eta(y0))] on
+    eta(1/2 + iy) along real y from y0 -+ window / 2, every candidate at
+    once, until a step is below 1e-14 |y|.  Each eta takes the term count of
+    its window's top.  NaN for a candidate whose iterate leaves [y0 - window,
+    y0 + window] (a zero difference of etas makes a NaN or infinite one) or
+    that has not converged after _SECANT_STEPS steps."""
+    counts = np.array([_accel_term_count(abs(y) + window, 1e-12) for y in y0.tolist()])
+    found = np.full(len(y0), math.nan)
+    live = np.arange(len(y0))
+    a, b = y0 - 0.5 * window, y0 + 0.5 * window
+    fa, fb = _eta_rows_summed(a, counts), _eta_rows_summed(b, counts)
+    for _ in range(_SECANT_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = b - (fb * (b - a) / (fb - fa)).real
+        inside = (y0[live] - window <= c) & (c <= y0[live] + window)
+        done = inside & (np.abs(c - b) < 1e-14 * np.abs(c))
+        found[live[done]] = c[done]
+        go = inside & ~done
+        live, a, fa, b = live[go], b[go], fb[go], c[go]
+        if not len(live):
+            break
+        fb = _eta_rows_summed(b, counts[live])
+    return found
+
+
+def _golden(y0: float, window: float) -> float:
+    """Golden-section minimization of |eta(1/2 + iy)|^2 on [y0-window,
+    y0+window], to a bracket narrower than 1e-12; its midpoint."""
 
     def g(y: float) -> float:
         return eta_abs(y) ** 2
@@ -154,15 +198,41 @@ def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecor
             lo, m1, g1 = m1, m2, g2
             m2 = lo + _INV_PHI * (hi - lo)
             g2 = g(m2)
-    best_y = 0.5 * (lo + hi)
-    residual = eta_abs(best_y)
+    return 0.5 * (lo + hi)
+
+
+def refine_zeros(y0s: list[float], window: float = 0.05,
+                 tol: float = 1e-9) -> list[ZeroRecord]:
+    """`refine_zero` of each candidate, in order, from `_secant` of all at
+    once; every candidate is checked first."""
+    for y0 in y0s:
+        _check_window(y0, window)
+    check_tol(tol, "tol")
+    found = _secant(np.array(y0s, dtype=float), window).tolist() if y0s else []
+    return [refine_zero(y0, window, tol, y) for y0, y in zip(y0s, found)]
+
+
+def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9,
+                secant_root: float | None = None) -> ZeroRecord:
+    """The zero on [y0-window, y0+window] at `secant_root`, the candidate's
+    `_secant` result (NaN where it failed; computed here when None), else
+    by golden-section minimization of |eta|^2 where the secant failed or
+    its residual eta_abs is above tol.  Fails (best achieved attached) if
+    golden section's residual is above tol too."""
+    _check_window(y0, window)
+    check_tol(tol, "tol")
+    y = _secant(np.array([y0]), window).tolist()[0] if secant_root is None else secant_root
+    residual = math.inf if math.isnan(y) else eta_abs(y)
+    if not residual <= tol:
+        y = _golden(y0, window)
+        residual = eta_abs(y)
     if residual > tol:
         kind = ("no zero in window" if residual > max(1e-6, 10.0 * tol)
                 else "tolerance unreachable at binary64")
         raise RefinementError(
             f"{kind}: best |eta| = {residual:.3e} > tol {tol:.1e} "
-            f"at y = {best_y:.9f}", best_y, residual)
-    return ZeroRecord(ordinate=best_y, residual=residual, refined=True)
+            f"at y = {y:.9f}", y, residual)
+    return ZeroRecord(ordinate=y, residual=residual, refined=True)
 
 
 def scan_and_refine(y_min: float, y_max: float, step: float = 0.01,
@@ -171,8 +241,7 @@ def scan_and_refine(y_min: float, y_max: float, step: float = 0.01,
     ordinates come back ascending.  The grid is checked before `tol`."""
     scan_count(y_min, y_max, step, threshold)
     check_tol(tol, "tol")
-    return [refine_zero(rec.ordinate, window=2.0 * step, tol=tol)
-            for rec in scan_zeros(y_min, y_max, step, threshold)]
+    return refine_zeros(_scan_hits(y_min, y_max, step, threshold), 2.0 * step, tol)
 
 
 def write_csv(records: list[ZeroRecord], fh) -> None:

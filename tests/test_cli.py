@@ -162,6 +162,14 @@ class TestGapCommand:
         assert main(["gap", *argv]) == 0
         assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
+    @pytest.mark.parametrize("y", ["0", "5"])
+    def test_past_two_to_the_x_overflow(self, y, capsys):
+        # 2^1030 overflows; the closed form is 1 there, and so is eta
+        assert main(["gap", "--x", "1030", "--y", y, "--q-bound", "100",
+                     "--budget", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["oracleB_cos"], doc["gap_cos"], doc["gap_sin"]) == (0.0, 0.0, 0.0)
+
     def test_default_h_max_builds_the_ordering_once(self, monkeypatch, capsys):
         calls = []
         order = qset.QOrdering._order
@@ -692,6 +700,12 @@ def test_every_public_top_level_name_is_used():
      "need finite x > 0 and |y| <= 838.40; got x=0.5, y=900.0"),
     (["zeros", "refine", "--y0", "838.4"], "need |y0| + window <= 838.40"),
     (["zeros", "refine", "--y0", "-838.4"], "need |y0| + window <= 838.40"),
+    # the B oracle's closed form at its pole s = 0, where 2^x - e^(-iy ln 2) cancels
+    (["gap", "--x", "1e-17", "--y", "0", "--q-bound", "100", "--budget", "0"],
+     "the B oracle's closed form errs by up to 1.602e+02 > etaTol 1.000e-12 "
+     "at s=(1e-17,0.0), near its pole s = 0"),
+    (["gap", "--x", "0.001", "--y", "0", "--q-bound", "100", "--budget", "0"],
+     "the B oracle's closed form errs by up to 1.602e-12 > etaTol"),
 ], ids=["refine-tol-nan", "refine-tol-inf", "refine-window-nan", "refine-window-inf",
         "eta-tol-nan", "zeta-tol-nan", "eta-tol-inf", "gap-eta-tol-nan", "gap-eta-tol-0",
         "search-eta-tol-0", "scan-y-max-inf", "scan-y-min-nan", "scan-step-nan",
@@ -701,13 +715,15 @@ def test_every_public_top_level_name_is_used():
         "refine-y0-nan", "surface-cells", "search-h-max-over-prefix",
         "search-n1-over-cap", "eta-height", "zeta-height", "surface-height", "gap-x",
         "gap-height", "gap-eta-reach", "search-eta-reach", "search-height", "scan-height",
-        "scan-refine-height", "refine-height", "refine-negative-height"])
+        "scan-refine-height", "refine-height", "refine-negative-height", "gap-x-at-the-pole",
+        "gap-x-near-the-pole"])
 def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, monkeypatch):
     work = []
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(qset, "odd_factor_counts", lambda *a: work.append(a))
     monkeypatch.setattr(zeros, "eta_accel", lambda *a: work.append(a))
     monkeypatch.setattr(zeros, "eta_grid", lambda *a: work.append(a))
+    monkeypatch.setattr(zeros, "eta_rows", lambda *a: work.append(a))
     assert name in cli_error(argv)
     assert work == []
     assert list(tmp_path.iterdir()) == []

@@ -635,6 +635,30 @@ class TestGeomClosed:
         rhs = 1.0 - cmath.exp((1.0 - p.s) * math.log(2.0))
         assert abs(lhs - rhs) < 1e-13
 
+    @given(st.floats(min_value=-12.0, max_value=3.0),
+           st.one_of(strip_y, st.integers(-120, 120).map(lambda j: j * math.pi / math.log(2.0))))
+    @settings(max_examples=300, deadline=None)
+    def test_error_bound_against_mpmath(self, log10_x, y):
+        # heights j pi / ln 2 take in the images of the pole s = 0 (x near 0)
+        # and the closed form's zeros (x = 1, log10_x = 0)
+        p = StripPoint(10.0**log10_x, y)
+        u = mp.power(2, -mp.mpc(p.x, p.y))
+        want = (1 - 2 * u) / (1 - u)
+        err = float(abs(mp.mpc(geom_closed(p)) - want) / max(1, abs(want)))
+        assert err <= series.geom_error(p)
+
+    @pytest.mark.parametrize("x", [1024.0, 1030.0, 1e300])
+    def test_past_two_to_the_x_overflow(self, x):
+        p = StripPoint(x, 5.0)
+        assert abs(geom_closed(p) - 1.0) <= 2.0**-1023  # 1 - 2^-s, and 2^-s is subnormal
+        assert geom_closed(StripPoint(x, 0.0)) == 1.0
+        assert series.geom_error(p) < 1e-14
+
+    def test_error_bound_grows_at_the_pole(self):
+        assert series.geom_error(StripPoint(5e-324, 0.0)) == math.inf
+        assert series.geom_error(StripPoint(1e-17, 0.0)) > 1.0
+        assert series.geom_error(StripPoint(0.5, 0.0)) < 1e-14
+
 
 class TestGammaPartial:
     def test_l_zero_is_one(self):

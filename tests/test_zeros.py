@@ -12,12 +12,25 @@ from conftest import CLI_TIMEOUT_S, ETAQ_ROOT
 from etaq import series, zeros
 from etaq.series import AccelerationError, StripPoint, zeta_from_eta, bridge_denominator
 from etaq.zeros import (RefinementError, ZeroFileError, ZeroRecord, eta_abs, load_zeros,
-                        refine_zero, scan_zeros, scan_and_refine, write_csv)
+                        refine_zero, refine_zeros, scan_zeros, scan_and_refine, write_csv)
 
 FIRST_THREE = (14.134725141734694, 21.022039638771554, 25.010857580145689)
 # Recorded from scan_zeros(0, 30, 0.01) when it called eta_abs point by point.
 SCAN_0_30 = [(14.13, 0.008895200295998055), (21.02, 0.004744729021936494),
              (25.01, 0.00198196922037166)]
+BENCHMARK_GRID = (0.0, 190.0, 0.004)  # the grid of the benchmark's `zeros scan --refine`
+# Recorded from refine_zero(y0, window, tol) when it was golden section
+# alone: its message, ordinate and residual
+GOLDEN_FAILURES = {
+    (5.0, 0.5, 1e-9): ("no zero in window: best |eta| = 1.619e+00 > tol 1.0e-09 "
+                       "at y = 4.500000000", 4.500000000000378, 1.619077481765219),
+    # the secant leaves the window for the zero at 14.1347
+    (14.5, 0.2, 1e-9): ("no zero in window: best |eta| = 3.114e-01 > tol 1.0e-09 "
+                        "at y = 14.300000000", 14.300000000000397, 0.3113618917583635),
+    (14.13, 0.05, 1e-16): ("tolerance unreachable at binary64: best |eta| = 3.887e-13 > "
+                           "tol 1.0e-16 at y = 14.134725142", 14.134725141734487,
+                           3.8874940055863165e-13),
+}
 
 
 
@@ -139,6 +152,7 @@ class TestScan:
         calls = []
         monkeypatch.setattr(zeros, "eta_grid", lambda *a: calls.append(a))
         monkeypatch.setattr(zeros, "eta_accel", lambda *a: calls.append(a))
+        monkeypatch.setattr(zeros, "eta_rows", lambda *a: calls.append(a))
         with pytest.raises(ValueError) as exc:
             scan(0.0, 900.0, 0.01)
         assert str(exc.value) == ("need finite x > 0 and |y| <= 838.40; "
@@ -156,15 +170,17 @@ class TestScan:
 
     def test_records_do_not_depend_on_blas_threads(self):
         # the grid's products run in BLAS, which may split them over threads
-        script = ("from etaq.zeros import scan_zeros; "
-                  "print(repr([scan_zeros(0.0, 190.0, 0.004), scan_zeros(0.0, 196.0, 0.01)]))")
+        script = ("from etaq.zeros import scan_and_refine, scan_zeros; "
+                  "print(repr([scan_zeros(0.0, 190.0, 0.004), scan_zeros(0.0, 196.0, 0.01), "
+                  "scan_and_refine(0.0, 190.0, 0.004)]))")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(p for p in (ETAQ_ROOT, env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=CLI_TIMEOUT_S)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == repr([scan_zeros(0.0, 190.0, 0.004),
-                                    scan_zeros(0.0, 196.0, 0.01)]) + "\n"
+                                    scan_zeros(0.0, 196.0, 0.01),
+                                    scan_and_refine(0.0, 190.0, 0.004)]) + "\n"
 
     def test_memory_per_point_is_flat(self):
         # peak(N) = slope * N + intercept: one chunk's arrays (its heights,
@@ -216,6 +232,89 @@ class TestRefine:
         p = StripPoint(0.5, first_zero.ordinate)
         z = zeta_from_eta(p)
         assert abs(z.value) <= first_zero.residual / abs(bridge_denominator(p)) * 1.01
+
+
+@pytest.fixture(scope="module")
+def benchmark_candidates():
+    return zeros._scan_hits(*BENCHMARK_GRID, 0.05)
+
+
+class TestSecant:
+    WINDOW = 2.0 * BENCHMARK_GRID[2]
+
+    @pytest.mark.parametrize("grid", ["benchmark", "one-term-count"])
+    def test_records_do_not_depend_on_their_batch(self, grid, benchmark_candidates):
+        # the benchmark's candidates each have their own term count; 16
+        # starts around the first zero share one, so they make one run of rows
+        y0s = (benchmark_candidates if grid == "benchmark"
+               else (14.127 + 0.001 * np.arange(16)).tolist())
+        together = refine_zeros(y0s, self.WINDOW)
+        alone = [refine_zeros([y], self.WINDOW)[0] for y in y0s]
+        assert repr(alone) == repr(together)  # bit for bit
+
+    def test_row_sums_do_not_depend_on_their_batch(self):
+        # a BLAS mat-vec of the same rows can differ with the batch in the last
+        # bits (OpenBLAS on x86-64 does)
+        ys = np.concatenate([14.127 + 0.001 * np.arange(16), [100.0, 100.5, 190.0]])
+        counts = np.array([series._accel_term_count(y + 0.05, 1e-12) for y in ys])
+        together = zeros._eta_rows_summed(ys, counts)
+        alone = [zeros._eta_rows_summed(ys[i:i + 1], counts[i:i + 1]) for i in range(len(ys))]
+        assert together.tobytes() == np.concatenate(alone).tobytes()
+        for y, eta in zip(ys.tolist(), together.tolist()):
+            assert abs(eta - series.eta_accel(StripPoint(0.5, y)).value) <= 1e-12
+
+    def test_within_golden_section_on_the_benchmark_grid(self, benchmark_candidates):
+        records = refine_zeros(benchmark_candidates, self.WINDOW)
+        golden = [zeros._golden(y, self.WINDOW) for y in benchmark_candidates]
+        assert max(abs(r.ordinate - y) for r, y in zip(records, golden)) <= 1e-12
+        assert max(r.residual for r in records) <= max(eta_abs(y) for y in golden)
+        for rec, want in zip(records, FIRST_THREE):
+            assert rec.ordinate == pytest.approx(want, abs=1e-12)
+
+    def test_one_scalar_eta_per_candidate_and_no_fallback(self, monkeypatch):
+        # the scan's hits get no residual of their own: refinement's replaces it
+        calls = []
+        monkeypatch.setattr(zeros, "eta_accel", lambda *a: calls.append(a) or series.eta_accel(*a))
+        monkeypatch.setattr(zeros, "_golden", lambda *a: pytest.fail(f"golden section at {a}"))
+        records = scan_and_refine(*BENCHMARK_GRID)
+        assert len(records) == 74
+        assert [p.y for p, in calls] == [r.ordinate for r in records]
+
+    def test_a_batch_fails_at_its_first_failure_in_order(self, monkeypatch):
+        seen, golden = [], []
+        monkeypatch.setattr(zeros, "eta_abs", lambda y: seen.append(y) or eta_abs(y))
+        monkeypatch.setattr(zeros, "_golden",
+                            lambda y0, w, f=zeros._golden: golden.append(y0) or f(y0, w))
+        with pytest.raises(RefinementError) as exc:
+            refine_zeros([14.13, 5.0], window=0.5)
+        assert (str(exc.value), exc.value.ordinate,
+                exc.value.residual) == GOLDEN_FAILURES[5.0, 0.5, 1e-9]
+        assert golden == [5.0]  # 5.0's secant leaves its window; 14.13's converges
+        assert seen[0] == pytest.approx(FIRST_THREE[0], abs=1e-12)
+        assert eta_abs(seen[0]) <= 1e-9
+        seen.clear()
+        with pytest.raises(RefinementError, match="no zero in window"):
+            refine_zeros([5.0, 14.13], window=0.5)
+        assert all(4.5 <= y <= 5.5 for y in seen)  # 14.13's residual is never taken
+
+    @pytest.mark.parametrize("args", GOLDEN_FAILURES, ids=["no-zero", "zero-outside",
+                                                          "tolerance-unreachable"])
+    def test_failures_are_golden_sections(self, args):
+        with pytest.raises(RefinementError) as exc:
+            refine_zero(*args)
+        assert (str(exc.value), exc.value.ordinate, exc.value.residual) == GOLDEN_FAILURES[args]
+
+    @pytest.mark.parametrize("failure", ["equal-etas", "step-cap"])
+    def test_a_failed_secant_falls_back_to_golden_section(self, failure, monkeypatch):
+        if failure == "equal-etas":
+            monkeypatch.setattr(zeros, "_eta_rows_summed",
+                                lambda ys, counts: np.ones(len(ys), dtype=complex))
+        else:
+            monkeypatch.setattr(zeros, "_SECANT_STEPS", 1)
+        y0 = [14.13, 21.02]
+        assert np.isnan(zeros._secant(np.array(y0), 0.05)).all()
+        golden = [zeros._golden(y, 0.05) for y in y0]
+        assert refine_zeros(y0, 0.05) == [ZeroRecord(y, eta_abs(y), True) for y in golden]
 
 
 def test_scan_and_refine_reproduces_published_ordinates():
