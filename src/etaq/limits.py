@@ -166,28 +166,41 @@ class BEstimate:
     budget: int
 
 
-def b_oracle(p: StripPoint, eta: complex) -> complex:
+def _check_oracle(p: StripPoint, tol: float) -> None:
+    """Reject s near geom_closed's pole s = 0, where its error bound
+    `series.geom_error` exceeds tol."""
+    geom_err = se.geom_error(p)
+    if not geom_err <= tol:
+        raise ValueError(f"the B oracle's closed form errs by up to {geom_err:.3e} > etaTol "
+                         f"{tol:.3e} at s=({p.x},{p.y}), near its pole s = 0")
+
+
+def b_oracle(p: StripPoint, eta: complex, tol: float = 1e-12) -> complex:
     """The closed form of B, conj(geom_closed(s) - eta) with `eta` the value
-    of eta(s): geom - eta = sum_(k not a power of two) -(-1)^(k-1) k^(-s)."""
+    of eta(s): geom - eta = sum_(k not a power of two) -(-1)^(k-1) k^(-s).
+    Raises ValueError where geom_closed may err by more than tol."""
+    _check_oracle(p, tol)
     return (se.geom_closed(p) - eta).conjugate()
 
 
-def limit_B(p: StripPoint, budget: int, eta: complex) -> BEstimate:
+def limit_B(p: StripPoint, budget: int, eta: complex, tol: float = 1e-12) -> BEstimate:
     """The n-then-h iterated limit sum f(k) (a_k + i b_k) = -sum_(k not in
     Gamma) (a_k + i b_k).
 
     Direct: truncation to `budget` terms with iterated tail averaging,
     streamed through `series.direct_sums` in blocks.  Oracle: `b_oracle`
-    from `eta`, the value of eta(s).  Their difference is the disagreement,
-    reported by `commutativity_gap`, never hidden.
+    from `eta`, the value of eta(s), at `tol`, taken before the direct
+    sums.  Their difference is the disagreement, reported by
+    `commutativity_gap`, never hidden.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    oracle = b_oracle(p, eta, tol)
     re, im, tail_re, tail_im = se.direct_sums(p, budget, window=se.TAIL_WINDOW,
                                               prepare=_negated_outside_gamma)
     return BEstimate(complex(se.tail_averaged_sum(re, tail_re)[0],
                              se.tail_averaged_sum(im, tail_im)[0]),
-                     b_oracle(p, eta), budget)
+                     oracle, budget)
 
 
 def _negated_outside_gamma(lo: int, a: np.ndarray, b: np.ndarray) -> None:
@@ -264,10 +277,7 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int | None,
     se.check_tol(eta_tol, "etaTol")
     if h_max is not None and h_max < 0:
         raise ValueError("hMax must be >= 0")
-    geom_err = se.geom_error(p)
-    if not geom_err <= eta_tol:
-        raise ValueError(f"the B oracle's closed form errs by up to {geom_err:.3e} > etaTol "
-                         f"{eta_tol:.3e} at s=({p.x},{p.y}), near its pole s = 0")
+    _check_oracle(p, eta_tol)
     eta = se.eta_accel(p, eta_tol).value
     a = limit_A_series(p, *ordering.arrays(h_max), eta)
     a.setflags(write=False)
@@ -284,13 +294,13 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int | None,
         converged = False
         notes.append("empty A array (hMax = 0); gap is the bare B oracle")
     if budget >= 1:
-        b_est = limit_B(p, budget, eta)
+        b_est = limit_B(p, budget, eta, eta_tol)
         direct, oracle = b_est.direct, b_est.oracle
         d = direct - oracle
         notes.append(f"direct B vs oracle disagreement: "
                      f"cos {abs(d.real):.3e}, sin {abs(d.imag):.3e}")
     else:
-        direct, oracle = None, b_oracle(p, eta)
+        direct, oracle = None, b_oracle(p, eta, eta_tol)
         notes.append("budget = 0: direct B estimate skipped")
     return LimitReport(
         point=p, ordering_id=ordering.descriptor(), A=a, B=direct,

@@ -330,17 +330,6 @@ def eta_accel(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
     return result
 
 
-def eta_rows(x: float, ys: np.ndarray, m: int) -> np.ndarray:
-    """The rows c_k k^-(x + i y) / d, k = 1 .. m, one per y in ys, with
-    eta_accel's weights for m terms: each row's sum is the accelerated eta
-    at x + iy.  The terms are eta_accel's, by exp."""
-    w = _accel_weights(m)
-    rows = np.multiply.outer(-(x + 1j * ys), w.log_k)
-    np.exp(rows, out=rows)
-    rows *= w.c / w.d
-    return rows
-
-
 def eta_grid(x: float, y_min: float, step: float, count: int, chunk: int,
              target_tol: float = 1e-12):
     """eta(x + iy) at y_j = y_min + j step for j < count, yielded as complex
@@ -350,8 +339,8 @@ def eta_grid(x: float, y_min: float, step: float, count: int, chunk: int,
 
     With j = b + r, k^-(x + i y_j) = k^-(x + i y_b) e^(-i r step ln k): each
     run of points with equal term count m is one product V T^T of anchor
-    rows V[b, k] = c_k k^-(x + i y_b) / d (`eta_rows`), one every
-    _ANCHOR_SPACING points, and the grid's table T[r, k] =
+    rows V[b, k] = c_k k^-(x + i y_b) / d, one every _ANCHOR_SPACING points
+    (by exp, as eta_accel's terms), and the grid's table T[r, k] =
     e^(-i r step ln k).  The work memory is bounded by the chunk.
 
     The floor.  With u = eps / 2 and S = sum |c_k| k^-x / d, the product's
@@ -384,7 +373,10 @@ def eta_grid(x: float, y_min: float, step: float, count: int, chunk: int,
             scale = _grid_scale(x, m)
             cut = bisect.bisect_right(ys, target_tol, start, end,
                                       key=lambda y: _accel_error(y, m, scale))
-            anchors = eta_rows(x, ys[start:cut:_ANCHOR_SPACING], m)
+            w = _accel_weights(m)
+            anchors = np.multiply.outer(-(x + 1j * ys[start:cut:_ANCHOR_SPACING]), w.log_k)
+            np.exp(anchors, out=anchors)
+            anchors *= w.c / w.d
             values[start:cut] = (anchors @ table[:, :m].T).ravel()[:cut - start]
             for i in range(cut, end):
                 values[i] = eta_accel(StripPoint(x, float(ys[i])), target_tol).value

@@ -6,7 +6,7 @@ roots of the complex eta(1/2 + iy) at real y, with no rotation to a real
 function.  At the default tolerance 1e-12 the evaluator reaches height
 about 196: `zeros scan` fails at y = 196.41 (1.001e-12), and `etaq eta 0.5
 200` at 1.024e-12.  Past `series.MAX_HEIGHT` (838.40) it meets no tolerance:
-`refine_zeros` rejects a window reaching past it, and `scan_count`, which
+`refine_zero` rejects a window reaching past it, and `scan_count`, which
 `scan_zeros` calls first, a grid, both before any evaluation.
 """
 
@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _text
-from .series import (MAX_HEIGHT, StripPoint, _accel_term_count, check_tol, eta_accel,
-                     eta_grid, eta_rows)
+from .series import MAX_HEIGHT, StripPoint, check_tol, eta_accel, eta_grid
 
 CRITICAL_X = 0.5
 DEDUP_SPACING = 1e-6
@@ -133,49 +132,27 @@ def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
             for y in _scan_hits(y_min, y_max, step, threshold)]
 
 
-def _check_window(y0: float, window: float) -> None:
-    if not math.isfinite(y0):
-        raise ValueError(f"y0 must be finite, got {y0}")
-    if not (window > 0.0 and math.isfinite(window)):
-        raise ValueError(f"window must be finite and > 0, got {window}")
-    if not abs(y0) + window <= MAX_HEIGHT:
-        raise ValueError(f"need |y0| + window <= {MAX_HEIGHT:.2f}, the eta evaluator's "
-                         f"ceiling; got y0={y0}, window={window}")
-
-
-def _eta_rows_summed(ys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """eta(1/2 + iy) at each y from its own term count, as row sums of
-    `eta_rows`, one call per run of equal count.  A row sum, unlike a BLAS
-    product, has the same bits whatever the other rows."""
-    cuts = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(ys)]
-    return np.concatenate([eta_rows(CRITICAL_X, ys[lo:hi], int(counts[lo])).sum(axis=1)
-                           for lo, hi in zip(cuts, cuts[1:])])
-
-
-def _secant(y0: np.ndarray, window: float) -> np.ndarray:
+def _secant(y0: float, window: float) -> float:
     """Secant steps y2 = y1 - Re[eta(y1) (y1 - y0) / (eta(y1) - eta(y0))] on
-    eta(1/2 + iy) along real y from y0 -+ window / 2, every candidate at
-    once, until a step is below 1e-14 |y|.  Each eta takes the term count of
-    its window's top.  NaN for a candidate whose iterate leaves [y0 - window,
-    y0 + window] (a zero difference of etas makes a NaN or infinite one) or
-    that has not converged after _SECANT_STEPS steps."""
-    counts = np.array([_accel_term_count(abs(y) + window, 1e-12) for y in y0.tolist()])
-    found = np.full(len(y0), math.nan)
-    live = np.arange(len(y0))
+    eta(1/2 + iy) along real y from y0 -+ window / 2, until a step is below
+    1e-14 |y|.  NaN if an iterate leaves [y0 - window, y0 + window] (equal
+    etas make the step NaN or infinite, which leaves it) or after
+    _SECANT_STEPS steps without converging."""
+
+    def eta(y: float) -> complex:
+        return eta_accel(StripPoint(CRITICAL_X, y)).value
+
     a, b = y0 - 0.5 * window, y0 + 0.5 * window
-    fa, fb = _eta_rows_summed(a, counts), _eta_rows_summed(b, counts)
+    fa, fb = eta(a), eta(b)
     for _ in range(_SECANT_STEPS):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = b - (fb * (b - a) / (fb - fa)).real
-        inside = (y0[live] - window <= c) & (c <= y0[live] + window)
-        done = inside & (np.abs(c - b) < 1e-14 * np.abs(c))
-        found[live[done]] = c[done]
-        go = inside & ~done
-        live, a, fa, b = live[go], b[go], fb[go], c[go]
-        if not len(live):
-            break
-        fb = _eta_rows_summed(b, counts[live])
-    return found
+        d = fb - fa
+        c = b - (fb * (b - a) / d).real if d else math.nan
+        if not y0 - window <= c <= y0 + window:
+            return math.nan
+        if abs(c - b) < 1e-14 * abs(c):
+            return c
+        a, fa, b, fb = b, fb, c, eta(c)
+    return math.nan
 
 
 def _golden(y0: float, window: float) -> float:
@@ -201,31 +178,22 @@ def _golden(y0: float, window: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def refine_zeros(y0s: list[float], window: float = 0.05,
-                 tol: float = 1e-9) -> list[ZeroRecord]:
-    """`refine_zero` of each candidate, in order, from `_secant` of all at
-    once; every candidate is checked first."""
-    for y0 in y0s:
-        _check_window(y0, window)
+def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecord:
+    """The root of eta(1/2 + iy) on [y0-window, y0+window] by `_secant`, or
+    where that fails by golden-section minimization of |eta|^2.  Fails (best
+    achieved attached) if its residual eta_abs is above tol."""
+    if not math.isfinite(y0):
+        raise ValueError(f"y0 must be finite, got {y0}")
+    if not (window > 0.0 and math.isfinite(window)):
+        raise ValueError(f"window must be finite and > 0, got {window}")
+    if not abs(y0) + window <= MAX_HEIGHT:
+        raise ValueError(f"need |y0| + window <= {MAX_HEIGHT:.2f}, the eta evaluator's "
+                         f"ceiling; got y0={y0}, window={window}")
     check_tol(tol, "tol")
-    found = _secant(np.array(y0s, dtype=float), window).tolist() if y0s else []
-    return [refine_zero(y0, window, tol, y) for y0, y in zip(y0s, found)]
-
-
-def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9,
-                secant_root: float | None = None) -> ZeroRecord:
-    """The zero on [y0-window, y0+window] at `secant_root`, the candidate's
-    `_secant` result (NaN where it failed; computed here when None), else
-    by golden-section minimization of |eta|^2 where the secant failed or
-    its residual eta_abs is above tol.  Fails (best achieved attached) if
-    golden section's residual is above tol too."""
-    _check_window(y0, window)
-    check_tol(tol, "tol")
-    y = _secant(np.array([y0]), window).tolist()[0] if secant_root is None else secant_root
-    residual = math.inf if math.isnan(y) else eta_abs(y)
-    if not residual <= tol:
+    y = _secant(y0, window)
+    if math.isnan(y):
         y = _golden(y0, window)
-        residual = eta_abs(y)
+    residual = eta_abs(y)
     if residual > tol:
         kind = ("no zero in window" if residual > max(1e-6, 10.0 * tol)
                 else "tolerance unreachable at binary64")
@@ -241,7 +209,8 @@ def scan_and_refine(y_min: float, y_max: float, step: float = 0.01,
     ordinates come back ascending.  The grid is checked before `tol`."""
     scan_count(y_min, y_max, step, threshold)
     check_tol(tol, "tol")
-    return refine_zeros(_scan_hits(y_min, y_max, step, threshold), 2.0 * step, tol)
+    return [refine_zero(y, window=2.0 * step, tol=tol)
+            for y in _scan_hits(y_min, y_max, step, threshold)]
 
 
 def write_csv(records: list[ZeroRecord], fh) -> None:

@@ -723,7 +723,6 @@ def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, mon
     monkeypatch.setattr(qset, "odd_factor_counts", lambda *a: work.append(a))
     monkeypatch.setattr(zeros, "eta_accel", lambda *a: work.append(a))
     monkeypatch.setattr(zeros, "eta_grid", lambda *a: work.append(a))
-    monkeypatch.setattr(zeros, "eta_rows", lambda *a: work.append(a))
     assert name in cli_error(argv)
     assert work == []
     assert list(tmp_path.iterdir()) == []

@@ -287,6 +287,24 @@ class TestLimitB:
         with pytest.raises(ValueError):
             limit_B_at(StripPoint(0.5, 0.0), 0)
 
+    def test_pole_rejected_before_the_direct_sums(self, monkeypatch):
+        # at s = 1e-17, 2^x - e^(-iy ln 2) is 0 and geom_closed would divide by it
+        monkeypatch.setattr(series, "direct_sums", lambda *a, **k: pytest.fail("summed"))
+        p = StripPoint(1e-17, 0.0)
+        want = ("the B oracle's closed form errs by up to 1.602e+02 > etaTol 1.000e-12 "
+                "at s=(1e-17,0.0), near its pole s = 0")
+        with pytest.raises(ValueError) as exc:
+            limit_B(p, 10, 1.0)
+        assert str(exc.value) == want
+        with pytest.raises(ValueError, match="near its pole s = 0"):
+            rh_contradiction_check(p, 10)
+        # x = 1e-5 errs by up to 1.6e-10: rejected at the default 1e-12, taken at 1e-9
+        with pytest.raises(ValueError, match="near its pole s = 0"):
+            limit_B(StripPoint(1e-5, 0.0), 10, 1.0)
+        monkeypatch.undo()
+        est = limit_B(StripPoint(1e-5, 0.0), 10, 1.0, tol=1e-9)
+        assert est.oracle == (geom_closed(StripPoint(1e-5, 0.0)) - 1.0).conjugate()
+
     @pytest.mark.parametrize("p", list(LIMIT_B_1E5))
     def test_matches_golden(self, p):
         est = limit_B_at(p, 10**5)

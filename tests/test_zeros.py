@@ -12,7 +12,7 @@ from conftest import CLI_TIMEOUT_S, ETAQ_ROOT
 from etaq import series, zeros
 from etaq.series import AccelerationError, StripPoint, zeta_from_eta, bridge_denominator
 from etaq.zeros import (RefinementError, ZeroFileError, ZeroRecord, eta_abs, load_zeros,
-                        refine_zero, refine_zeros, scan_zeros, scan_and_refine, write_csv)
+                        refine_zero, scan_zeros, scan_and_refine, write_csv)
 
 FIRST_THREE = (14.134725141734694, 21.022039638771554, 25.010857580145689)
 # Recorded from scan_zeros(0, 30, 0.01) when it called eta_abs point by point.
@@ -27,9 +27,6 @@ GOLDEN_FAILURES = {
     # the secant leaves the window for the zero at 14.1347
     (14.5, 0.2, 1e-9): ("no zero in window: best |eta| = 3.114e-01 > tol 1.0e-09 "
                         "at y = 14.300000000", 14.300000000000397, 0.3113618917583635),
-    (14.13, 0.05, 1e-16): ("tolerance unreachable at binary64: best |eta| = 3.887e-13 > "
-                           "tol 1.0e-16 at y = 14.134725142", 14.134725141734487,
-                           3.8874940055863165e-13),
 }
 
 
@@ -152,7 +149,6 @@ class TestScan:
         calls = []
         monkeypatch.setattr(zeros, "eta_grid", lambda *a: calls.append(a))
         monkeypatch.setattr(zeros, "eta_accel", lambda *a: calls.append(a))
-        monkeypatch.setattr(zeros, "eta_rows", lambda *a: calls.append(a))
         with pytest.raises(ValueError) as exc:
             scan(0.0, 900.0, 0.01)
         assert str(exc.value) == ("need finite x > 0 and |y| <= 838.40; "
@@ -242,79 +238,61 @@ def benchmark_candidates():
 class TestSecant:
     WINDOW = 2.0 * BENCHMARK_GRID[2]
 
-    @pytest.mark.parametrize("grid", ["benchmark", "one-term-count"])
-    def test_records_do_not_depend_on_their_batch(self, grid, benchmark_candidates):
-        # the benchmark's candidates each have their own term count; 16
-        # starts around the first zero share one, so they make one run of rows
-        y0s = (benchmark_candidates if grid == "benchmark"
-               else (14.127 + 0.001 * np.arange(16)).tolist())
-        together = refine_zeros(y0s, self.WINDOW)
-        alone = [refine_zeros([y], self.WINDOW)[0] for y in y0s]
-        assert repr(alone) == repr(together)  # bit for bit
-
-    def test_row_sums_do_not_depend_on_their_batch(self):
-        # a BLAS mat-vec of the same rows can differ with the batch in the last
-        # bits (OpenBLAS on x86-64 does)
-        ys = np.concatenate([14.127 + 0.001 * np.arange(16), [100.0, 100.5, 190.0]])
-        counts = np.array([series._accel_term_count(y + 0.05, 1e-12) for y in ys])
-        together = zeros._eta_rows_summed(ys, counts)
-        alone = [zeros._eta_rows_summed(ys[i:i + 1], counts[i:i + 1]) for i in range(len(ys))]
-        assert together.tobytes() == np.concatenate(alone).tobytes()
-        for y, eta in zip(ys.tolist(), together.tolist()):
-            assert abs(eta - series.eta_accel(StripPoint(0.5, y)).value) <= 1e-12
-
     def test_within_golden_section_on_the_benchmark_grid(self, benchmark_candidates):
-        records = refine_zeros(benchmark_candidates, self.WINDOW)
+        records = [refine_zero(y, self.WINDOW) for y in benchmark_candidates]
         golden = [zeros._golden(y, self.WINDOW) for y in benchmark_candidates]
         assert max(abs(r.ordinate - y) for r, y in zip(records, golden)) <= 1e-12
         assert max(r.residual for r in records) <= max(eta_abs(y) for y in golden)
         for rec, want in zip(records, FIRST_THREE):
             assert rec.ordinate == pytest.approx(want, abs=1e-12)
 
-    def test_one_scalar_eta_per_candidate_and_no_fallback(self, monkeypatch):
-        # the scan's hits get no residual of their own: refinement's replaces it
+    def test_few_scalar_etas_per_candidate_and_no_fallback(self, benchmark_candidates,
+                                                          monkeypatch):
+        # golden section took about 52; the scan's hits get no residual of
+        # their own, refinement's replaces it
         calls = []
         monkeypatch.setattr(zeros, "eta_accel", lambda *a: calls.append(a) or series.eta_accel(*a))
         monkeypatch.setattr(zeros, "_golden", lambda *a: pytest.fail(f"golden section at {a}"))
         records = scan_and_refine(*BENCHMARK_GRID)
         assert len(records) == 74
-        assert [p.y for p, in calls] == [r.ordinate for r in records]
+        assert len(calls) <= 7 * len(records)
+        assert [p.y for p, in calls if p.y in benchmark_candidates] == []
+        monkeypatch.undo()
+        assert records == [refine_zero(y, self.WINDOW) for y in benchmark_candidates]
 
-    def test_a_batch_fails_at_its_first_failure_in_order(self, monkeypatch):
-        seen, golden = [], []
-        monkeypatch.setattr(zeros, "eta_abs", lambda y: seen.append(y) or eta_abs(y))
+    @pytest.mark.parametrize("args", GOLDEN_FAILURES, ids=["no-zero", "zero-outside"])
+    def test_a_secant_leaving_its_window_falls_back(self, args, monkeypatch):
+        golden = []
         monkeypatch.setattr(zeros, "_golden",
                             lambda y0, w, f=zeros._golden: golden.append(y0) or f(y0, w))
         with pytest.raises(RefinementError) as exc:
-            refine_zeros([14.13, 5.0], window=0.5)
-        assert (str(exc.value), exc.value.ordinate,
-                exc.value.residual) == GOLDEN_FAILURES[5.0, 0.5, 1e-9]
-        assert golden == [5.0]  # 5.0's secant leaves its window; 14.13's converges
-        assert seen[0] == pytest.approx(FIRST_THREE[0], abs=1e-12)
-        assert eta_abs(seen[0]) <= 1e-9
-        seen.clear()
-        with pytest.raises(RefinementError, match="no zero in window"):
-            refine_zeros([5.0, 14.13], window=0.5)
-        assert all(4.5 <= y <= 5.5 for y in seen)  # 14.13's residual is never taken
-
-    @pytest.mark.parametrize("args", GOLDEN_FAILURES, ids=["no-zero", "zero-outside",
-                                                          "tolerance-unreachable"])
-    def test_failures_are_golden_sections(self, args):
-        with pytest.raises(RefinementError) as exc:
             refine_zero(*args)
         assert (str(exc.value), exc.value.ordinate, exc.value.residual) == GOLDEN_FAILURES[args]
+        assert golden == [args[0]]
+        golden.clear()
+        assert refine_zero(14.13, 0.5).residual <= 1e-9  # the same wide window, a zero in it
+        assert golden == []
 
-    @pytest.mark.parametrize("failure", ["equal-etas", "step-cap"])
-    def test_a_failed_secant_falls_back_to_golden_section(self, failure, monkeypatch):
-        if failure == "equal-etas":
-            monkeypatch.setattr(zeros, "_eta_rows_summed",
-                                lambda ys, counts: np.ones(len(ys), dtype=complex))
-        else:
-            monkeypatch.setattr(zeros, "_SECANT_STEPS", 1)
-        y0 = [14.13, 21.02]
-        assert np.isnan(zeros._secant(np.array(y0), 0.05)).all()
-        golden = [zeros._golden(y, 0.05) for y in y0]
-        assert refine_zeros(y0, 0.05) == [ZeroRecord(y, eta_abs(y), True) for y in golden]
+    def test_tolerance_unreachable_reports_the_secant_root(self, monkeypatch):
+        monkeypatch.setattr(zeros, "_golden", lambda *a: pytest.fail(f"golden section at {a}"))
+        with pytest.raises(RefinementError) as exc:
+            refine_zero(14.13, 0.05, 1e-16)
+        y, residual = exc.value.ordinate, exc.value.residual
+        assert y == pytest.approx(FIRST_THREE[0], abs=1e-12)
+        assert residual == eta_abs(y)
+        assert residual < 3.887e-13  # golden section's best there
+        assert str(exc.value) == ("tolerance unreachable at binary64: best |eta| = "
+                                  f"{residual:.3e} > tol 1.0e-16 at y = {y:.9f}")
+
+    def test_equal_etas_fail_the_secant(self, monkeypatch):
+        monkeypatch.setattr(zeros, "eta_accel", lambda p: series.SeriesResult(1.0, "fixed", 1, 0.0))
+        assert math.isnan(zeros._secant(14.13, 0.05))
+
+    def test_a_secant_over_its_step_cap_falls_back(self, monkeypatch):
+        monkeypatch.setattr(zeros, "_SECANT_STEPS", 1)
+        assert math.isnan(zeros._secant(14.13, 0.05))
+        y = zeros._golden(14.13, 0.05)
+        assert refine_zero(14.13, 0.05) == ZeroRecord(y, eta_abs(y), True)
 
 
 def test_scan_and_refine_reproduces_published_ordinates():
