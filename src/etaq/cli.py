@@ -11,8 +11,9 @@ timestamps, so identical manifests (minus timestamp) give byte-identical
 outputs.
 
 Every output path is checked before any work, so that a path that cannot be
-written, or an empty one, fails at once; ``gap`` and ``search`` evaluate eta
-before they sieve Q, so an ``--eta-tol`` it cannot reach fails before the sieve.
+written, an empty one, or two outputs (sidecars counted) that name one file
+fail at once; ``gap`` and ``search`` evaluate eta before they sieve Q, so an
+``--eta-tol`` it cannot reach fails before the sieve.
 
 Exit codes: 0 success, 1 check failure, 2 usage, precondition or output error,
 141 (128 + SIGPIPE, as a shell reports for a command stopped by a closed pipe)
@@ -36,8 +37,7 @@ import numpy as np
 from . import __version__, _rng, limits, search, series, zeros
 from . import qset
 from .qset import QOrdering
-from .series import (AccelerationError, PoleError, StripPoint, eta_accel, geom_closed,
-                     zeta_from_eta)
+from .series import AccelerationError, StripPoint, eta_accel, geom_closed, zeta_from_eta
 
 METHOD_IDS = (series.ACCEL_METHOD_ID, series.AVERAGED_METHOD_ID, f"rng:{_rng.ALGORITHM_ID}",
               f"tail:iterated-averaging-{series.TAIL_LEVELS}")
@@ -66,9 +66,15 @@ NOT_PARAMETERS = (*SUBCOMMANDS, "func", "out", "out_trace", "out_best")
 def check_outputs(*paths: str | None, sidecar: bool = True) -> None:
     """Raise the OSError that opening each given path for writing would
     raise, without creating it; with `sidecar`, check its manifest too.
-    None is a path not given; the empty path fails as open would fail it."""
+    None is a path not given; the empty path fails as open would fail it.
+    Two targets that name one file, sidecars counted, raise ValueError."""
+    seen = set()
     for path in (p for p in paths if p is not None):
         for target in (path, path + ".manifest.json") if sidecar else (path,):
+            real = os.path.realpath(target)
+            if real in seen:
+                raise ValueError(f"two outputs would write {target}")
+            seen.add(real)
             if os.path.isdir(target):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
             parent = os.path.dirname(target) or "."
@@ -469,9 +475,6 @@ def main(argv=None) -> int:
         except (OSError, ValueError):  # a stdout without a file descriptor
             pass
         return EXIT_BROKEN_PIPE
-    except PoleError as exc:
-        print(f"error: pole at z=1 ({exc})", file=sys.stderr)
-        return 2
     except (AccelerationError, ValueError, zeros.RefinementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,9 +7,10 @@ counts (with sign) the elements among the ordering's first h that divide k.
 They are carried as one complex sum C + iS of f(k,h) (a_k + i b_k), and
 every quantity the reports carry is one complex value X = X_cos + i X_sin,
 split into its cos and sin parts only in the gap JSON.
-The n-then-h iterated limit has the closed-form oracle conj(geom - eta) (the
-signed sum over k outside the powers of two); the h-then-n limit is, term by
-term in h, the conjugate of eta(s) times a signed prefix sum of q^(-s).
+The n-then-h iterated limit B is summed directly by `limit_B` and has the
+closed form conj(geom - eta), `b_oracle` (the signed sum over k outside the
+powers of two); the h-then-n limit is, term by term in h, the conjugate of
+eta(s) times a signed prefix sum of q^(-s).
 """
 
 from __future__ import annotations
@@ -158,49 +159,38 @@ def odd_terms(p: StripPoint, values, signs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BEstimate:
-    """The n-then-h limit B = B_cos + i B_sin: the `direct` truncation at
-    `budget` terms and the closed-form `oracle`."""
+    """The n-then-h limit B = B_cos + i B_sin as its `direct` truncation at
+    `budget` terms."""
 
     direct: complex
-    oracle: complex
     budget: int
-
-
-def _check_oracle(p: StripPoint, tol: float) -> None:
-    """Reject s near geom_closed's pole s = 0, where its error bound
-    `series.geom_error` exceeds tol."""
-    geom_err = se.geom_error(p)
-    if not geom_err <= tol:
-        raise ValueError(f"the B oracle's closed form errs by up to {geom_err:.3e} > etaTol "
-                         f"{tol:.3e} at s=({p.x},{p.y}), near its pole s = 0")
 
 
 def b_oracle(p: StripPoint, eta: complex, tol: float = 1e-12) -> complex:
     """The closed form of B, conj(geom_closed(s) - eta) with `eta` the value
     of eta(s): geom - eta = sum_(k not a power of two) -(-1)^(k-1) k^(-s).
-    Raises ValueError where geom_closed may err by more than tol."""
-    _check_oracle(p, tol)
+    Raises ValueError near geom_closed's pole s = 0, where its error bound
+    `series.geom_error` exceeds tol."""
+    geom_err = se.geom_error(p)
+    if not geom_err <= tol:
+        raise ValueError(f"the B oracle's closed form errs by up to {geom_err:.3e} > etaTol "
+                         f"{tol:.3e} at s=({p.x},{p.y}), near its pole s = 0")
     return (se.geom_closed(p) - eta).conjugate()
 
 
-def limit_B(p: StripPoint, budget: int, eta: complex, tol: float = 1e-12) -> BEstimate:
+def limit_B(p: StripPoint, budget: int) -> BEstimate:
     """The n-then-h iterated limit sum f(k) (a_k + i b_k) = -sum_(k not in
-    Gamma) (a_k + i b_k).
-
-    Direct: truncation to `budget` terms with iterated tail averaging,
-    streamed through `series.direct_sums` in blocks.  Oracle: `b_oracle`
-    from `eta`, the value of eta(s), at `tol`, taken before the direct
-    sums.  Their difference is the disagreement, reported by
-    `commutativity_gap`, never hidden.
+    Gamma) (a_k + i b_k), truncated to `budget` terms with iterated tail
+    averaging, streamed through `series.direct_sums` in blocks.  Its
+    closed form is `b_oracle`; `commutativity_gap` reports their
+    disagreement, never hides it.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    oracle = b_oracle(p, eta, tol)
     re, im, tail_re, tail_im = se.direct_sums(p, budget, window=se.TAIL_WINDOW,
                                               prepare=_negated_outside_gamma)
     return BEstimate(complex(se.tail_averaged_sum(re, tail_re)[0],
-                             se.tail_averaged_sum(im, tail_im)[0]),
-                     oracle, budget)
+                             se.tail_averaged_sum(im, tail_im)[0]), budget)
 
 
 def _negated_outside_gamma(lo: int, a: np.ndarray, b: np.ndarray) -> None:
@@ -266,19 +256,18 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int | None,
     """Both iterated limits over the ordering's first h_max elements (all of
     them when h_max is None) and their gap.
 
-    The inputs are checked and eta(s) evaluated once, for A and the B
-    oracle, before Q is sieved.  The gap is taken against the closed-form
-    oracle for the n-then-h limit (the direct truncation, when budget >= 1,
-    is carried alongside with its disagreement noted); the h-then-n side is
-    the final A value, flagged as converged only when the last quarter of
-    the A sequence varies by less than A_SPREAD_TOL.
+    The inputs are checked, then eta(s) is evaluated once and the B oracle
+    taken from it, before Q is sieved.  The gap is that oracle minus the
+    final A value; B's direct truncation, when budget >= 1, is carried
+    alongside with its disagreement noted.  A is flagged as converged only
+    when its last quarter varies by less than A_SPREAD_TOL.
     """
     se.check_term_count(budget)
     se.check_tol(eta_tol, "etaTol")
     if h_max is not None and h_max < 0:
         raise ValueError("hMax must be >= 0")
-    _check_oracle(p, eta_tol)
     eta = se.eta_accel(p, eta_tol).value
+    oracle = b_oracle(p, eta, eta_tol)
     a = limit_A_series(p, *ordering.arrays(h_max), eta)
     a.setflags(write=False)
     notes = []
@@ -293,15 +282,13 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int | None,
     else:
         converged = False
         notes.append("empty A array (hMax = 0); gap is the bare B oracle")
-    if budget >= 1:
-        b_est = limit_B(p, budget, eta, eta_tol)
-        direct, oracle = b_est.direct, b_est.oracle
+    direct = limit_B(p, budget).direct if budget else None
+    if direct is None:
+        notes.append("budget = 0: direct B estimate skipped")
+    else:
         d = direct - oracle
         notes.append(f"direct B vs oracle disagreement: "
                      f"cos {abs(d.real):.3e}, sin {abs(d.imag):.3e}")
-    else:
-        direct, oracle = None, b_oracle(p, eta, eta_tol)
-        notes.append("budget = 0: direct B estimate skipped")
     return LimitReport(
         point=p, ordering_id=ordering.descriptor(), A=a, B=direct,
         oracle_B=oracle, gap=oracle - (complex(a[-1]) if len(a) else 0j),
@@ -337,13 +324,14 @@ def rh_contradiction_check(p: StripPoint, budget: int) -> ContradictionReport:
 
     Left side: the power-of-two subseries summed directly (geometric, so
     200 terms reach machine precision).  Right side, oracle path:
-    accelerated eta plus the closed-form B from that same eta; direct path:
-    tail-averaged raw eta plus the truncated, tail-averaged B sum.
-    `limit_B` rejects a budget below 1.
+    accelerated eta plus `b_oracle` from that same eta, checked first;
+    direct path: tail-averaged raw eta plus `limit_B`, which rejects a
+    budget below 1.
     """
     eta = se.eta_accel(p).value
-    b_est = limit_B(p, budget, eta)
+    oracle = b_oracle(p, eta)
+    direct = limit_B(p, budget).direct
     return ContradictionReport(
         lhs=se.gamma_partial(p, 200).conjugate(),
-        rhs_oracle=eta.conjugate() + b_est.oracle,
-        rhs_direct=se.eta_averaged(p).value.conjugate() + b_est.direct)
+        rhs_oracle=eta.conjugate() + oracle,
+        rhs_direct=se.eta_averaged(p).value.conjugate() + direct)

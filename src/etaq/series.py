@@ -42,6 +42,9 @@ _SUM_BLOCK_TERMS = 2**14
 # past this |y| the bound's exponent pi |y| / 2 - n ln(3 + sqrt(8)) is at
 # least 700 at every term count n <= _MAX_ACCEL_TERMS: no tolerance is met
 MAX_HEIGHT = 2.0 * (700.0 + _MAX_ACCEL_TERMS * _LOG_ACCEL_RATE) / math.pi
+# every term past k = 1 is 0 from x >= 1075, and below this x the exponent
+# x ln k stays finite for every float64 k (ln k < 710)
+MAX_X = 1e300
 
 # direct sums hold a few blocks whatever the count; surface and search hold
 # 16 bytes per term, in `term_arrays`' complex array
@@ -73,14 +76,14 @@ class AccelerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StripPoint:
-    """An evaluation point s = x + iy with x > 0 and |y| <= MAX_HEIGHT."""
+    """An evaluation point s = x + iy with 0 < x <= MAX_X and |y| <= MAX_HEIGHT."""
 
     x: float
     y: float
 
     def __post_init__(self):
-        if not (self.x > 0.0 and math.isfinite(self.x) and abs(self.y) <= MAX_HEIGHT):
-            raise ValueError(f"need finite x > 0 and |y| <= {MAX_HEIGHT:.2f}; "
+        if not (0.0 < self.x <= MAX_X and abs(self.y) <= MAX_HEIGHT):
+            raise ValueError(f"need 0 < x <= {MAX_X:g} and |y| <= {MAX_HEIGHT:.2f}; "
                              f"got x={self.x}, y={self.y}")
 
     @property
@@ -417,7 +420,7 @@ def zeta_from_eta(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
     target_tol * max(1, |zeta|), else AccelerationError.
     """
     if p.x == 1.0 and p.y == 0.0:
-        raise PoleError("zeta has a simple pole at s = 1")
+        raise PoleError("pole at z=1 (zeta has a simple pole at s = 1)")
     denom = bridge_denominator(p)
     if abs(denom) < 1e-9:
         raise SingularDenominatorError(

@@ -103,7 +103,7 @@ def scan_count(y_min: float, y_max: float, step: float, threshold: float) -> int
     span = (y_max - y_min) / step  # inf when a tiny step overflows it
     count = math.floor(span) + 1 if math.isfinite(span) else span
     if count > MAX_SCAN_POINTS:
-        raise ValueError(f"scan would need {count} grid points "
+        raise ValueError(f"scan would need {count:.3g} grid points "
                          f"(cap {MAX_SCAN_POINTS}); raise step")
     StripPoint(CRITICAL_X, y_max)
     return count

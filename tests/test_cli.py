@@ -80,9 +80,8 @@ class TestPointCommands:
         assert main(argv) == 0
         assert capsys.readouterr().out == line + "\n"
 
-    def test_zeta_pole_exit_two(self, capsys):
-        assert main(["zeta", "1", "0"]) == 2
-        assert "pole" in capsys.readouterr().err
+    def test_zeta_pole_exit_two(self, cli_error):
+        assert cli_error(["zeta", "1", "0"]) == "pole at z=1 (zeta has a simple pole at s = 1)"
 
     @pytest.mark.parametrize("x, y", [("0.999", "0"), ("1", "0.001")])
     def test_zeta_near_pole(self, x, y, capsys):
@@ -334,7 +333,7 @@ class TestZerosCommand:
          "error: eta acceleration reaches 1.001e-12 > requested 1.000e-12 "
          "at s=(0.5,196.41) with 201 terms\n"),
         (["--y-min", "1e300", "--y-max", "2e300", "--step", "1e299"],
-         "error: need finite x > 0 and |y| <= 838.40; got x=0.5, y=2e+300\n"),
+         "error: need 0 < x <= 1e+300 and |y| <= 838.40; got x=0.5, y=2e+300\n"),
     ])
     def test_scan_unreachable_tolerance_exit_two(self, argv, err, capsys):
         with warnings.catch_warnings():
@@ -467,6 +466,24 @@ def test_unwritable_output_rejected_before_any_work(name, cli_error, tmp_path, m
         assert message == "[Errno 2] No such file or directory: ''"
     assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv.manifest.json"]
+
+
+@pytest.mark.parametrize("trace, best, named", [
+    ("t.csv", "t.csv", "t.csv"),
+    ("t.csv", "t.csv.manifest.json", "t.csv.manifest.json"),
+    ("t.csv.manifest.json", "t.csv", "t.csv.manifest.json"),
+    ("./t.csv", "t.csv", "t.csv"),
+], ids=["same-path", "best-on-trace-sidecar", "trace-on-best-sidecar", "same-file"])
+def test_outputs_naming_one_file_rejected_before_any_work(trace, best, named, cli_error,
+                                                          tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli.search, "anneal", lambda *a, **k: calls.append(a))
+    argv = ["search", "--seed", "1", "--prefix", "5", "--iters", "2", "--h-max", "4",
+            "--out-trace", trace, "--out-best", best]
+    assert cli_error(argv) == f"two outputs would write {named}"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 # each command that writes data files, the files it writes, and their
@@ -677,14 +694,23 @@ def test_every_public_top_level_name_is_used():
       "--out-trace", "t.csv", "--out-best", "b.json"],
      f"{series.MAX_TERMS + 1} terms exceed the cap {series.MAX_TERMS}"),
     # a height just past series.MAX_HEIGHT, or an x that is not > 0
-    (["eta", "0.5", "838.41"], "need finite x > 0 and |y| <= 838.40"),
-    (["zeta", "0.5", "-838.41"], "need finite x > 0 and |y| <= 838.40"),
+    (["eta", "0.5", "838.41"], "need 0 < x <= 1e+300 and |y| <= 838.40"),
+    (["zeta", "0.5", "-838.41"], "need 0 < x <= 1e+300 and |y| <= 838.40"),
     (["surface", "--x", "0.5", "--y", "838.41", "--n", "1:10", "--h", "1:3",
-      "--bound", "30000000", "--out", "s.csv"], "need finite x > 0 and |y| <= 838.40"),
+      "--bound", "30000000", "--out", "s.csv"], "need 0 < x <= 1e+300 and |y| <= 838.40"),
     (["gap", "--x", "0", "--y", "0", "--q-bound", "30000000", "--budget", "10"],
-     "need finite x > 0 and |y| <= 838.40; got x=0.0, y=0.0"),
+     "need 0 < x <= 1e+300 and |y| <= 838.40; got x=0.0, y=0.0"),
     (["gap", "--x", "0.5", "--y", "1e300", "--q-bound", "30000000", "--budget", "10"],
-     "need finite x > 0 and |y| <= 838.40; got x=0.5, y=1e+300"),
+     "need 0 < x <= 1e+300 and |y| <= 838.40; got x=0.5, y=1e+300"),
+    # an x past series.MAX_X, where x ln k could overflow
+    (["eta", "1e308", "0"], "need 0 < x <= 1e+300 and |y| <= 838.40; got x=1e+308, y=0.0"),
+    (["gap", "--x", "1e308", "--y", "0", "--q-bound", "100", "--budget", "10"],
+     "need 0 < x <= 1e+300 and |y| <= 838.40; got x=1e+308, y=0.0"),
+    (["search", "--seed", "1", "--prefix", "5", "--iters", "2", "--h-max", "4",
+      "--x", "1e308", "--out-trace", "t.csv", "--out-best", "b.json"],
+     "need 0 < x <= 1e+300 and |y| <= 838.40; got x=1e+308, y=3.0"),
+    (["surface", "--x", "1e308", "--y", "0", "--n", "1:10", "--h", "1:2", "--out", "s.csv"],
+     "need 0 < x <= 1e+300 and |y| <= 838.40; got x=1e+308, y=0.0"),
     # below the ceiling, past the eta evaluator's reach at the default 1e-12
     (["gap", "--x", "0.5", "--y", "300", "--q-bound", "30000000", "--budget", "10"],
      "eta acceleration reaches 1.780e-12"),
@@ -693,11 +719,11 @@ def test_every_public_top_level_name_is_used():
      "eta acceleration reaches 1.780e-12"),
     (["search", "--seed", "1", "--prefix", "20", "--iters", "3", "--y", "838.41",
       "--bound", "30000000", "--out-trace", "t.csv", "--out-best", "b.json"],
-     "need finite x > 0 and |y| <= 838.40"),
+     "need 0 < x <= 1e+300 and |y| <= 838.40"),
     (["zeros", "scan", "--y-min", "0", "--y-max", "900"],
-     "need finite x > 0 and |y| <= 838.40; got x=0.5, y=900.0"),
+     "need 0 < x <= 1e+300 and |y| <= 838.40; got x=0.5, y=900.0"),
     (["zeros", "scan", "--y-min", "0", "--y-max", "900", "--refine"],
-     "need finite x > 0 and |y| <= 838.40; got x=0.5, y=900.0"),
+     "need 0 < x <= 1e+300 and |y| <= 838.40; got x=0.5, y=900.0"),
     (["zeros", "refine", "--y0", "838.4"], "need |y0| + window <= 838.40"),
     (["zeros", "refine", "--y0", "-838.4"], "need |y0| + window <= 838.40"),
     # the B oracle's closed form at its pole s = 0, where 2^x - e^(-iy ln 2) cancels
@@ -714,7 +740,8 @@ def test_every_public_top_level_name_is_used():
         "gap-shuffle-seed-not-an-integer",
         "refine-y0-nan", "surface-cells", "search-h-max-over-prefix",
         "search-n1-over-cap", "eta-height", "zeta-height", "surface-height", "gap-x",
-        "gap-height", "gap-eta-reach", "search-eta-reach", "search-height", "scan-height",
+        "gap-height", "eta-x-cap", "gap-x-cap", "search-x-cap", "surface-x-cap",
+        "gap-eta-reach", "search-eta-reach", "search-height", "scan-height",
         "scan-refine-height", "refine-height", "refine-negative-height", "gap-x-at-the-pole",
         "gap-x-near-the-pole"])
 def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, monkeypatch):

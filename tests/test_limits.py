@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from etaq import qset, series
-from etaq.limits import (A_SPREAD_TOL, SumSurface, c_s_naive, c_s_running, c_s_surface,
-                         commutativity_gap, limit_A_series, limit_B,
+from etaq.limits import (A_SPREAD_TOL, SumSurface, b_oracle, c_s_naive, c_s_running,
+                         c_s_surface, commutativity_gap, limit_A_series, limit_B,
                          rh_contradiction_check)
 from etaq.qset import OddSquarefree, QOrdering
 from etaq.series import (_SUM_BLOCK_TERMS, MAX_TERMS, AccelerationError, StripPoint,
@@ -239,9 +239,9 @@ class TestLimitA:
 B = _SUM_BLOCK_TERMS
 
 
-def limit_B_at(p: StripPoint, budget: int):
-    """limit_B with eta(s) at the default tolerance."""
-    return limit_B(p, budget, eta_accel(p).value)
+def oracle_at(p: StripPoint) -> complex:
+    """b_oracle with eta(s) at the default tolerance."""
+    return b_oracle(p, eta_accel(p).value)
 
 
 def whole_array_direct_B(p: StripPoint, budget: int) -> complex:
@@ -267,49 +267,51 @@ def whole_array_direct_B(p: StripPoint, budget: int) -> complex:
 
 class TestLimitB:
     def test_oracle_at_half(self):
-        est = limit_B_at(StripPoint(0.5, 0.0), 10**6)
-        eta_half = eta_accel(StripPoint(0.5, 0.0)).value.real
-        assert est.oracle.real == pytest.approx(-math.sqrt(2.0) - eta_half, abs=1e-12)
-        assert est.oracle.real == pytest.approx(-2.0191122, abs=1e-6)
-        assert abs((est.direct - est.oracle).real) <= 5e-3
+        p = StripPoint(0.5, 0.0)
+        oracle = oracle_at(p)
+        eta_half = eta_accel(p).value.real
+        assert oracle.real == pytest.approx(-math.sqrt(2.0) - eta_half, abs=1e-12)
+        assert oracle.real == pytest.approx(-2.0191122, abs=1e-6)
+        assert abs((limit_B(p, 10**6).direct - oracle).real) <= 5e-3
 
     def test_direct_vs_oracle_generic(self):
-        est = limit_B_at(StripPoint(0.75, 3.0), 10**6)
-        d = est.direct - est.oracle
+        p = StripPoint(0.75, 3.0)
+        d = limit_B(p, 10**6).direct - oracle_at(p)
         assert abs(d.real) <= 5e-3
         assert abs(d.imag) <= 5e-3
 
     def test_absolute_region_tight(self):
-        est = limit_B_at(StripPoint(3.0, 0.0), 10**5)
-        assert abs((est.direct - est.oracle).real) <= 1e-9
+        p = StripPoint(3.0, 0.0)
+        assert abs((limit_B(p, 10**5).direct - oracle_at(p)).real) <= 1e-9
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            limit_B_at(StripPoint(0.5, 0.0), 0)
+            limit_B(StripPoint(0.5, 0.0), 0)
 
     def test_pole_rejected_before_the_direct_sums(self, monkeypatch):
         # at s = 1e-17, 2^x - e^(-iy ln 2) is 0 and geom_closed would divide by it
         monkeypatch.setattr(series, "direct_sums", lambda *a, **k: pytest.fail("summed"))
+        monkeypatch.setattr(qset, "odd_factor_counts", lambda *a: pytest.fail("sieved"))
         p = StripPoint(1e-17, 0.0)
         want = ("the B oracle's closed form errs by up to 1.602e+02 > etaTol 1.000e-12 "
                 "at s=(1e-17,0.0), near its pole s = 0")
-        with pytest.raises(ValueError) as exc:
-            limit_B(p, 10, 1.0)
-        assert str(exc.value) == want
-        with pytest.raises(ValueError, match="near its pole s = 0"):
-            rh_contradiction_check(p, 10)
+        for run in (lambda: b_oracle(p, 1.0), lambda: rh_contradiction_check(p, 10),
+                    # a bound no other test sieves, so q_arrays' cache cannot hide a sieve
+                    lambda: commutativity_gap(p, QOrdering.by_value(12345), None, 10)):
+            with pytest.raises(ValueError) as exc:
+                run()
+            assert str(exc.value) == want
         # x = 1e-5 errs by up to 1.6e-10: rejected at the default 1e-12, taken at 1e-9
         with pytest.raises(ValueError, match="near its pole s = 0"):
-            limit_B(StripPoint(1e-5, 0.0), 10, 1.0)
+            b_oracle(StripPoint(1e-5, 0.0), 1.0)
         monkeypatch.undo()
-        est = limit_B(StripPoint(1e-5, 0.0), 10, 1.0, tol=1e-9)
-        assert est.oracle == (geom_closed(StripPoint(1e-5, 0.0)) - 1.0).conjugate()
+        oracle = b_oracle(StripPoint(1e-5, 0.0), 1.0, tol=1e-9)
+        assert oracle == (geom_closed(StripPoint(1e-5, 0.0)) - 1.0).conjugate()
 
     @pytest.mark.parametrize("p", list(LIMIT_B_1E5))
     def test_matches_golden(self, p):
-        est = limit_B_at(p, 10**5)
-        assert (est.direct.real, est.direct.imag,
-                est.oracle.real, est.oracle.imag) == LIMIT_B_1E5[p]
+        direct, oracle = limit_B(p, 10**5).direct, oracle_at(p)
+        assert (direct.real, direct.imag, oracle.real, oracle.imag) == LIMIT_B_1E5[p]
 
     @pytest.mark.parametrize("p", [FIRST_ZERO, StripPoint(2.0, 0.0), StripPoint(2.0, -0.0),
                                    StripPoint(0.75, 3.0)])
@@ -319,16 +321,30 @@ class TestLimitB:
         B - 1, B, B + 1, 3 * B + 17, 4 * B + 1,
     ])
     def test_direct_matches_whole_array_sums(self, p, budget):
-        est = limit_B_at(p, budget)
+        est = limit_B(p, budget)
         want = whole_array_direct_B(p, budget)
+        assert est.budget == budget
         assert (est.direct.real.hex(), est.direct.imag.hex()) == (want.real.hex(),
                                                                   want.imag.hex())
 
     def test_gap_without_direct_sum_uses_the_same_oracle(self):
         ordering = QOrdering.by_value(500)
         skipped = commutativity_gap(FIRST_ZERO, ordering, 20, budget=0)
-        est = limit_B_at(FIRST_ZERO, 1000)
-        assert skipped.oracle_B == est.oracle
+        summed = commutativity_gap(FIRST_ZERO, ordering, 20, budget=1000)
+        assert skipped.oracle_B == summed.oracle_B == oracle_at(FIRST_ZERO)
+        assert summed.B == limit_B(FIRST_ZERO, 1000).direct
+
+    @pytest.mark.parametrize("run", [
+        lambda p: commutativity_gap(p, QOrdering.by_value(500), 20, budget=1000),
+        lambda p: commutativity_gap(p, QOrdering.by_value(500), 20, budget=0),
+        lambda p: rh_contradiction_check(p, 1000),
+    ], ids=["gap-budget-1000", "gap-budget-0", "contradiction"])
+    def test_geom_error_evaluated_once_per_point(self, run, monkeypatch):
+        calls = []
+        geom_error = series.geom_error
+        monkeypatch.setattr(series, "geom_error", lambda p: calls.append(p) or geom_error(p))
+        run(FIRST_ZERO)
+        assert calls == [FIRST_ZERO]
 
 
 class TestCommutativityGap:
@@ -468,12 +484,11 @@ class TestWriteJson:
 def test_limit_B_peak_memory_is_the_term_builders():
     # the term builder's and the exact sums' work arrays for one block,
     # whatever the budget: never arrays as long as the terms
-    eta = eta_accel(FIRST_ZERO).value
-    limit_B(FIRST_ZERO, 1000, eta)
+    limit_B(FIRST_ZERO, 1000)
     for budget in (10**6, 4 * 10**6):
         tracemalloc.start()
         try:
-            limit_B(FIRST_ZERO, budget, eta)
+            limit_B(FIRST_ZERO, budget)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import needs_avx512, run_without_avx512
 from etaq import series
-from etaq.series import (_SUM_BLOCK_TERMS, MAX_HEIGHT, MAX_TERMS,
+from etaq.series import (_SUM_BLOCK_TERMS, MAX_HEIGHT, MAX_TERMS, MAX_X,
                          AccelerationError, PoleError, SingularDenominatorError, StripPoint,
                          bridge_denominator, direct_sums, eta_accel, eta_grid,
                          eta_averaged, gamma_partial, geom_closed, shifted_sums,
@@ -66,6 +66,17 @@ def test_strip_point_flags():
         StripPoint(-0.5, 1.0)
 
 
+def test_strip_point_x_cap():
+    # up to MAX_X, x ln k stays finite for every float64 k, and every term
+    # past k = 1 is already 0
+    assert StripPoint(MAX_X, 0.0).x == MAX_X
+    assert eta_accel(StripPoint(MAX_X, 5.0)).value == 1.0
+    for x in (math.nextafter(MAX_X, math.inf), 1e308, math.inf, math.nan):
+        with pytest.raises(ValueError) as exc:
+            StripPoint(x, 0.0)
+        assert str(exc.value) == f"need 0 < x <= 1e+300 and |y| <= 838.40; got x={x}, y=0.0"
+
+
 def test_strip_point_height_ceiling():
     # the bound's exponent pi |y| / 2 - 350 ln(3 + sqrt(8)) reaches 700 here
     assert MAX_HEIGHT == pytest.approx(838.40, abs=0.01)
@@ -73,7 +84,7 @@ def test_strip_point_height_ceiling():
     assert StripPoint(0.5, -MAX_HEIGHT).y == -MAX_HEIGHT
     for y in (math.nextafter(MAX_HEIGHT, math.inf), -math.nextafter(MAX_HEIGHT, math.inf),
               math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="need finite x > 0 and [|]y[|] <= 838.40"):
+        with pytest.raises(ValueError, match="need 0 < x <= 1e[+]300 and [|]y[|] <= 838.40"):
             StripPoint(0.5, y)
 
 
@@ -582,8 +593,9 @@ class TestZetaBridge:
             -1.4603545088, abs=1e-8)
 
     def test_pole_rejected(self):
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError) as exc:
             zeta_from_eta(StripPoint(1.0, 0.0))
+        assert str(exc.value) == "pole at z=1 (zeta has a simple pole at s = 1)"
 
     def test_singular_denominator_rejected(self):
         y = 2.0 * math.pi / math.log(2.0)

@@ -119,6 +119,10 @@ class TestScan:
     def test_scan_budget_cap(self):
         with pytest.raises(ValueError, match="grid points"):
             scan_zeros(0.0, 1000.0, step=1e-6)
+        # the count, 1e300 + 1, goes in three significant digits, not 301
+        with pytest.raises(ValueError) as exc:
+            scan_zeros(0.0, 1.0, step=1e-300)
+        assert str(exc.value) == "scan would need 1e+300 grid points (cap 10000000); raise step"
 
     def test_matches_pointwise_goldens(self):
         records = scan_zeros(0.0, 30.0, 0.01)
@@ -151,7 +155,7 @@ class TestScan:
         monkeypatch.setattr(zeros, "eta_accel", lambda *a: calls.append(a))
         with pytest.raises(ValueError) as exc:
             scan(0.0, 900.0, 0.01)
-        assert str(exc.value) == ("need finite x > 0 and |y| <= 838.40; "
+        assert str(exc.value) == ("need 0 < x <= 1e+300 and |y| <= 838.40; "
                                   "got x=0.5, y=900.0")
         assert calls == []
 
