@@ -27,17 +27,18 @@ Python also writes a CSV block of fewer than FEW_VALUES values, one value
 at a time.
 
 Each row is one line of a uint64 matrix, and each value a fixed slot of
-8-byte words in it.  An integer column's slots take as many words as its
+8-byte words in it, NUL where its text leaves it empty; one ``translate``
+deletes every NUL.  An integer column's slots take as many words as its
 longest text and separator need, and numpy's cast of int64 to a NUL-padded
-bytes dtype writes them.  A float takes 6 words.  Its digits come from
-tables of 4-digit groups, each digit followed by a NUL byte where a decimal
-point may go, and its zero digits are NUL: a mask keyed by (digits kept,
-point position) writes back the zeros kept and the point; a second key
-table gives repr's ".0" in fixed notation.  Tables keyed by the exponent
-give the sign, the "0.000" prefix and the "e+XX" suffix.  The last byte of
-each CSV slot holds the "," or newline that follows the value; a JSON
-value's slot has a seventh word, its separator.  A JSON block of zeros only
-is a lookup by sign.  One ``bytes.translate`` then deletes every NUL.
+bytes dtype writes them.  A float takes 4 words: its sign at byte 0, the
+"0.000" prefix at bytes 1-5, its 17 digits from byte 7 with the point, the
+"e+XX" suffix at bytes 25-29, and in a CSV the "," or newline after it at
+byte 31.  Its digits, from a table of 4-digit groups with zero digits NUL,
+two groups to a word, move up one byte past the point: d + (d & moved) *
+255 per word, the top byte carried into the next.  A table row keyed by
+(exponent, sign, digits kept) gives the sign, the prefix, the point, "0"
+at each zero digit kept, and in JSON a fifth word, the list's separator.
+A float column or JSON block of zeros only is a lookup by sign.
 """
 
 from __future__ import annotations
@@ -49,13 +50,15 @@ from itertools import groupby
 import numpy as np
 
 # rows per block: at the surface's 4 columns, a block's matrix, texts and
-# work arrays take about 1 MB
+# work arrays take about 0.8 MB; at 2^12 rows, more of them are new pages
+# in a fresh process, and its writes were slower
 BLOCK_ROWS = 2**11
-_FLOAT_WORDS = 6
+_FLOAT_WORDS = 4
 _MIN_ABS = 1e-290  # 10^(16 - e) and its halves stay normal doubles
 _MAX_ABS = 1e290   # the Veltkamp split of |v| does not overflow
 _E_MIN = -300      # the exponent tables cover every e of a value in range
 _E_SPAN = 600
+_E_LOW, _E_HIGH = -5, 17  # the layout's exponents, all scientific beyond them
 _HALF_BAND = 2.0**-20  # this close to 1/2, an inexact product goes to Python
 _SPLIT = 134217729.0   # 2^27 + 1, Veltkamp's splitting constant
 # below this many values in a CSV block, Python's % and str take less time
@@ -63,9 +66,8 @@ _SPLIT = 134217729.0   # 2^27 + 1, Veltkamp's splitting constant
 FEW_VALUES = 2048
 # the last word of a slot, with the separator after its value
 _COMMA, _NEWLINE = np.frombuffer(b"\0" * 7 + b"," + b"\0" * 7 + b"\n", np.uint64)
-# what follows each value of a json list, and the slot word that holds it
+# what follows each value of a json list
 _JSON_SEP = ",\n    "
-_JSON_SEP_WORD = np.frombuffer(_JSON_SEP.encode() + b"\0\0", np.uint64)[0]
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -76,84 +78,61 @@ def _words(byte_rows: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _tables() -> dict:
-    """The lookup tables, built on first use."""
+    """The tables of both formats, built on first use."""
     g = np.arange(10_000, dtype=np.int16)
-    digits = np.empty((10_000, 4), np.uint8)
-    for j in range(4):
-        digits[:, j] = g // 10 ** (3 - j) % 10
-    # a float's group of 4 digits, each followed by a NUL byte, with its
-    # zero digits NUL too
-    spaced = np.zeros((10_000, 8), np.uint8)
-    spaced[:, ::2] = digits
-    spaced[:, ::2] |= np.where(digits > 0, 48, 0).astype(np.uint8)
-    # digits kept up to the last nonzero digit of a group, when it is group
-    # j = 0..3 of the 16 digits after a float's first, which is always kept
-    trailing_zeros = (g % 10 == 0).astype(np.int8) + (g % 100 == 0) + (g % 1000 == 0)
-    kept = [np.where(g > 0, 4 * j + 5 - trailing_zeros, 1).astype(np.int8) for j in range(4)]
-
-    # a float's masks over its words 0..4, keyed by keep * 17 + point + 1:
-    # "0" at each of the keep digits kept and "." after digit `point` (-1:
-    # none); digit i sits at byte 6 + 2i and its point slot at 7 + 2i
-    i = np.arange(17)
-    fill = np.zeros((18, 17, 40), np.uint8)
-    fill[:, :, 6 + 2 * i] = np.where(i < np.arange(18)[:, None], 48, 0)[:, None, :]
-    fill[:, 1 + i[:16], 7 + 2 * i[:16]] = ord(".")
-    fill = _words(fill).reshape(18 * 17, 5)
-
-    # (exponent, digits kept) -> mask key: the point follows digit e in
-    # fixed notation (0 <= e <= 16), digit 0 in scientific, and sits in the
-    # "0.000" prefix for -4 <= e < 0; it is left out where no digit follows.
-    # repr keeps one digit after the point in fixed notation, where its
-    # exponent is below 16.
-    e = np.arange(_E_MIN, _E_MIN + _E_SPAN, dtype=np.int16)[:, None]
-    kept_digits = np.arange(18, dtype=np.int16)
-    fixed = (e >= 0) & (e <= 16)
-
-    def key(keep):
-        point = np.where(fixed, e, np.where((e >= -4) & (e < 0), -1, 0))
-        point = np.where(keep > point + 1, point, -1)
-        return (keep * 17 + point + 1).ravel()
-
-    # "e+XX" or "e-XXX" where scientific, and "-" then "0." and up to 3
-    # zeros for -4 <= e < 0
-    x = e[:, 0].astype(np.int64)
-    suffix = np.zeros((_E_SPAN, 8), np.uint8)
-    suffix[:, :2] = np.where(x < 0, ord("-"), ord("+"))[:, None]
-    suffix[:, 0] = ord("e")
-    mag = np.abs(x)
-    three = mag >= 100
-    row = np.arange(_E_SPAN)
-    suffix[three, 2] = 48 + mag[three] // 100
-    suffix[row, 2 + three] = 48 + mag // 10 % 10
-    suffix[row, 3 + three] = 48 + mag % 10
-    suffix[(x >= -4) & (x <= 16)] = 0
-    sign_prefix = np.zeros((_E_SPAN, 2, 8), np.uint8)
-    for x in range(-4, 0):
-        sign_prefix[x - _E_MIN, :, 1:2 - x] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
-    sign_prefix[:, 1, 0] = ord("-")
-    # ORed onto the mask's "0"; row 10 serves a rounding to 10^17, which
-    # Python writes
-    first = np.zeros((11, 8), np.uint8)
-    first[:, 6] = np.arange(11)
-    return {
-        "spaced": _words(spaced).ravel(),
-        "kept": kept,
-        "fill": [np.ascontiguousarray(fill[:, j]) for j in range(5)],
-        "key": key(np.where(fixed, np.maximum(kept_digits, e + 1), kept_digits)),
-        "repr_key": key(np.where(fixed & (e < 16), np.maximum(kept_digits, e + 2), kept_digits)),
-        "json_zero": np.array(["0.0" + _JSON_SEP, "-0.0" + _JSON_SEP],
-                              "S16").view(np.uint64).reshape(2, 2),
-        "sign_prefix": _words(sign_prefix).ravel(),
-        "suffix": _words(suffix).ravel(),
-        "first": _words(first).ravel(),
-    }
+    digits = np.stack([g // 10**j % 10 for j in (3, 2, 1, 0)], axis=1).astype(np.uint8)
+    digits |= (digits > 0) * np.uint8(48)  # a group of 4 digits, its zero digits NUL
+    group = digits.view(np.uint32).astype(np.uint64).ravel()
+    # by e clipped to [-5, 17], the digit the point follows: e in fixed
+    # notation (0 <= e <= 16), 0 in scientific, none (-1) for -4 <= e < 0
+    x = np.arange(_E_LOW, _E_HIGH + 1)
+    point = np.where((x >= 0) & (x <= 16), x, np.where((x >= -4) & (x < 0), -1, 0))
+    # by e: the bytes of words 1 and 2 whose digits follow the point, the
+    # suffix in word 3 where scientific, and e's first layout row, less 126
+    e = np.arange(_E_MIN, _E_MIN + _E_SPAN)
+    c = np.clip(e, _E_LOW, _E_HIGH) - _E_LOW
+    by_e = np.zeros((_E_SPAN, 4, 8), np.uint8)
+    by_e[:, :2] = ((point[c, None] >= 0) & (np.arange(16) >= point[c, None])).reshape(-1, 2, 8)
+    by_e[:, :2] *= 255
+    by_e[:, 2, 1:6] = np.array([b"e%+03d" % k if k < -4 or k > 16 else b""
+                                for k in e.tolist()], "S5")[:, None].view(np.uint8)
+    return {"groups": (group, group << 32), "point": point[:, None, None],
+            "by_e": _words(by_e).reshape(_E_SPAN, 4), "row": c * 36 - 126}
 
 
 @lru_cache(maxsize=None)
-def _pow10(k: int) -> tuple[float, float, float, float, float]:
+def _layout(text) -> np.ndarray:
+    """(e clipped to [-5, 17], sign, digits kept) -> a `text` slot without
+    its nonzero digits and suffix: the sign, the "0.000" prefix, "0" at each
+    digit kept, the point, and the text after the value in a fifth word.
+    Digit i sits at byte 7 + i, or 8 + i past the point.  In fixed notation
+    a value keeps its digits up to the point, and repr one more where
+    e < 16, for its ".0"."""
+    _, after_point, _, follow = text
+    point = _tables()["point"]
+    c = np.arange(_E_LOW, _E_HIGH + 1)[:, None, None]
+    kept = np.arange(18)[:, None]
+    fixed = (c >= 0) & (c < 17 - after_point)
+    keep = np.where(fixed, np.maximum(kept, c + 1 + after_point), kept)
+    point = np.where(keep > point + 1, point, -1)  # none where no digit follows
+    i = np.arange(17)
+    slots = np.zeros((len(c), 2, 18, 8 * _FLOAT_WORDS + (len(follow) + 7) // 8 * 8), np.uint8)
+    at = 7 + i + ((i > point) & (point >= 0))
+    np.put_along_axis(slots, at[:, None], np.where(i < keep, 48, 0)[:, None], axis=-1)
+    # the point, or digit 0's "0" again where there is none
+    np.put_along_axis(slots, 8 + point[:, None], np.where(point >= 0, ord("."), 48)[:, None], -1)
+    slots[:, 1, :, 0] = ord("-")
+    for x in range(-4, 0):
+        slots[x - _E_LOW, :, :, 1:2 - x] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
+    slots[..., 8 * _FLOAT_WORDS:8 * _FLOAT_WORDS + len(follow)] = np.frombuffer(follow, np.uint8)
+    return _words(slots).reshape(len(c) * 36, -1)
+
+
+@lru_cache(maxsize=None)
+def _pow10(k: int) -> tuple[float, float, float, float]:
     """10^k as hi + lo, hi the nearest double and lo the nearest double to
-    the rest, with hi split into two halves of at most 26 bits; then the
-    half band, 0 where 10^k is exact so that a tie is decided here."""
+    the rest (0 where 10^k is exact), with hi split into two halves of at
+    most 26 bits."""
     if k >= 0:
         exact = 10**k
         hi = float(exact)
@@ -166,7 +145,7 @@ def _pow10(k: int) -> tuple[float, float, float, float, float]:
     mant, exp = math.frexp(hi)
     big = mant * _SPLIT
     h1 = math.ldexp(big - (big - mant), exp)
-    return hi, h1, hi - h1, lo, 0.0 if lo == 0.0 else _HALF_BAND
+    return hi, h1, hi - h1, lo
 
 
 def _python_words(texts: list[str], words: int) -> np.ndarray:
@@ -189,20 +168,20 @@ def _product(v: np.ndarray):
         e = np.floor(np.log10(a)).astype(np.int64)
         e_max = int(e.max(initial=0))
         powers = np.array([_pow10(16 - x) for x in range(e_max, int(e.min(initial=0)) - 1, -1)])
-        at = e_max - e
-        hi, h1, h2, lo, band = (np.ascontiguousarray(col).take(at) for col in powers.T)
-        big = a * _SPLIT
-        a1 = big - (big - a)
+        hi, h1, h2, lo = np.moveaxis(powers.take(e_max - e, axis=0), -1, 0)
+        a1 = a * _SPLIT
+        a1 -= a1 - a
         a2 = a - a1
         p = a * hi  # an integer, since it is at least 2^53
-        rest = (((a1 * h1 - p) + a1 * h2) + a2 * h1) + a2 * h2 + a * lo
-        floor = np.floor(rest)
-        half = rest - floor - 0.5
+        half = (((a1 * h1 - p) + a1 * h2) + a2 * h1) + a2 * h2 + a * lo
+        floor = np.floor(half)
+        half -= floor
+        half -= 0.5
         whole = p.astype(np.int64) + floor.astype(np.int64)
         # the product must lie in [10^16, 10^17 - 1) before rounding, which
-        # may reach 10^16
+        # may reach 10^16; a tie is decided here where 10^(16 - e) is exact
         sure = (fast & ((whole - 10**16).view(np.uint64) < 9 * 10**16 - 1)
-                & (np.abs(half) >= band))
+                & ((np.abs(half) >= _HALF_BAND) | (lo == 0.0)))
     whole *= sure  # 0 for a zero, and in the tables' range where Python writes
     return whole, half, e, a, hi, sure | zero
 
@@ -262,40 +241,65 @@ def _json_float(x: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-# a float text: its digits, its mask keys and Python's text of one value
-_G17 = (_significands, "key", "%.17g".__mod__)
-_REPR = (_shortest, "repr_key", _json_float)
+# a float text: its digits, the digits its fixed notation keeps past the
+# point, Python's text of one value, and the text after each value
+_G17 = (_significands, 0, "%.17g".__mod__, b"")
+_REPR = (_shortest, 1, _json_float, _JSON_SEP.encode())
 
 
-def _float_slots(v: np.ndarray, out: np.ndarray, sep, text=_G17) -> None:
-    """Write the `text` ('%.17g' by default) of each value of `v`, then
-    `sep` (broadcast against `v`), into the 6-word slots `out` of shape
-    v.shape + (6,)."""
+def _float_slots(v: np.ndarray, sep, text=_G17) -> np.ndarray:
+    """The slots of shape v.shape + (words,) of the `text` ('%.17g' by
+    default) of each value of `v`, with `sep` (broadcast against `v`) in the
+    last byte of each value's fourth word."""
     t = _tables()
-    digits, key_table, python_text = text
+    digits, _, python_text, _ = text
     sig, e, decided = digits(v)
     top = sig // 10**8
     low = (sig - top * 10**8).astype(np.int32)
     top = top.astype(np.int32)
-    q1 = top // 10**4
+    first = top // 10**8
+    mid = top - first * 10**8
+    q1 = mid // 10**4
     q3 = low // 10**4
-    first = q1 // 10**4
-    groups = (q1 - first * 10**4, top - q1 * 10**4, q3, low - q3 * 10**4)
-    kept = [table.take(g) for table, g in zip(t["kept"], groups)]
-    kept = np.maximum(np.maximum(kept[0], kept[1]), np.maximum(kept[2], kept[3]))
+    lo, hi = t["groups"]
+    d1 = lo.take(q1) | hi.take(mid - q1 * 10**4)
+    d2 = lo.take(q3) | hi.take(low - q3 * 10**4)
+    # the float d2 * 2^64 + d1 + 1 has the exponent 8 * (kept - 2) + 5 (0
+    # for kept = 1), since a digit word's top nonzero byte is "1".."9", so
+    # its top 9 bits are 126 + kept
+    kept = (d2.astype(np.float64) * 2.0**64 + (d1.astype(np.float64) + 1.0)).view(np.int64)
     ei = e - _E_MIN
-    key = t[key_table].take(ei * 18 + kept).astype(np.intp)
-    fill = t["fill"]
-    out[..., 0] = (t["sign_prefix"].take(2 * ei + np.signbit(v)) | t["first"].take(first)
-                   | fill[0].take(key))
-    for j, g in enumerate(groups, 1):
-        out[..., j] = t["spaced"].take(g) | fill[j].take(key)
-    out[..., 5] = t["suffix"].take(ei) | sep
+    slots = _layout(text).take(t["row"].take(ei) + np.signbit(v) * 18 + (kept >> 55), axis=0)
+    by_e = t["by_e"].take(ei, axis=0)
+    # the digits past the point move up a byte: d + (d & moved) * 255
+    m1 = d1 & by_e[..., 0]
+    m2 = d2 & by_e[..., 1]
+    slots[..., 0] |= first.astype(np.uint64) << 56
+    slots[..., 1] |= d1 + m1 * 255
+    slots[..., 2] |= d2 + m2 * 255 + (m1 >> 56)
+    slots[..., 3] |= m2 >> 56 | by_e[..., 2] | sep
     if not decided.all():
-        slow = np.nonzero(~decided)
+        slow = ~decided
         words = _python_words([python_text(x) for x in v[slow].tolist()], _FLOAT_WORDS)
         words[:, -1] |= np.broadcast_to(sep, v.shape)[slow]
-        out[slow] = words
+        slots[slow, :_FLOAT_WORDS] = words
+    return slots
+
+
+def _zero_slots(v: np.ndarray, sep, text=_G17) -> np.ndarray:
+    """The slots of values that are all zeros, by a lookup by sign: as
+    many words as Python's text of -0.0, the text after it and `sep` need."""
+    slots = _zero_table(text).take(np.signbit(v), axis=0)
+    slots[..., -1] |= sep
+    return slots
+
+
+@lru_cache(maxsize=None)
+def _zero_table(text) -> np.ndarray:
+    """The slots of +0.0 and -0.0."""
+    _, _, python_text, follow = text
+    zeros = [python_text(x).encode() + follow for x in (0.0, -0.0)]
+    return _python_words(zeros, (len(zeros[1]) + 8) // 8)
 
 
 def _int_slots(v: np.ndarray, sep: np.uint64) -> np.ndarray:
@@ -320,38 +324,39 @@ def _int_column(values: np.ndarray, index, sep: np.uint64) -> np.ndarray:
 
 def csv_rows(columns) -> str:
     """The CSV lines of equal-length columns.  A column is a float64 array,
-    written as '%.17g'; an integer or bool array, written as str; or a pair
-    (values, index) of an integer array and the positions to take from it,
-    for a column that repeats a few values.  Python formats the lines one
-    value at a time when they hold fewer than FEW_VALUES values."""
+    written as '%.17g'; an integer array, written as str, or a bool array,
+    as 1 or 0; or a pair (values, index) of an integer array and the
+    positions to take from it, for a column that repeats a few values.
+    Python formats the lines one value at a time when they hold fewer than
+    FEW_VALUES values."""
     columns = [c if isinstance(c, tuple) else (np.asarray(c), None) for c in columns]
     if sum(len(values if index is None else index) for values, index in columns) >= FEW_VALUES:
-        return _rows(columns).tobytes().translate(None, b"\0").decode("ascii")
+        return _rows(columns).translate(None, b"\0").decode("ascii")
     line = ",".join("%.17g" if values.dtype.kind == "f" else "%d" for values, _ in columns)
     flat = [(values if index is None else values[index]).tolist() for values, index in columns]
     return "".join(line % row + "\n" for row in zip(*flat))
 
 
-def _rows(columns) -> np.ndarray:
-    """The uint64 row matrix of csv_rows' (values, index) columns, NUL-padded."""
+def _rows(columns) -> bytearray:
+    """The bytes of the row matrix of csv_rows' (values, index) columns."""
     seps = np.full(len(columns), _COMMA)
     seps[-1] = _NEWLINE
-    ints = [None if values.dtype.kind == "f" else _int_column(values, index, sep)
-            for (values, index), sep in zip(columns, seps)]
-    starts = np.cumsum([0, *(_FLOAT_WORDS if out is None else out.shape[1] for out in ints)])
-    values, index = columns[0]
-    rows = np.zeros((len(values if index is None else index), starts[-1]), np.uint64)
-    for is_float, run in groupby(range(len(columns)), lambda k: ints[k] is None):
+    # a float column of zeros only, as every S at y = 0, is a lookup by sign
+    slots = [_int_column(values, index, sep) if values.dtype.kind != "f"
+             else _zero_slots(values, sep) if (values == 0.0).all() else None
+             for (values, index), sep in zip(columns, seps)]
+    parts = []
+    for is_float, run in groupby(range(len(columns)), lambda k: slots[k] is None):
         run = list(run)
         if is_float:  # one pass over a run of float columns, since each
             # numpy call costs as much as a few hundred values
-            out = rows[:, starts[run[0]]:starts[run[-1] + 1]]
-            _float_slots(np.stack([columns[k][0] for k in run]),
-                         out.reshape(len(rows), len(run), _FLOAT_WORDS).transpose(1, 0, 2),
-                         seps[run, None])
-            continue
-        for k in run:
-            rows[:, starts[k]:starts[k + 1]] = ints[k]
+            parts.append(_float_slots(np.stack([columns[k][0] for k in run], axis=1),
+                                      seps[run]).reshape(-1, _FLOAT_WORDS * len(run)))
+        else:
+            parts += [slots[k] for k in run]
+    shape = (len(parts[0]), sum(part.shape[1] for part in parts))
+    rows = bytearray(8 * shape[0] * shape[1])
+    np.concatenate(parts, axis=1, out=np.frombuffer(rows, np.uint64).reshape(shape))
     return rows
 
 
@@ -371,13 +376,8 @@ def write_json_list(fh, values: np.ndarray) -> None:
 
 def _json_block(v: np.ndarray) -> str:
     """The json text of each value of `v`, each followed by _JSON_SEP."""
-    t = _tables()
-    if (v == 0.0).all():  # as every A_sin at y = 0
-        slots = t["json_zero"].take(np.signbit(v), axis=0)
-    else:
-        slots = np.empty((len(v), _FLOAT_WORDS + 1), np.uint64)
-        _float_slots(v, slots[:, :_FLOAT_WORDS], np.uint64(0), _REPR)
-        slots[:, _FLOAT_WORDS] = _JSON_SEP_WORD
+    # a block of zeros only, as every A_sin at y = 0, is a lookup by sign
+    slots = (_zero_slots if (v == 0.0).all() else _float_slots)(v, np.uint64(0), _REPR)
     return slots.tobytes().translate(None, b"\0").decode("ascii")
 
 

@@ -103,9 +103,8 @@ def parse_range(text: str, name: str = "range") -> list[int]:
         raise ValueError(f"malformed range {text!r} (expected start:stop[:step])")
     if step <= 0 or stop < start:
         raise ValueError(f"malformed range {text!r} (need step > 0, stop >= start)")
-    values = range(start, stop + 1, step)
-    limits.check_cell_count(len(values), f"{name} {text}")
-    return list(values)
+    limits.check_cell_count((stop - start) // step + 1, f"{name} {text}")
+    return list(range(start, stop + 1, step))
 
 
 def parse_ordering(spec: str, bound: int) -> QOrdering:

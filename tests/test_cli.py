@@ -686,6 +686,15 @@ def test_every_public_top_level_name_is_used():
     (["surface", "--x", "0.5", "--y", "0", "--bound", "10000000", "--out", "s.csv",
       "--n", "1:100000", "--h", "1:1000"],
      f"--n 1:100000 x --h 1:1000: 100000000 cells exceed the cap {limits.MAX_CELLS}"),
+    # ranges past 2^63 - 1 values, counted before the range is built
+    (["surface", "--x", "0.5", "--y", "1", "--n", "1:99999999999999999999", "--h", "1:2",
+      "--out", "e.csv"],
+     f"--n 1:99999999999999999999: 99999999999999999999 cells exceed the cap "
+     f"{limits.MAX_CELLS} (16 bytes per cell)"),
+    (["surface", "--x", "0.5", "--y", "1", "--n", "1:2", "--h", "1:99999999999999999999",
+      "--out", "e.csv"],
+     f"--h 1:99999999999999999999: 99999999999999999999 cells exceed the cap "
+     f"{limits.MAX_CELLS} (16 bytes per cell)"),
     (["search", "--seed", "1", "--prefix", "20", "--iters", "1", "--h-max", "30",
       "--bound", "30000000", "--out-trace", "t.csv", "--out-best", "b.json"],
      "hMax 30 exceeds prefix length 20"),
@@ -738,7 +747,8 @@ def test_every_public_top_level_name_is_used():
         "scan-step-overflow", "scan-threshold-nan", "scan-refine-tol-nan",
         "search-t0-nan", "search-t0-negative", "gap-shuffle-prefix-negative",
         "gap-shuffle-seed-not-an-integer",
-        "refine-y0-nan", "surface-cells", "search-h-max-over-prefix",
+        "refine-y0-nan", "surface-cells", "surface-n-past-int64", "surface-h-past-int64",
+        "search-h-max-over-prefix",
         "search-n1-over-cap", "eta-height", "zeta-height", "surface-height", "gap-x",
         "gap-height", "eta-x-cap", "gap-x-cap", "search-x-cap", "surface-x-cap",
         "gap-eta-reach", "search-eta-reach", "search-height", "scan-height",

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etaq import _text
-from etaq.limits import SumSurface, commutativity_gap
+from etaq.limits import SumSurface, c_s_surface, commutativity_gap
 from etaq.qset import QOrdering
 from etaq.series import StripPoint
 
@@ -61,6 +61,20 @@ def tie_sample() -> np.ndarray:
     return np.array(values)
 
 
+def layout_sample() -> np.ndarray:
+    """Values at every place a float slot puts the point, the prefix or the
+    suffix: exponents -7..19, around the switches at -5, -4, 16 and 17, each
+    with 1, 2, 8, 9, 16 and 17 significant digits, and the longest texts of
+    both formats."""
+    values = [float(f"{digits[0]}.{digits[1:]}e{e}") for e in range(-7, 20)
+              for digits in ("3", "35", "31415926", "314159265", "3141592653589793",
+                             "31415926535897932", "99999999999999999")]
+    values += [1.2345678901234567e-100, 1.2345678901234567e100,  # 24 bytes with a sign
+               0.00012345678901234567, 1234567890123456.7, 12345678901234567.0,
+               1e-5, 1e-4, 1e16, 1e17, 0.5, 5e-5, 2.0**-20]
+    return np.array(values + [-x for x in values])
+
+
 def sample(seed: int = 0) -> np.ndarray:
     """Values where a 17-digit writer is easy to get wrong, and ordinary ones."""
     rng = np.random.default_rng(seed)
@@ -76,7 +90,7 @@ def sample(seed: int = 0) -> np.ndarray:
     ordinary = rng.standard_normal(20_000) * 10.0 ** rng.integers(-30, 30, 20_000)
     ties = tie_sample()
     return np.concatenate([bits.view(np.float64), near, -near, subnormals, -subnormals,
-                           specials, -specials, ordinary, ties, -ties])
+                           specials, -specials, ordinary, ties, -ties, layout_sample()])
 
 
 def test_float_text_is_percent_17g():
@@ -178,6 +192,11 @@ def test_mixed_columns_in_any_order():
     floats = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, n) for _ in range(3)]
     columns = [ints, floats[0], big, floats[1], floats[2], ints]
     assert numpy_csv(*columns) == python_csv(*columns)
+    # float columns of zeros only, +0.0, -0.0 and both, next to other floats
+    zeros = [np.zeros(n), -np.zeros(n), np.where(rng.random(n) < 0.5, 0.0, -0.0)]
+    for columns in ([ints, floats[0], *zeros], [*zeros, floats[1], ints],
+                    [zeros[2], floats[2], zeros[1], big, zeros[0]]):
+        assert numpy_csv(*columns) == python_csv(*columns)
 
 
 def test_indexed_integer_columns():
@@ -255,6 +274,42 @@ def test_benchmark_reports_take_the_vector_path(p, bound, monkeypatch):
         assert json_text(values) == python_json(values)
     assert sum(vector) == np.count_nonzero(rep.A.real) + np.count_nonzero(rep.A.imag)
     assert len(texts) <= 4
+
+
+@pytest.mark.parametrize("p, ordering, n_axis, h_axis", [
+    (StripPoint(0.5, 14.134725141734693), QOrdering.by_value(10_000),
+     range(1, 20_000, 200), range(1, 65)),
+    (StripPoint(0.75, 3.0), QOrdering.seeded_shuffle(5, 256),
+     range(1, 2_000, 10), range(1, 1_201, 10)),
+    (StripPoint(2.0, 0.0), QOrdering.by_factor_count(10_000), range(1, 2_000, 5),
+     range(1, 401, 4))], ids=["surface1", "surface2", "surface3"])
+def test_benchmark_surfaces_take_the_vector_path(p, ordering, n_axis, h_axis, monkeypatch):
+    """The surfaces of the benchmark's three jobs, the last two with fewer
+    n: no value goes to Python, and at y = 0 every S takes the lookup by
+    sign.  A last block of fewer than FEW_VALUES values is Python's."""
+    surf = c_s_surface(p, ordering, n_axis, h_axis)
+    n, h = np.meshgrid(surf.n_axis, surf.h_axis, indexing="ij")
+    want = "n,h,C,S\n" + python_csv(n.ravel(), h.ravel(), surf.C.ravel(), surf.S.ravel())
+    fh = io.StringIO()
+    surf.write_csv(fh)  # the zero lookup's table, built once
+    assert fh.getvalue() == want
+    texts, vector, zeros = [], [], []
+    python_words, float_slots, zero_slots = (_text._python_words, _text._float_slots,
+                                             _text._zero_slots)
+    monkeypatch.setattr(_text, "_python_words",
+                        lambda t, words: (texts.extend(t), python_words(t, words))[1])
+    monkeypatch.setattr(_text, "_float_slots",
+                        lambda v, *args: (vector.append(v.size), float_slots(v, *args))[1])
+    monkeypatch.setattr(_text, "_zero_slots",
+                        lambda v, *args: (zeros.append(v.size), zero_slots(v, *args))[1])
+    fh = io.StringIO()
+    surf.write_csv(fh)
+    assert fh.getvalue() == want
+    tail = surf.C.size % _text.BLOCK_ROWS
+    rows = surf.C.size - (tail if 4 * tail < _text.FEW_VALUES else 0)
+    assert texts == []
+    assert sum(vector) + sum(zeros) == 2 * rows
+    assert sum(zeros) == (rows if p.y == 0.0 else 0)
 
 
 class _Sink:
