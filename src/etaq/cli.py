@@ -185,8 +185,6 @@ def run_verify(k_max: int, budget: int, inject_fault: str | None) -> list[CheckR
 
     worst = 0.0
     for p in _grid_points():
-        if p.x == 1.0:
-            continue
         lhs = series.bridge_denominator(p) * zeta_from_eta(p).value
         worst = max(worst, abs(lhs - eta_accel(p).value))
     record("bridge-identity", worst, 1e-12, "(1-2^(1-s))*zeta == eta on grid")
@@ -252,9 +250,9 @@ def run_verify(k_max: int, budget: int, inject_fault: str | None) -> list[CheckR
     worst_o = 0.0
     worst_d = 0.0
     for p in (StripPoint(0.5, 0.0), StripPoint(2.0, 0.0), StripPoint(0.75, 3.0)):
-        rep = limits.rh_contradiction_check(p, budget)
-        worst_o = max(worst_o, rep.residual_oracle)
-        worst_d = max(worst_d, rep.residual_direct / (4.0 * budget ** (-p.x)))
+        residual_oracle, residual_direct = limits.rh_contradiction_check(p, budget)
+        worst_o = max(worst_o, residual_oracle)
+        worst_d = max(worst_d, residual_direct / (4.0 * budget ** (-p.x)))
     record("contradiction-identity-oracle", worst_o, 1e-10,
            "sum_Gamma == sum + signed sum, closed-form paths")
     record("contradiction-identity-direct", worst_d, 1.0,
@@ -339,9 +337,8 @@ def cmd_gap(args) -> int:
 def cmd_zeros(args) -> int:
     check_outputs(args.out)
     if args.zeros_cmd == "scan":
-        grid = (args.y_min, args.y_max, args.step, args.threshold)
-        records = (zeros.scan_and_refine(*grid, tol=args.tol) if args.refine
-                   else zeros.scan_zeros(*grid))
+        records = zeros.scan_zeros(args.y_min, args.y_max, args.step, args.threshold,
+                                   tol=args.tol if args.refine else None)
     elif args.zeros_cmd == "refine":
         records = [zeros.refine_zero(args.y0, args.window, args.tol)]
     else:
@@ -440,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="anneal over prefix orderings")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--prefix", type=int, required=True)
-    p.add_argument("--iters", type=int, required=True)
+    p.add_argument("--iters", type=int, required=True,
+                   help=f"at most {search.MAX_ITERATIONS} (the trace holds about 160 "
+                   "bytes per iteration)")
     p.add_argument("--x", type=float, default=0.75)
     p.add_argument("--y", type=float, default=3.0, help=HEIGHT_HELP)
     p.add_argument("--n0", type=int, default=200)

@@ -296,42 +296,23 @@ def commutativity_gap(p: StripPoint, ordering: QOrdering, h_max: int | None,
         notes=tuple(notes))
 
 
-@dataclass(frozen=True)
-class ContradictionReport:
-    """Numerical check of the identity sum_Gamma a_k = sum a_k + sum f(k) a_k
-    and its b_k analogue, as one complex identity in a_k + i b_k, each side
-    through independent paths.  Each residual is the larger of the cos and
-    sin parts of lhs - rhs."""
-
-    lhs: complex         # power-of-two sum, direct summation to convergence
-    rhs_oracle: complex  # accelerated eta + closed-form B
-    rhs_direct: complex  # tail-averaged eta + truncated B
-
-    @property
-    def residual_oracle(self) -> float:
-        d = self.lhs - self.rhs_oracle
-        return max(abs(d.real), abs(d.imag))
-
-    @property
-    def residual_direct(self) -> float:
-        d = self.lhs - self.rhs_direct
-        return max(abs(d.real), abs(d.imag))
-
-
-def rh_contradiction_check(p: StripPoint, budget: int) -> ContradictionReport:
-    """Verify the contradiction-chain identity numerically, in the conjugate
-    convention a_k + i b_k of the eta terms.
+def rh_contradiction_check(p: StripPoint, budget: int) -> tuple[float, float]:
+    """Verify the contradiction-chain identity sum_Gamma a_k = sum a_k +
+    sum f(k) a_k and its b_k analogue numerically, as one complex identity
+    in the conjugate convention a_k + i b_k of the eta terms, each side
+    through independent paths.
 
     Left side: the power-of-two subseries summed directly (geometric, so
     200 terms reach machine precision).  Right side, oracle path:
     accelerated eta plus `b_oracle` from that same eta, checked first;
     direct path: tail-averaged raw eta plus `limit_B`, which rejects a
-    budget below 1.
+    budget below 1.  Returns (residual_oracle, residual_direct), each the
+    larger of the cos and sin parts of lhs - rhs on that path.
     """
     eta = se.eta_accel(p).value
     oracle = b_oracle(p, eta)
     direct = limit_B(p, budget).direct
-    return ContradictionReport(
-        lhs=se.gamma_partial(p, 200).conjugate(),
-        rhs_oracle=eta.conjugate() + oracle,
-        rhs_direct=se.eta_averaged(p).value.conjugate() + direct)
+    lhs = se.gamma_partial(p, 200).conjugate()
+    diffs = (lhs - (eta.conjugate() + oracle),
+             lhs - (se.eta_averaged(p).value.conjugate() + direct))
+    return tuple(max(abs(d.real), abs(d.imag)) for d in diffs)

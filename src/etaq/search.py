@@ -22,6 +22,8 @@ from ._rng import ALGORITHM_ID, SplitMix64
 from .qset import QOrdering
 from .series import StripPoint, check_term_count, check_tol, eta_accel
 
+MAX_ITERATIONS = 10**6  # the trace holds about 160 bytes per iteration: about 0.16 GB
+
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -63,6 +65,9 @@ class SearchConfig:
                              f"{self.prefix_length}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.iterations > MAX_ITERATIONS:
+            raise ValueError(f"{self.iterations} iterations exceed the cap {MAX_ITERATIONS} "
+                             "(about 160 bytes of trace per iteration)")
         if not (self.initial_temperature >= 0.0 and math.isfinite(self.initial_temperature)):
             raise ValueError("t0 (initialTemperature) must be finite and >= 0, "
                              f"got {self.initial_temperature}")
@@ -169,9 +174,11 @@ def objective_gap(elements, spec: ObjectiveSpec, *, signs=None, cache=None) -> f
     The prefix is `elements`, a sequence of element views, or, when `signs`
     is given, the arrays `elements` (values) and `signs`; `anneal` passes
     arrays and its `ObjectiveCache` over the same values and signs.  C + iS
-    is the running sum of `limits.c_s_running`, from the cache's strided
-    prefix sums, and A is `limits.limit_A_series`, from its eta and A terms;
-    only one running vector is held, never a (window x h) matrix.  With a
+    is the running sum that `limits.c_s_running` forms, but
+    `ObjectiveCache.evaluate` keeps its own loop: it reads each value's
+    column from the cache's window slices of the strided prefix sums by
+    `repeat`.  A is `limits.limit_A_series`, from the cache's eta and A
+    terms; only one running vector is held, never a (window x h) matrix.  With a
     cache, the running sum and the reductions are replayed from the first
     of the h_max positions where the prefix differs from the cache's
     accepted ordering; without one, a one-shot cache replays from position 0.

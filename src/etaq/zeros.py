@@ -7,7 +7,8 @@ function.  At the default tolerance 1e-12 the evaluator reaches height
 about 196: `zeros scan` fails at y = 196.41 (1.001e-12), and `etaq eta 0.5
 200` at 1.024e-12.  Past `series.MAX_HEIGHT` (838.40) it meets no tolerance:
 `refine_zero` rejects a window reaching past it, and `scan_count`, which
-`scan_zeros` calls first, a grid, both before any evaluation.
+`scan_zeros` calls first, a grid, both before any evaluation.  `scan_zeros`
+returns the scan's candidates, or with a `tol` the zeros refined from them.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def load_zeros(path) -> list[ZeroRecord]:
 
 
 def scan_count(y_min: float, y_max: float, step: float, threshold: float) -> int:
-    """The number of grid points of `scan_zeros`, its arguments checked; a
-    grid past MAX_HEIGHT fails last, with StripPoint's message."""
+    """The number of grid points of `scan_zeros`, every argument but `tol`
+    checked; a grid past MAX_HEIGHT fails last, with StripPoint's message."""
     if not (math.isfinite(y_min) and math.isfinite(y_max)):
         raise ValueError(f"need finite yMin, yMax; got [{y_min}, {y_max}]")
     if not y_min >= 0.0:
@@ -109,9 +110,18 @@ def scan_count(y_min: float, y_max: float, step: float, threshold: float) -> int
     return count
 
 
-def _scan_hits(y_min: float, y_max: float, step: float, threshold: float) -> list[float]:
-    """The ordinates of `scan_zeros`' candidates, with no residuals."""
+def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
+               threshold: float = 0.05, tol: float | None = None) -> list[ZeroRecord]:
+    """Grid-scan |eta(1/2 + iy)|; candidates are interior local minima below
+    threshold.  Without `tol` they are unrefined, with eta_abs as their
+    residual; with it each is refined by `refine_zero` in a window of two
+    steps either side, and ordinates come back ascending.  The grid is
+    checked first, then `tol`, both before any eta.  The grid is evaluated
+    by `eta_grid` in chunks of _SCAN_CHUNK points, so a grid past the
+    evaluator's reach fails after bounded work."""
     count = scan_count(y_min, y_max, step, threshold)
+    if tol is not None:
+        check_tol(tol, "tol")
     if y_min == y_max:
         return []
     vals = np.concatenate([np.abs(v) for v in eta_grid(CRITICAL_X, y_min, step, count,
@@ -119,17 +129,10 @@ def _scan_hits(y_min: float, y_max: float, step: float, threshold: float) -> lis
     mid = vals[1:-1]
     hits = np.flatnonzero((mid < threshold) & (mid <= vals[:-2]) & (mid <= vals[2:])) + 1
     # the same float as the grid's y_min + float(i) * step
-    return (y_min + hits * step).tolist()
-
-
-def scan_zeros(y_min: float, y_max: float, step: float = 0.01,
-               threshold: float = 0.05) -> list[ZeroRecord]:
-    """Grid-scan |eta(1/2 + iy)|; candidates are interior local minima below
-    threshold.  Candidates are unrefined, with eta_abs as their residual.
-    The grid is evaluated by `eta_grid` in chunks of _SCAN_CHUNK points, so
-    a grid past the evaluator's reach fails after bounded work."""
-    return [ZeroRecord(ordinate=y, residual=eta_abs(y), refined=False)
-            for y in _scan_hits(y_min, y_max, step, threshold)]
+    ys = (y_min + hits * step).tolist()
+    if tol is None:
+        return [ZeroRecord(ordinate=y, residual=eta_abs(y), refined=False) for y in ys]
+    return [refine_zero(y, window=2.0 * step, tol=tol) for y in ys]
 
 
 def _secant(y0: float, window: float) -> float:
@@ -201,16 +204,6 @@ def refine_zero(y0: float, window: float = 0.05, tol: float = 1e-9) -> ZeroRecor
             f"{kind}: best |eta| = {residual:.3e} > tol {tol:.1e} "
             f"at y = {y:.9f}", y, residual)
     return ZeroRecord(ordinate=y, residual=residual, refined=True)
-
-
-def scan_and_refine(y_min: float, y_max: float, step: float = 0.01,
-                    threshold: float = 0.05, tol: float = 1e-9) -> list[ZeroRecord]:
-    """Scan then refine each candidate in a window of two steps either side;
-    ordinates come back ascending.  The grid is checked before `tol`."""
-    scan_count(y_min, y_max, step, threshold)
-    check_tol(tol, "tol")
-    return [refine_zero(y, window=2.0 * step, tol=tol)
-            for y in _scan_hits(y_min, y_max, step, threshold)]
 
 
 def write_csv(records: list[ZeroRecord], fh) -> None:

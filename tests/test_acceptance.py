@@ -14,7 +14,7 @@ from etaq.limits import (c_s_naive, c_s_surface, commutativity_gap,
 from etaq.qset import QOrdering, f_bruteforce, f_closed
 from etaq.series import (StripPoint, eta_accel, gamma_partial, geom_closed,
                          subseries_q, zeta_from_eta)
-from etaq.zeros import scan_and_refine
+from etaq.zeros import scan_zeros
 
 GRID_POINTS = [StripPoint(0.3, 2.0), StripPoint(0.5, 0.0),
                StripPoint(0.5, 14.0), StripPoint(0.75, 3.0),
@@ -91,7 +91,7 @@ def test_c4_geometric_closed_form():
 @pytest.fixture(scope="module")
 def refined_zeros():
     t0 = time.monotonic()
-    records = scan_and_refine(0.0, 30.0, step=0.01, threshold=0.05, tol=1e-9)
+    records = scan_zeros(0.0, 30.0, step=0.01, threshold=0.05, tol=1e-9)
     return records, time.monotonic() - t0
 
 
@@ -167,9 +167,9 @@ def test_c9_contradiction_chain_identity(first_zero):
     worst_oracle = 0.0
     worst_direct = 0.0
     for p in points:
-        rep = rh_contradiction_check(p, budget=10**6)
-        worst_oracle = max(worst_oracle, rep.residual_oracle)
-        worst_direct = max(worst_direct, rep.residual_direct)
+        residual_oracle, residual_direct = rh_contradiction_check(p, budget=10**6)
+        worst_oracle = max(worst_oracle, residual_oracle)
+        worst_direct = max(worst_direct, residual_direct)
     assert worst_oracle <= 1e-10
     assert worst_direct <= 5e-3
     report(9, f"sum_Gamma = sum + signed-sum identity: oracle residual "

@@ -308,12 +308,12 @@ class TestZerosCommand:
         assert lines[0] == "ordinate,residual,refined"
         assert len(lines) == 2
 
-    def test_scan_refine_is_scan_and_refine(self, capsys):
+    def test_scan_refine_is_the_refined_scan(self, capsys):
         rc = main(["zeros", "scan", "--y-min", "14", "--y-max", "21.5",
                    "--step", "0.02", "--refine"])
         assert rc == 0
         buf = io.StringIO()
-        zeros.write_csv(zeros.scan_and_refine(14.0, 21.5, 0.02), buf)
+        zeros.write_csv(zeros.scan_zeros(14.0, 21.5, 0.02, tol=1e-9), buf)
         assert capsys.readouterr().out == buf.getvalue()
         assert len(buf.getvalue().splitlines()) == 3
 
@@ -702,6 +702,10 @@ def test_every_public_top_level_name_is_used():
       "--n1", str(series.MAX_TERMS + 1), "--bound", "30000000",
       "--out-trace", "t.csv", "--out-best", "b.json"],
      f"{series.MAX_TERMS + 1} terms exceed the cap {series.MAX_TERMS}"),
+    (["search", "--seed", "1", "--prefix", "20", "--iters", "1000000000",
+      "--bound", "30000000", "--out-trace", "t.csv", "--out-best", "b.json"],
+     f"1000000000 iterations exceed the cap {cli.search.MAX_ITERATIONS} "
+     "(about 160 bytes of trace per iteration)"),
     # a height just past series.MAX_HEIGHT, or an x that is not > 0
     (["eta", "0.5", "838.41"], "need 0 < x <= 1e+300 and |y| <= 838.40"),
     (["zeta", "0.5", "-838.41"], "need 0 < x <= 1e+300 and |y| <= 838.40"),
@@ -749,7 +753,7 @@ def test_every_public_top_level_name_is_used():
         "gap-shuffle-seed-not-an-integer",
         "refine-y0-nan", "surface-cells", "surface-n-past-int64", "surface-h-past-int64",
         "search-h-max-over-prefix",
-        "search-n1-over-cap", "eta-height", "zeta-height", "surface-height", "gap-x",
+        "search-n1-over-cap", "search-iters-over-cap", "eta-height", "zeta-height", "surface-height", "gap-x",
         "gap-height", "eta-x-cap", "gap-x-cap", "search-x-cap", "surface-x-cap",
         "gap-eta-reach", "search-eta-reach", "search-height", "scan-height",
         "scan-refine-height", "refine-height", "refine-negative-height", "gap-x-at-the-pole",

@@ -529,14 +529,16 @@ def test_gap_builds_no_element_views(monkeypatch):
 
 class TestContradictionCheck:
     def test_oracle_identity_tight(self):
-        rep = rh_contradiction_check(StripPoint(2.0, 0.0), 10**5)
-        assert rep.residual_oracle <= 1e-12
+        residual_oracle, _ = rh_contradiction_check(StripPoint(2.0, 0.0), 10**5)
+        assert residual_oracle <= 1e-12
 
     def test_direct_paths_at_half(self):
-        rep = rh_contradiction_check(StripPoint(0.5, 0.0), 10**6)
-        assert rep.residual_oracle <= 1e-10
-        assert rep.residual_direct <= 1e-2
-        assert rep.lhs.real == pytest.approx(-math.sqrt(2.0), abs=1e-12)
+        residual_oracle, residual_direct = rh_contradiction_check(StripPoint(0.5, 0.0), 10**6)
+        assert residual_oracle <= 1e-10
+        assert residual_direct <= 1e-2
+        # the check's left side is this sum, conjugated
+        lhs = series.gamma_partial(StripPoint(0.5, 0.0), 200).conjugate()
+        assert lhs.real == pytest.approx(-math.sqrt(2.0), abs=1e-12)
 
     def test_eta_evaluated_once_per_point(self, monkeypatch):
         calls = []
@@ -548,5 +550,5 @@ class TestContradictionCheck:
         assert calls == [(StripPoint(2.0, 0.0),), (StripPoint(0.75, 3.0),)]
 
     def test_report_dict(self):
-        rep = rh_contradiction_check(StripPoint(0.75, 3.0), 10**4)
-        assert rep.residual_oracle <= 1e-10
+        residual_oracle, _ = rh_contradiction_check(StripPoint(0.75, 3.0), 10**4)
+        assert residual_oracle <= 1e-10

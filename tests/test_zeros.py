@@ -12,7 +12,7 @@ from conftest import CLI_TIMEOUT_S, ETAQ_ROOT
 from etaq import series, zeros
 from etaq.series import AccelerationError, StripPoint, zeta_from_eta, bridge_denominator
 from etaq.zeros import (RefinementError, ZeroFileError, ZeroRecord, eta_abs, load_zeros,
-                        refine_zero, scan_zeros, scan_and_refine, write_csv)
+                        refine_zero, scan_zeros, write_csv)
 
 FIRST_THREE = (14.134725141734694, 21.022039638771554, 25.010857580145689)
 # Recorded from scan_zeros(0, 30, 0.01) when it called eta_abs point by point.
@@ -148,13 +148,13 @@ class TestScan:
                                   "1.000e-12 at s=(0.5,196.4062) with 201 terms")
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("scan", [scan_zeros, scan_and_refine])
-    def test_grid_past_the_ceiling_rejected_before_any_eta(self, scan, monkeypatch):
+    @pytest.mark.parametrize("tol", [None, 1e-9], ids=["unrefined", "refined"])
+    def test_grid_past_the_ceiling_rejected_before_any_eta(self, tol, monkeypatch):
         calls = []
         monkeypatch.setattr(zeros, "eta_grid", lambda *a: calls.append(a))
         monkeypatch.setattr(zeros, "eta_accel", lambda *a: calls.append(a))
         with pytest.raises(ValueError) as exc:
-            scan(0.0, 900.0, 0.01)
+            scan_zeros(0.0, 900.0, 0.01, tol=tol)
         assert str(exc.value) == ("need 0 < x <= 1e+300 and |y| <= 838.40; "
                                   "got x=0.5, y=900.0")
         assert calls == []
@@ -170,9 +170,9 @@ class TestScan:
 
     def test_records_do_not_depend_on_blas_threads(self):
         # the grid's products run in BLAS, which may split them over threads
-        script = ("from etaq.zeros import scan_and_refine, scan_zeros; "
+        script = ("from etaq.zeros import scan_zeros; "
                   "print(repr([scan_zeros(0.0, 190.0, 0.004), scan_zeros(0.0, 196.0, 0.01), "
-                  "scan_and_refine(0.0, 190.0, 0.004)]))")
+                  "scan_zeros(0.0, 190.0, 0.004, tol=1e-9)]))")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(p for p in (ETAQ_ROOT, env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -180,7 +180,7 @@ class TestScan:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == repr([scan_zeros(0.0, 190.0, 0.004),
                                     scan_zeros(0.0, 196.0, 0.01),
-                                    scan_and_refine(0.0, 190.0, 0.004)]) + "\n"
+                                    scan_zeros(0.0, 190.0, 0.004, tol=1e-9)]) + "\n"
 
     def test_memory_per_point_is_flat(self):
         # peak(N) = slope * N + intercept: one chunk's arrays (its heights,
@@ -236,7 +236,7 @@ class TestRefine:
 
 @pytest.fixture(scope="module")
 def benchmark_candidates():
-    return zeros._scan_hits(*BENCHMARK_GRID, 0.05)
+    return [r.ordinate for r in scan_zeros(*BENCHMARK_GRID)]
 
 
 class TestSecant:
@@ -257,7 +257,7 @@ class TestSecant:
         calls = []
         monkeypatch.setattr(zeros, "eta_accel", lambda *a: calls.append(a) or series.eta_accel(*a))
         monkeypatch.setattr(zeros, "_golden", lambda *a: pytest.fail(f"golden section at {a}"))
-        records = scan_and_refine(*BENCHMARK_GRID)
+        records = scan_zeros(*BENCHMARK_GRID, tol=1e-9)
         assert len(records) == 74
         assert len(calls) <= 7 * len(records)
         assert [p.y for p, in calls if p.y in benchmark_candidates] == []
@@ -299,8 +299,8 @@ class TestSecant:
         assert refine_zero(14.13, 0.05) == ZeroRecord(y, eta_abs(y), True)
 
 
-def test_scan_and_refine_reproduces_published_ordinates():
-    records = scan_and_refine(0.0, 30.0)
+def test_refined_scan_reproduces_published_ordinates():
+    records = scan_zeros(0.0, 30.0, tol=1e-9)
     assert len(records) == 3
     for rec, want in zip(records, FIRST_THREE):
         assert rec.ordinate == pytest.approx(want, abs=1e-5)
