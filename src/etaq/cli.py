@@ -438,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--prefix", type=int, required=True)
     p.add_argument("--iters", type=int, required=True,
-                   help=f"at most {search.MAX_ITERATIONS} (the trace holds about 160 "
-                   "bytes per iteration)")
+                   help=f"at most {search.MAX_ITERATIONS} (the trace holds 9 bytes "
+                   "per iteration)")
     p.add_argument("--x", type=float, default=0.75)
     p.add_argument("--y", type=float, default=3.0, help=HEIGHT_HELP)
     p.add_argument("--n0", type=int, default=200)

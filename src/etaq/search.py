@@ -22,7 +22,7 @@ from ._rng import ALGORITHM_ID, SplitMix64
 from .qset import QOrdering
 from .series import StripPoint, check_term_count, check_tol, eta_accel
 
-MAX_ITERATIONS = 10**6  # the trace holds about 160 bytes per iteration: about 0.16 GB
+MAX_ITERATIONS = 10**6  # the trace holds 9 bytes per iteration: 9 MB
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class SearchConfig:
             raise ValueError("iterations must be >= 1")
         if self.iterations > MAX_ITERATIONS:
             raise ValueError(f"{self.iterations} iterations exceed the cap {MAX_ITERATIONS} "
-                             "(about 160 bytes of trace per iteration)")
+                             "(9 bytes of trace per iteration)")
         if not (self.initial_temperature >= 0.0 and math.isfinite(self.initial_temperature)):
             raise ValueError("t0 (initialTemperature) must be finite and >= 0, "
                              f"got {self.initial_temperature}")
@@ -81,13 +81,6 @@ class SearchConfig:
 class OrderingCandidate:
     permutation: tuple[int, ...]   # the prefix's values of Q, in order
     objective: float
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    iteration: int
-    objective: float
-    accepted: bool
 
 
 class _Replayed(NamedTuple):
@@ -197,15 +190,17 @@ def objective_gap(elements, spec: ObjectiveSpec, *, signs=None, cache=None) -> f
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The best ordering seen and the trace: one read-only record per
+    iteration, of the proposal's `objective` (float64) and whether it was
+    `accepted` (bool), packed in 9 bytes."""
     best: OrderingCandidate
-    trace: tuple[TraceEntry, ...]
+    trace: np.recarray
     config: SearchConfig
 
     def trace_csv(self, fh) -> None:
         _text.write_columns(fh, "iteration,objective,accepted\n",
-                            np.array([e.iteration for e in self.trace], dtype=np.int64),
-                            np.array([e.objective for e in self.trace], dtype=float),
-                            np.array([e.accepted for e in self.trace], dtype=np.int64))
+                            np.arange(1, len(self.trace) + 1), self.trace.objective,
+                            self.trace.accepted)
 
     def best_json(self) -> str:
         return json.dumps({
@@ -234,7 +229,8 @@ def anneal(config: SearchConfig) -> SearchResult:
     Proposal: one swap per iteration (adjacent or random pair); acceptance by
     the standard exponential criterion.  Every evaluation goes through
     `objective_gap` with one `ObjectiveCache`, built for this call, which is
-    told of each accepted state.  Fully deterministic given the seed.
+    told of each accepted state.  The trace, allocated once, records each
+    proposal's objective and acceptance.  Fully deterministic given the seed.
     """
     etas = config.objective.etas()  # before the sieve: an unreachable eta_tol fails first
     values, signs = QOrdering.by_value(config.bound_hint).arrays(config.prefix_length)
@@ -245,8 +241,8 @@ def anneal(config: SearchConfig) -> SearchResult:
     cache.accept()
     best = OrderingCandidate(tuple(values.tolist()), current_obj)
     temperature = config.initial_temperature
-    trace = []
-    for it in range(1, config.iterations + 1):
+    trace = np.recarray(config.iterations, [("objective", float), ("accepted", bool)])
+    for it in range(config.iterations):
         if config.neighborhood == "adjacent-swap":
             i = rng.randrange(config.prefix_length - 1)
             j = i + 1
@@ -267,6 +263,7 @@ def anneal(config: SearchConfig) -> SearchResult:
             current, current_obj = candidate, cand_obj
             if cand_obj < best.objective:
                 best = OrderingCandidate(tuple(values[candidate].tolist()), cand_obj)
-        trace.append(TraceEntry(iteration=it, objective=cand_obj, accepted=accepted))
+        trace[it] = cand_obj, accepted
         temperature *= config.decay
-    return SearchResult(best=best, trace=tuple(trace), config=config)
+    trace.flags.writeable = False
+    return SearchResult(best=best, trace=trace, config=config)

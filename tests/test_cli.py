@@ -705,7 +705,7 @@ def test_every_public_top_level_name_is_used():
     (["search", "--seed", "1", "--prefix", "20", "--iters", "1000000000",
       "--bound", "30000000", "--out-trace", "t.csv", "--out-best", "b.json"],
      f"1000000000 iterations exceed the cap {cli.search.MAX_ITERATIONS} "
-     "(about 160 bytes of trace per iteration)"),
+     "(9 bytes of trace per iteration)"),
     # a height just past series.MAX_HEIGHT, or an x that is not > 0
     (["eta", "0.5", "838.41"], "need 0 < x <= 1e+300 and |y| <= 838.40"),
     (["zeta", "0.5", "-838.41"], "need 0 < x <= 1e+300 and |y| <= 838.40"),

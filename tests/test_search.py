@@ -196,7 +196,7 @@ class TestAnneal:
     def test_trace_determinism(self):
         a = anneal(small_config())
         b = anneal(small_config())
-        assert a.trace == b.trace
+        assert a.trace.tolist() == b.trace.tolist()
         assert a.best.permutation == b.best.permutation
 
     @pytest.mark.parametrize("config, golden", [
@@ -212,7 +212,7 @@ class TestAnneal:
     def test_seed_changes_trace(self):
         a = anneal(small_config(seed=1))
         b = anneal(small_config(seed=2))
-        assert a.trace != b.trace
+        assert a.trace.tolist() != b.trace.tolist()
 
     def test_trace_objectives_recompute_exactly(self, monkeypatch):
         candidates = []
@@ -264,6 +264,9 @@ class TestAnneal:
         lines = trace_file.read_text().splitlines()
         assert lines[0] == "iteration,objective,accepted"
         assert len(lines) == 6
+        assert lines[1:] == ["%d,%.17g,%d" % (i, objective, accepted) for i, (objective, accepted)
+                             in enumerate(result.trace.tolist(), start=1)]
+        assert not result.trace.flags.writeable
         doc = json.loads(result.best_json())
         assert len(doc["permutation"]) == 16
         assert doc["permutation"] == list(result.best.permutation)
@@ -369,6 +372,22 @@ class TestObjectiveCache:
             finally:
                 tracemalloc.stop()
             assert peak <= cache_bytes + max(build, replay) + 160 * _SUM_BLOCK_TERMS, n0
+
+    def test_anneal_trace_holds_at_most_16_bytes_per_iteration(self):
+        # the records are 9 bytes each; the rest of what anneal keeps does
+        # not grow with the iteration count
+        def retained(iterations):
+            cfg = SearchConfig(seed=1, prefix_length=8, iterations=iterations,
+                               objective=small_spec(h_max=4, n_window=(200, 400)))
+            tracemalloc.start()
+            try:
+                result = anneal(cfg)
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        retained(1)  # anything cached on first use
+        assert retained(4000) - retained(2000) <= 16 * 2000
 
 
 def test_candidate_type():
