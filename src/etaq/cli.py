@@ -15,9 +15,11 @@ written, an empty one, or two outputs (sidecars counted) that name one file
 fail at once; ``gap`` and ``search`` evaluate eta before they sieve Q, so an
 ``--eta-tol`` it cannot reach fails before the sieve.
 
-Exit codes: 0 success, 1 check failure, 2 usage, precondition or output error,
-141 (128 + SIGPIPE, as a shell reports for a command stopped by a closed pipe)
-when the reader of stdout closes it early; nothing is printed then.
+Exit codes: 0 success, 1 check failure, 2 usage, precondition or output error
+(every library failure is a ValueError, or an OSError on an output path, and
+prints one line), 141 (128 + SIGPIPE, as a shell reports for a command stopped
+by a closed pipe) when the reader of stdout closes it early; nothing is
+printed then.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from . import __version__, _rng, limits, search, series, zeros
 from . import qset
 from .qset import QOrdering
-from .series import AccelerationError, StripPoint, eta_accel, geom_closed, zeta_from_eta
+from .series import StripPoint, eta_accel, geom_closed, zeta_from_eta
 
 METHOD_IDS = (series.ACCEL_METHOD_ID, series.AVERAGED_METHOD_ID, f"rng:{_rng.ALGORITHM_ID}",
               f"tail:iterated-averaging-{series.TAIL_LEVELS}")
@@ -160,14 +162,11 @@ def _grid_points():
             StripPoint(0.75, 3.0), StripPoint(2.0, 0.0), StripPoint(3.0, 1.0)]
 
 
-def run_verify(k_max: int, budget: int, inject_fault: str | None) -> list[CheckResult]:
+def run_verify(k_max: int, budget: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
 
     def record(name: str, residual: float, threshold: float, detail: str):
         residual = float(residual)
-        if inject_fault == name:
-            residual = max(threshold * 1e6, 1.0)
-            detail += " [fault injected]"
         checks.append(CheckResult(name, bool(residual <= threshold),
                                   f"residual {residual:.3e} <= {threshold:.1e}? {detail}"))
 
@@ -278,7 +277,7 @@ def cmd_verify(args) -> int:
     if args.k_max < 1:
         raise ValueError(f"--k-max {args.k_max} must be >= 1")
     t0 = time.perf_counter()
-    checks = run_verify(args.k_max, args.budget, args.inject_fault)
+    checks = run_verify(args.k_max, args.budget)
     for c in checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
     elapsed = time.perf_counter() - t0
@@ -377,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=20_000)
     p.add_argument("--budget", type=int, default=1_000_000, help=TERMS_HELP)
     p.add_argument("--json", help="write machine-readable summary here")
-    p.add_argument("--inject-fault", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     zeta_reach = f"{REACH_HELP}; zeta accepts an error up to tol x max(1, |zeta|)"
@@ -473,7 +471,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError):  # a stdout without a file descriptor
             pass
         return EXIT_BROKEN_PIPE
-    except (AccelerationError, ValueError, zeros.RefinementError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

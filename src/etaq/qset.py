@@ -26,10 +26,6 @@ from ._rng import ALGORITHM_ID, SplitMix64
 MAX_ENUM_BOUND = 10**8
 
 
-class EnumerationShortfallError(ValueError):
-    """An ordering was asked for more elements than its bound can produce."""
-
-
 class OddSquarefree(NamedTuple):
     """An element of Q as an element view: its value and its sign."""
 
@@ -61,7 +57,7 @@ def odd_factor_counts(bound: int) -> tuple[np.ndarray, np.ndarray]:
     more factor.
     """
     if bound < 0:
-        raise ValueError("bound must be >= 0")
+        raise ValueError(f"the Q bound {bound} must be >= 0")
     if bound > MAX_ENUM_BOUND:
         raise ValueError(f"bound {bound} exceeds the cap {MAX_ENUM_BOUND} "
                          "(the sieve needs about 5 bytes per unit of bound)")
@@ -201,7 +197,7 @@ class QOrdering:
             return np.lexsort((values, counts))
         if self.strategy == "seeded-shuffle":
             if self.prefix_length > len(values):
-                raise EnumerationShortfallError(
+                raise ValueError(
                     f"shuffle prefix {self.prefix_length} exceeds the {len(values)} "
                     f"elements of Q: raise the Q bound above {self.bound_hint}")
             head = list(range(self.prefix_length))
@@ -219,7 +215,7 @@ class QOrdering:
         if order is not None:
             values, signs = values[order[:h]], signs[order[:h]]
         if h is not None and h > len(values):
-            raise EnumerationShortfallError(
+            raise ValueError(
                 f"ordering {self.descriptor()} yields only {len(values)} elements, "
                 f"{h} requested: raise the Q bound above {self.bound_hint}")
         return values[:h], signs[:h]

@@ -58,15 +58,7 @@ TAIL_WINDOW = 64
 TAIL_LEVELS = 3
 
 
-class PoleError(ValueError):
-    """Evaluation requested at the simple pole s = 1."""
-
-
-class SingularDenominatorError(ValueError):
-    """The bridge denominator 1 - 2^(1-s) vanishes at this point."""
-
-
-class AccelerationError(RuntimeError):
+class AccelerationError(ValueError):
     """Requested tolerance unreachable; carries the best result achieved."""
 
     def __init__(self, message: str, result: "SeriesResult"):
@@ -420,12 +412,11 @@ def zeta_from_eta(p: StripPoint, target_tol: float = 1e-12) -> SeriesResult:
     target_tol * max(1, |zeta|), else AccelerationError.
     """
     if p.x == 1.0 and p.y == 0.0:
-        raise PoleError("pole at z=1 (zeta has a simple pole at s = 1)")
+        raise ValueError("pole at z=1 (zeta has a simple pole at s = 1)")
     denom = bridge_denominator(p)
     if abs(denom) < 1e-9:
-        raise SingularDenominatorError(
-            f"1 - 2^(1-s) vanishes near s=({p.x},{p.y}) "
-            "(x = 1 with y a multiple of 2*pi/ln 2)")
+        raise ValueError(f"1 - 2^(1-s) vanishes near s=({p.x},{p.y}) "
+                         "(x = 1 with y a multiple of 2*pi/ln 2)")
     try:
         eta = eta_accel(p, target_tol * abs(denom))
     except AccelerationError as exc:  # near the pole: judged against |zeta| below

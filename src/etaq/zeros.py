@@ -33,11 +33,7 @@ _SECANT_STEPS = 20  # a candidate not converged after this many falls back to go
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class ZeroFileError(ValueError):
-    """Malformed or inconsistent zero-ordinate file."""
-
-
-class RefinementError(RuntimeError):
+class RefinementError(ValueError):
     """Refinement could not reach the requested residual; carries the best
     ordinate/residual achieved."""
 
@@ -66,7 +62,7 @@ def load_zeros(path) -> list[ZeroRecord]:
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
-        raise ZeroFileError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     ordinates: list[float] = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
@@ -75,12 +71,12 @@ def load_zeros(path) -> list[ZeroRecord]:
         try:
             y = float(text)
         except ValueError:
-            raise ZeroFileError(f"{path}:{lineno}: not a decimal ordinate: {text!r}")
+            raise ValueError(f"{path}:{lineno}: not a decimal ordinate: {text!r}")
         if not 0.0 < y <= MAX_HEIGHT:
-            raise ZeroFileError(f"{path}:{lineno}: ordinate {y} not in (0, {MAX_HEIGHT:.2f}]")
+            raise ValueError(f"{path}:{lineno}: ordinate {y} not in (0, {MAX_HEIGHT:.2f}]")
         if ordinates and y <= ordinates[-1]:
-            raise ZeroFileError(f"{path}:{lineno}: ordinates must be strictly "
-                                f"ascending ({y} after {ordinates[-1]})")
+            raise ValueError(f"{path}:{lineno}: ordinates must be strictly "
+                             f"ascending ({y} after {ordinates[-1]})")
         if ordinates and y - ordinates[-1] < DEDUP_SPACING:
             continue
         ordinates.append(y)

@@ -199,7 +199,7 @@ def test_c10_determinism_and_verify_runtime(tmp_path, run_cli):
     assert m1 == m2
 
     t0 = time.monotonic()
-    checks = run_verify(k_max=100_000, budget=10**6, inject_fault=None)
+    checks = run_verify(k_max=100_000, budget=10**6)
     elapsed = time.monotonic() - t0
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
     assert elapsed <= 300.0

@@ -1,5 +1,7 @@
 import argparse
 import ast
+import builtins
+import importlib
 import io
 import json
 import os
@@ -584,6 +586,11 @@ def test_closed_pipe_exits_quietly(tmp_path):
     assert err == b""
 
 
+def failed_lines(out: str) -> list[str]:
+    """The `[FAIL] <name>` heads of verify's failed-check lines."""
+    return [l.split(":")[0] for l in out.splitlines() if l.startswith("[FAIL]")]
+
+
 class TestVerify:
     def test_small_budget_passes(self, tmp_path, capsys):
         summary = tmp_path / "verify.json"
@@ -595,15 +602,27 @@ class TestVerify:
         assert doc["allPassed"]
         assert out.count("[PASS]") == len(doc["checks"])
 
-    def test_fault_injection_exits_one_naming_check(self, capsys):
-        rc = main(["verify", "--k-max", "500", "--budget", "1000000",
-                   "--inject-fault", "geom-algebra"])
+    def test_fault_injection_exits_one_naming_check(self, monkeypatch, capsys):
+        # geom off by 1e-11 relative: far past geom-algebra's 1e-13, while
+        # |geom| only grows and the 2^(-Lx) decay stays above 1e-8
+        geom_closed = series.geom_closed
+        monkeypatch.setattr(cli, "geom_closed", lambda p: geom_closed(p) * (1.0 + 1e-11))
+        rc = main(["verify", "--k-max", "500", "--budget", "1000000"])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "FAIL] geom-algebra" in captured.out
-        assert "FAILED: geom-algebra" in captured.err
+        assert failed_lines(captured.out) == ["[FAIL] geom-algebra"]
+        assert captured.err == "FAILED: geom-algebra\n"
 
-    def test_truncation_gate_follows_the_budget(self, capsys):
+    def test_removed_fault_flag_exits_two(self, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(cli, "run_verify", lambda *a: ran.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--k-max", "10", "--budget", "1000", "--inject-fault", "x"])
+        assert exc.value.code == 2
+        assert ran == []
+        assert "unrecognized arguments: --inject-fault x" in capsys.readouterr().err
+
+    def test_truncation_gate_follows_the_budget(self, monkeypatch, capsys):
         # the direct residual is about 3.4 N^(-1/2) at (0.5, 0): 0.107 at N = 1000
         assert main(["verify", "--k-max", "10", "--budget", "1000"]) == 0
         line = next(l for l in capsys.readouterr().out.splitlines()
@@ -611,14 +630,19 @@ class TestVerify:
         assert line.startswith("[PASS]") and line.endswith("<= 1.0e+00? same identity, "
                                                            "truncation paths at budget 1000 "
                                                            "within tail estimate")
-        assert main(["verify", "--k-max", "10", "--budget", "1000",
-                     "--inject-fault", "contradiction-identity-direct"]) == 1
-        assert "FAILED: contradiction-identity-direct" in capsys.readouterr().err
+        # the same identity with the direct B off by 1: about 8 tail estimates at (0.5, 0)
+        limit_B = limits.limit_B
+        monkeypatch.setattr(limits, "limit_B", lambda p, budget: limits.BEstimate(
+            limit_B(p, budget).direct + 1.0, budget))
+        assert main(["verify", "--k-max", "10", "--budget", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert failed_lines(captured.out) == ["[FAIL] contradiction-identity-direct"]
+        assert captured.err == "FAILED: contradiction-identity-direct\n"
 
     def test_f_check_counts_every_k_up_to_k_max(self, monkeypatch):
         f_closed = qset.f_closed
         monkeypatch.setattr(qset, "f_closed", lambda k: f_closed(k) - (k == 105))
-        checks = {c.name: c for c in cli.run_verify(120, 100_000, None)}
+        checks = {c.name: c for c in cli.run_verify(120, 100_000)}
         assert not checks["f-closed-vs-bruteforce"].passed
         assert checks["f-closed-vs-bruteforce"].detail.endswith("1 mismatches over k <= 120")
 
@@ -652,6 +676,28 @@ def test_every_public_top_level_name_is_used():
     for path in (Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"):
         used |= _used_names(ast.parse(path.read_text()))
     assert sorted(f"{defined[name]}: {name}" for name in defined.keys() - used) == []
+
+
+def test_every_library_failure_is_a_value_error():
+    """`main` turns a ValueError or an OSError into exit 2 and one line, so
+    each exception class the package defines derives from ValueError, and
+    each `raise` in it names ValueError, one of those classes, or an
+    OSError subclass."""
+    classes, raised = {}, []
+    for path in sorted((Path(ETAQ_ROOT) / "etaq").glob("*.py")):
+        name = "etaq" if path.stem == "__init__" else f"etaq.{path.stem}"
+        module = importlib.import_module(name)
+        classes |= {k: v for k, v in vars(module).items() if isinstance(v, type)
+                    and issubclass(v, Exception) and v.__module__ == name}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.append((f"{path.name}:{node.lineno}", getattr(exc, "id", None)))
+    assert sorted(classes) == ["AccelerationError", "RefinementError"]
+    assert [k for k, v in classes.items() if not issubclass(v, ValueError)] == []
+    known = {**vars(builtins), **classes}
+    assert [(where, exc) for where, exc in raised
+            if not issubclass(known.get(exc, type(None)), (ValueError, OSError))] == []
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -766,4 +812,17 @@ def test_bad_input_rejected_before_any_work(argv, name, cli_error, tmp_path, mon
     monkeypatch.setattr(zeros, "eta_grid", lambda *a: work.append(a))
     assert name in cli_error(argv)
     assert work == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--x", "2", "--y", "0", "--q-bound", "-1", "--budget", "10", "--out", "g.json"],
+    ["surface", "--x", "0.5", "--y", "0", "--n", "1:5", "--h", "1:2", "--bound", "-1",
+     "--out", "s.csv"],
+    ["search", "--seed", "1", "--prefix", "4", "--iters", "1", "--h-max", "2",
+     "--bound", "-1", "--out-trace", "t.csv", "--out-best", "b.json"],
+], ids=["gap", "surface", "search"])
+def test_negative_q_bound_names_the_q_bound(argv, cli_error, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_error(argv) == "the Q bound -1 must be >= 0"
     assert list(tmp_path.iterdir()) == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaq.qset import (MAX_ENUM_BOUND, EnumerationShortfallError, OddSquarefree,
+from etaq.qset import (MAX_ENUM_BOUND, OddSquarefree,
                        QOrdering, f_bruteforce, f_closed, f_kh, f_kh_fast,
                        is_gamma, odd_factor_counts, odd_prime_factors,
                        odd_squarefree_divisors, q_arrays, sieve_primes)
@@ -149,7 +149,7 @@ class TestFkh:
         assert f_kh(15, ordering, 6) == -1   # ... then +1 from q6=15
 
     def test_shortfall_signals_configuration_error(self):
-        with pytest.raises(EnumerationShortfallError):
+        with pytest.raises(ValueError, match="yields only 3 elements, 100 requested"):
             f_kh(15, QOrdering.by_value(10), 100)
 
     def test_stabilizes_to_f_closed(self):

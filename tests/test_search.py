@@ -183,7 +183,7 @@ class TestObjective:
 
     def test_h_max_exceeding_prefix_rejected(self):
         values, signs = QOrdering.by_value(100).arrays(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="hMax 10 exceeds prefix length 4"):
             objective_gap(values, small_spec(h_max=10), signs=signs)
 
 

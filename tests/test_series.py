@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import needs_avx512, run_without_avx512
 from etaq import series
 from etaq.series import (_SUM_BLOCK_TERMS, MAX_HEIGHT, MAX_TERMS, MAX_X,
-                         AccelerationError, PoleError, SingularDenominatorError, StripPoint,
+                         AccelerationError, StripPoint,
                          bridge_denominator, direct_sums, eta_accel, eta_grid,
                          eta_averaged, gamma_partial, geom_closed, shifted_sums,
                          shifted_sums_oracle, subseries_q, term_ab, term_arrays, zeta_from_eta)
@@ -593,13 +593,13 @@ class TestZetaBridge:
             -1.4603545088, abs=1e-8)
 
     def test_pole_rejected(self):
-        with pytest.raises(PoleError) as exc:
+        with pytest.raises(ValueError) as exc:
             zeta_from_eta(StripPoint(1.0, 0.0))
         assert str(exc.value) == "pole at z=1 (zeta has a simple pole at s = 1)"
 
     def test_singular_denominator_rejected(self):
         y = 2.0 * math.pi / math.log(2.0)
-        with pytest.raises(SingularDenominatorError):
+        with pytest.raises(ValueError, match=r"^1 - 2\^\(1-s\) vanishes near s=\(1\.0,"):
             zeta_from_eta(StripPoint(1.0, y))
 
     @pytest.mark.parametrize("x, y", [(0.999, 0.0), (1.0, 0.001), (2.0, 0.0),
