@@ -27,6 +27,7 @@ from .qset import QOrdering
 from .series import StripPoint
 
 A_SPREAD_TOL = 1e-9  # largest last-quarter spread of a converged A
+A_CHUNK = 2**14  # elements per chunk of `limit_A_series`' prefix sums
 MAX_CELLS = 10**7  # a surface holds 16 bytes per (n, h) cell: about 0.16 GB
 
 
@@ -146,10 +147,24 @@ def limit_A_series(p: StripPoint, values, signs, eta: complex) -> np.ndarray:
 
     Each equals the conjugate of `eta`, the value of eta(s), times the
     signed prefix sum of q_i^(-s) (the odd subseries closed form).
+
+    The sums run over chunks of A_CHUNK elements, each chunk's first term
+    carrying the previous chunk's last partial sum: the same additions, in
+    the same order, as one cumsum.  So the result's 16 bytes per element
+    and one chunk's temporaries are all it holds.
     """
-    # One expression: the terms are freed once summed, and numpy multiplies
-    # a large temporary by eta in place, so this holds two arrays at most.
-    return np.conj(np.cumsum(odd_terms(p, values, signs)) * eta)
+    a = np.empty(len(values), dtype=complex)
+    last = 0j
+    for lo in range(0, len(values), A_CHUNK):
+        chunk = odd_terms(p, values[lo:lo + A_CHUNK], signs[lo:lo + A_CHUNK])
+        if lo:
+            chunk[0] += last
+        np.cumsum(chunk, out=chunk)
+        last = chunk[-1]
+        # a product, not `chunk *= eta`: numpy's in-place complex multiply
+        # can differ from it in the last bits
+        np.conj(chunk * eta, out=a[lo:lo + A_CHUNK])
+    return a
 
 
 def odd_terms(p: StripPoint, values, signs) -> np.ndarray:

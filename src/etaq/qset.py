@@ -59,7 +59,7 @@ def odd_factor_counts(bound: int) -> tuple[np.ndarray, np.ndarray]:
     if bound < 0:
         raise ValueError(f"the Q bound {bound} must be >= 0")
     if bound > MAX_ENUM_BOUND:
-        raise ValueError(f"bound {bound} exceeds the cap {MAX_ENUM_BOUND} "
+        raise ValueError(f"the Q bound {bound} exceeds the cap {MAX_ENUM_BOUND} "
                          "(the sieve needs about 5 bytes per unit of bound)")
     n = (bound + 1) // 2
     rest = np.arange(1, 2 * n, 2, dtype=np.int32)

@@ -5,14 +5,16 @@ the power-of-two geometric sum and its closed form.
 
 Numerics are binary64 throughout.  Direct sums take their terms from one
 block builder, `term_blocks`, and stream them block by block into one exact
-summation kernel, `_block_sum`, so they hold a few blocks of work memory
-whatever the term count.  It sums each block exactly into a Python int by
-error-free extraction onto grids (Rump, Ogita and Oishi, "Accurate
-floating-point summation part I: faithful rounding", SIAM J. Sci. Comput.
-31(1), 2008), rounded once to math.fsum's float; a non-finite or huge term
-is rejected.  One iterated tail-averaging routine serves
-conditionally convergent tails; the accelerated evaluator uses
-Chebyshev-derived weights (Cohen, Rodriguez Villegas, Zagier style).
+summation kernel, `_block_sum`.  A sum of two blocks or more runs as two
+halves of its blocks, the second on a worker thread, so it holds the work
+memory of two block sets whatever the term count.  The kernel sums each
+block exactly into a Python int by error-free extraction onto grids (Rump,
+Ogita and Oishi, "Accurate floating-point summation part I: faithful
+rounding", SIAM J. Sci. Comput. 31(1), 2008); the halves' ints add exactly
+and are rounded once to math.fsum's float, so the bits do not depend on the
+split.  A non-finite or huge term is rejected.  One iterated tail-averaging
+routine serves conditionally convergent tails; the accelerated evaluator
+uses Chebyshev-derived weights (Cohen, Rodriguez Villegas, Zagier style).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -118,13 +121,14 @@ def check_tol(tol: float, name: str = "targetTol") -> None:
         raise ValueError(f"{name} must be finite and > 0, got {tol}")
 
 
-def term_blocks(p: StripPoint, n: int, step: int = 1, shift: float = 1.0):
+def term_blocks(p: StripPoint, n: int, step: int = 1, shift: float = 1.0, first: int = 0):
     """The one place terms are computed.  Yields (lo, a, b): the terms
     (a_k, b_k) at positions lo .. lo + len(a) - 1, that is at
     k = (lo + 1) step, (lo + 2) step, ..., up to n step, _SUM_BLOCK_TERMS
-    at a time.  Each has the sign (-1)^(k-1) from k's parity, amplitude
-    k^(-x) and angle y (ln shift + ln k), with ln k taken of k as float64,
-    exact while step * n < 2^53.
+    at a time, from block `first` (position first * _SUM_BLOCK_TERMS) on.
+    Each has the sign (-1)^(k-1) from k's parity, amplitude k^(-x) and
+    angle y (ln shift + ln k), with ln k taken of k as float64, exact while
+    step * n < 2^53.  A term's bits do not depend on n or `first`.
 
     a and b are buffers reused from block to block: the caller may edit
     them in place, and copies what must outlive the next block.  The count
@@ -135,7 +139,7 @@ def term_blocks(p: StripPoint, n: int, step: int = 1, shift: float = 1.0):
     k = np.arange(step, step * (size + 1), step, dtype=np.float64)
     a_buf, b_buf, amp_buf = np.empty((3, size))
     log_shift = math.log(shift)
-    for lo in range(0, n, _SUM_BLOCK_TERMS):
+    for lo in range(first * _SUM_BLOCK_TERMS, n, _SUM_BLOCK_TERMS):
         m = min(size, n - lo)
         a, angle, amp = a_buf[:m], b_buf[:m], amp_buf[:m]
         np.add(k[:m], lo * step, out=angle)
@@ -147,9 +151,12 @@ def term_blocks(p: StripPoint, n: int, step: int = 1, shift: float = 1.0):
         np.negative(even, out=even)
         angle += log_shift
         angle *= p.y
-        np.cos(angle, out=a)
-        a *= amp
-        np.sin(angle, out=angle)
+        if p.y:
+            np.cos(angle, out=a)
+            a *= amp
+            np.sin(angle, out=angle)
+        else:  # every angle is +-0: cos is exactly 1 and sin the angle itself
+            a = amp
         angle *= amp
         yield lo, a, angle
 
@@ -166,9 +173,10 @@ def term_arrays(p: StripPoint, n: int, step: int = 1, shift: float = 1.0) -> np.
     return terms
 
 
-def _block_sum(x: np.ndarray) -> int:
+def _block_sum(x: np.ndarray, work: np.ndarray) -> int:
     """The exact sum of at most _SUM_BLOCK_TERMS terms as a Python int in
-    units of 2^-1074.  Raises ValueError for a term not below
+    units of 2^-1074, with `work` a (2, len(x)) or larger scratch array; x
+    is left as it is.  Raises ValueError for a term not below
     2^_EXACT_MAX_EXP in modulus (NaN, inf, or one that could overflow).
 
     Each level rounds the remainder r to q on the grid 2^g, with g the
@@ -176,8 +184,8 @@ def _block_sum(x: np.ndarray) -> int:
     both exactly.  So each q is at most 2^_LEVEL_BITS grid units, and
     np.sum adds a block of them exactly in any order.
     """
-    r = np.array(x, dtype=np.float64)
-    q = np.empty_like(r)
+    r, q = work[:, :len(x)]
+    np.copyto(r, x)
     total = 0
     while True:
         np.abs(r, out=q)
@@ -204,6 +212,30 @@ def _fsum_float(total: int, negative: bool) -> float:
     return total / (1 << 1074)  # rounded correctly by Python
 
 
+def _sum_blocks(blocks, head: int, prepare, tails: np.ndarray,
+                work: np.ndarray) -> tuple[list, list]:
+    """One half of `direct_sums`: `prepare` and `_block_sum`, with the
+    scratch array `work`, over the (lo, a, b) `blocks`, the terms at
+    positions from `head` on copied into their place in `tails`.  Returns
+    the exact sums of a's and of b's head terms, and for each whether every
+    one of them has its sign bit set."""
+    totals = [0, 0]
+    negative = [True, True]
+    for lo, a, b in blocks:
+        if prepare is not None:
+            prepare(lo, a, b)
+        cut = min(max(head - lo, 0), len(a))  # how many of its terms are head terms
+        for i, x in enumerate((a, b)):
+            if cut:
+                total = _block_sum(x[:cut], work)
+                totals[i] += total
+                # a nonzero sum already rules out every term being -0.0
+                negative[i] = negative[i] and not total and bool(np.signbit(x[:cut]).all())
+            if cut < len(x):
+                tails[i, lo + cut - head:lo + len(x) - head] = x[cut:]
+    return totals, negative
+
+
 def direct_sums(p: StripPoint, n: int, step: int = 1, shift: float = 1.0, window: int = 0,
                 prepare=None) -> tuple[float, float, np.ndarray, np.ndarray]:
     """The terms of `term_blocks` streamed through `_block_sum`.
@@ -211,25 +243,50 @@ def direct_sums(p: StripPoint, n: int, step: int = 1, shift: float = 1.0, window
     `prepare(lo, a, b)`, when given, first edits each block in place.
     Returns the sums of a and of b over the first n - window terms, each
     math.fsum's float bit for bit, and copies of the last `window` terms of
-    a and of b (all n when window > n).  The work memory is a few blocks,
-    whatever n.  With |y| <= MAX_HEIGHT every term is at most 1 in modulus;
-    `_block_sum` rejects a term that `prepare` makes NaN, inf or huge.
+    a and of b (all n when window > n).  With |y| <= MAX_HEIGHT every term
+    is at most 1 in modulus; `_block_sum` rejects a term that `prepare`
+    makes NaN, inf or huge.
+
+    A sum of two blocks or more runs as two halves of its blocks: the
+    calling thread sums the first, and a worker thread, joined before this
+    returns, the second, each with its own block set, so the work memory
+    is two block sets whatever n.  `prepare` must therefore only edit the
+    block it is given.  The halves' exact ints add exactly, so the bits do
+    not depend on the split; an error in either half is raised here as a
+    ValueError with its message.
     """
     check_term_count(n)
     head = n - min(window, n)
-    totals = [0, 0]
-    negative = [head > 0] * 2  # every head term so far has its sign bit set
     tails = np.empty((2, n - head))
-    for lo, a, b in term_blocks(p, n, step, shift):
-        if prepare is not None:
-            prepare(lo, a, b)
-        cut = min(max(head - lo, 0), len(a))  # how many of its terms are head terms
-        for i, x in enumerate((a, b)):
-            if cut:
-                totals[i] += _block_sum(x[:cut])
-                negative[i] = negative[i] and bool(np.signbit(x[:cut]).all())
-            if cut < len(x):
-                tails[i, lo + cut - head:lo + len(x) - head] = x[cut:]
+
+    def half(first: int, stop: int):
+        return _sum_blocks(term_blocks(p, stop, step, shift, first), head, prepare, tails,
+                           np.empty((2, min(n, _SUM_BLOCK_TERMS))))
+
+    blocks = -(-n // _SUM_BLOCK_TERMS)
+    if blocks < 2:
+        halves = [half(0, n)]
+    else:
+        mid = blocks // 2
+        second = []
+
+        def run_second():
+            try:
+                second.append(half(mid, n))
+            except Exception as exc:  # raised in the calling thread
+                second.append(exc)
+
+        worker = threading.Thread(target=run_second)
+        worker.start()
+        try:
+            halves = [half(0, mid * _SUM_BLOCK_TERMS)]
+        finally:
+            worker.join()
+        if isinstance(second[0], Exception):
+            raise ValueError(str(second[0])) from second[0]
+        halves += second
+    totals = [sum(t) for t in zip(*(h[0] for h in halves))]
+    negative = [head > 0 and all(g) for g in zip(*(h[1] for h in halves))]
     return (*map(_fsum_float, totals, negative), *tails)
 
 

@@ -569,6 +569,21 @@ def test_q_shortfall_names_the_q_bound(argv, message, cli_error, tmp_path, monke
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap", "--x", "2", "--y", "0", "--q-bound", "200000000", "--budget", "10",
+     "--out", "g.json"],
+    ["surface", "--x", "0.5", "--y", "0", "--n", "1:5", "--h", "1:2", "--bound", "200000000",
+     "--out", "s.csv"],
+    ["search", "--seed", "1", "--prefix", "8", "--iters", "1", "--h-max", "2",
+     "--bound", "200000000", "--out-trace", "t.csv", "--out-best", "b.json"],
+], ids=["gap", "surface", "search"])
+def test_q_bound_past_the_cap_names_the_q_bound(argv, cli_error, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_error(argv) == ("the Q bound 200000000 exceeds the cap 100000000 "
+                               "(the sieve needs about 5 bytes per unit of bound)")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_closed_pipe_exits_quietly(tmp_path):
     """A reader that closes stdout after one line stops the command with
     exit code 141 and nothing on stderr."""

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from etaq import qset, series
-from etaq.limits import (A_SPREAD_TOL, SumSurface, b_oracle, c_s_naive, c_s_running,
-                         c_s_surface, commutativity_gap, limit_A_series, limit_B,
-                         rh_contradiction_check)
+from etaq.limits import (A_CHUNK, A_SPREAD_TOL, SumSurface, b_oracle, c_s_naive,
+                         c_s_running, c_s_surface, commutativity_gap, limit_A_series,
+                         limit_B, odd_terms, rh_contradiction_check)
 from etaq.qset import OddSquarefree, QOrdering
 from etaq.series import (_SUM_BLOCK_TERMS, MAX_TERMS, StripPoint,
                           eta_accel, geom_closed, term_arrays)
@@ -234,6 +234,15 @@ class TestLimitA:
         for got, ref in zip((a.real, a.imag), (ref_cos, ref_sin)):
             ref = np.array(ref)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("p", [StripPoint(2.0, 0.0), FIRST_ZERO])
+    @pytest.mark.parametrize("h", [1, A_CHUNK - 1, A_CHUNK, A_CHUNK + 1, 3 * A_CHUNK + 5,
+                                   121_584])
+    def test_chunks_keep_the_bits_of_one_cumsum(self, p, h):
+        values, signs = QOrdering.by_value(300_000).arrays(h)
+        eta = eta_accel(p).value
+        whole = np.conj(np.cumsum(odd_terms(p, values, signs)) * eta)
+        assert limit_A_series(p, values, signs, eta).tobytes() == whole.tobytes()
 
 
 B = _SUM_BLOCK_TERMS
@@ -495,9 +504,9 @@ def test_limit_B_peak_memory_is_the_term_builders():
         assert peak <= 160 * _SUM_BLOCK_TERMS, budget
 
 
-def test_limit_A_series_peak_memory_is_two_complex_arrays():
-    # the A terms are freed once summed and the sums are multiplied by eta
-    # in place, so at most two complex arrays are alive at once
+def test_limit_A_series_peak_memory_is_the_result_and_a_chunk():
+    # the 16-byte complex result, plus a few complex temporaries of one chunk
+    # of A_CHUNK elements, whatever the prefix length
     n = 2**20
     values = np.arange(3, 2 * n + 3, 2)
     signs = np.ones(n, dtype=np.int8)
@@ -510,7 +519,7 @@ def test_limit_A_series_peak_memory_is_two_complex_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * n + 2**16
+    assert peak <= 16 * n + 64 * A_CHUNK
 
 
 def test_gap_builds_no_element_views(monkeypatch):

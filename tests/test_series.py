@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import re
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -11,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import needs_avx512, run_without_avx512
-from etaq import series
+from etaq import limits, series
 from etaq.series import (_SUM_BLOCK_TERMS, MAX_HEIGHT, MAX_TERMS, MAX_X,
                          AccelerationError, StripPoint,
                          bridge_denominator, direct_sums, eta_accel, eta_grid,
                          eta_averaged, gamma_partial, geom_closed, shifted_sums,
                          shifted_sums_oracle, subseries_q, term_ab, term_arrays, zeta_from_eta)
+from etaq.limits import limit_B
 
 # evaluated with an independent high-precision calculator before building
 A3_B3_AT_NEAR_ZERO = (-0.56808634198281059, 0.10301087993956033)
@@ -144,12 +146,16 @@ class TestTermAB:
             assert terms[k - 1].imag == pytest.approx(sb, abs=1e-15)
 
     @pytest.mark.parametrize("p", [StripPoint(0.7, 9.3), StripPoint(2.0, 0.0),
-                                   StripPoint(2.0, -0.0)])
+                                   StripPoint(2.0, -0.0), StripPoint(0.5, 0.0),
+                                   StripPoint(MAX_X, 0.0), StripPoint(MAX_X, -0.0)])
     @pytest.mark.parametrize("step", [1, 2, 15])
     @pytest.mark.parametrize("n", [0, 1, 999, 1000, *BLOCK_EDGES[1:]])
-    @pytest.mark.parametrize("shift", [1.0, math.e])
+    @pytest.mark.parametrize("shift", [0.3, 1.0, math.e, 7.0])
     def test_arrays_match_parity_mask_construction(self, p, step, n, shift):
-        # the builder as it was: int64 k and a k % 2 == 0 mask for the signs
+        # the builder as it was: int64 k and a k % 2 == 0 mask for the signs,
+        # and cos and sin at every y; at y = +-0 the builder calls neither,
+        # which keeps these bits for amplitudes of 0 and -0.0 (x = MAX_X) and
+        # angles of both signs (shift 0.3)
         k = np.arange(step, step * n + 1, step)
         angle = np.log(k)
         amp = np.exp(-p.x * angle)
@@ -273,6 +279,12 @@ class TestExactSum:
         ALL_LEVELS, ALL_LEVELS * (-1.0) ** np.arange(len(ALL_LEVELS)),
         np.concatenate([FULL_LEVEL, -FULL_LEVEL[1:]]),
         *(spread_terms(np.random.default_rng(n), n) for n in (B - 1, B, B + 1)),
+        # zeros and cancellation across the two halves of the blocks
+        -np.zeros(3 * B + 5), np.concatenate([-np.zeros(2 * B), [0.0], -np.zeros(B + 4)]),
+        np.concatenate([[0.0], -np.zeros(3 * B + 4)]),
+        np.concatenate([np.ones(2 * B), -np.ones(2 * B)]),
+        np.concatenate([-np.ones(2 * B), np.ones(2 * B)]),
+        np.concatenate([np.full(B, 0.5), -np.ones(B // 2), -np.zeros(B + 3)]),
     ])
     def test_edge_cases(self, x):
         assert_fsum_bits(x)
@@ -412,6 +424,92 @@ class TestDirectSums:
     def test_partial_eta_sum_shrinks_near_zero(self):
         p = StripPoint(0.5, 14.1347251417)
         assert abs(partial_eta(p, 10**6)) <= 1e-2
+
+
+def split_at(n: int) -> int:
+    """The first position of `direct_sums`' second half (0 if it has none)."""
+    return -(-n // B) // 2 * B
+
+
+def one_thread_sums(p, n, step=1, shift=1.0, window=0, prepare=None):
+    """`direct_sums` as one thread would run it: every block of one
+    `term_blocks` through `_block_sum` in order."""
+    head = n - min(window, n)
+    work = np.empty((2, B))
+    totals, negative, tails = [0, 0], [head > 0] * 2, ([], [])
+    for lo, a, b in series.term_blocks(p, n, step, shift):
+        if prepare is not None:
+            prepare(lo, a, b)
+        cut = min(max(head - lo, 0), len(a))
+        for i, x in enumerate((a, b)):
+            if cut:
+                totals[i] += series._block_sum(x[:cut], work)
+                negative[i] = negative[i] and bool(np.signbit(x[:cut]).all())
+            tails[i].append(x[cut:].copy())
+    return (*map(series._fsum_float, totals, negative),
+            *(np.concatenate(t) if t else np.empty(0) for t in tails))
+
+
+def assert_same_sums(got, want):
+    assert [x.hex() for x in got[:2]] == [x.hex() for x in want[:2]]
+    assert [t.tobytes() for t in got[2:]] == [t.tobytes() for t in want[2:]]
+
+
+class TestSplitSums:
+    """The two halves of `direct_sums` against one thread's sums."""
+
+    @pytest.mark.parametrize("p", [FIRST_ZERO, StripPoint(2.0, 0.0)])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B, 3 * B + 5, 10**6])
+    @pytest.mark.parametrize("step", [1, 3])
+    @pytest.mark.parametrize("shift", [0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("window", ["0", "64", "past-n", "across-the-split"])
+    def test_bits_do_not_depend_on_the_split(self, p, n, step, shift, window):
+        window = {"0": 0, "64": 64, "past-n": n + 5,
+                  "across-the-split": n - split_at(n) + 10}[window]
+        assert_same_sums(direct_sums(p, n, step, shift, window),
+                         one_thread_sums(p, n, step, shift, window))
+
+    @pytest.mark.parametrize("n", [3 * B + 5, 10**6])
+    def test_limit_b_blocks_do_not_depend_on_the_split(self, n):
+        prepare = limits._negated_outside_gamma
+        assert_same_sums(direct_sums(FIRST_ZERO, n, window=64, prepare=prepare),
+                         one_thread_sums(FIRST_ZERO, n, window=64, prepare=prepare))
+
+    def test_the_second_half_runs_on_one_worker_thread(self):
+        n = 3 * B + 5
+        threads = {}
+
+        def prepare(lo, a, b):
+            threads[lo] = threading.get_ident()
+
+        direct_sums(FIRST_ZERO, n, prepare=prepare)
+        main = threading.get_ident()
+        assert sorted(threads) == [0, B, 2 * B, 3 * B]
+        assert [threads[lo] == main for lo in sorted(threads)] == [True, True, False, False]
+        threads.clear()
+        direct_sums(FIRST_ZERO, B, prepare=prepare)  # one block: no worker
+        assert threads == {0: main}
+
+    @pytest.mark.parametrize("where", ["first-half", "second-half"])
+    def test_an_error_in_either_half_is_one_value_error(self, where):
+        n = 3 * B + 5
+        bad = 5 if where == "first-half" else split_at(n) + 7
+
+        def prepare(lo, a, b):
+            if lo <= bad < lo + len(a):
+                a[bad - lo] = math.inf
+
+        before = threading.active_count()
+        with pytest.raises(ValueError) as exc:
+            direct_sums(FIRST_ZERO, n, prepare=prepare)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == range_error(math.inf)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        limit_B(FIRST_ZERO, 10**5)
+        assert threading.active_count() == before
 
 
 class TestEtaAccel:
